@@ -17,6 +17,12 @@
 //!   most one snapshot interval of journal records instead of the whole
 //!   campaign.
 //!
+//! Resume decodes the snapshot first, then streams the journal once: every
+//! frame is still CRC-checked and every record decoded and checked for
+//! contiguity, but only the records at or past the snapshot's cursor are
+//! kept for replay. Resume memory is therefore bounded by one snapshot
+//! interval of records, not by the campaign's length.
+//!
 //! Damage handling: the journal self-heals by truncating to the last
 //! CRC-valid record; a snapshot that fails validation is moved to
 //! `state.snap.quarantined` and the journal is replayed from round 0 (the
@@ -576,17 +582,6 @@ pub struct ResumeDiagnostics {
     pub snapshot_foreign_version: Option<u32>,
 }
 
-/// What [`CheckpointStore::open`] recovers from a checkpoint directory:
-/// the store itself, the snapshot schema version and payload if a valid
-/// one was present, the recovered journal record payloads, and the
-/// recovery diagnostics.
-pub(crate) type OpenedCheckpoint = (
-    CheckpointStore,
-    Option<(u32, Vec<u8>)>,
-    Vec<Vec<u8>>,
-    ResumeDiagnostics,
-);
-
 /// The open checkpoint directory a running campaign appends to.
 pub(crate) struct CheckpointStore {
     journal: Journal,
@@ -610,18 +605,19 @@ impl CheckpointStore {
         })
     }
 
-    /// Opens an existing checkpoint directory (creating it if absent),
-    /// recovering the journal and validating the snapshot.
+    /// Reads and validates the snapshot of the checkpoint directory `dir`,
+    /// the first step of a resume.
     ///
-    /// Returns the store, the snapshot payload if a valid one was present
-    /// (already version-checked), the recovered journal record payloads,
-    /// and diagnostics. A corrupt snapshot is quarantined, not fatal.
-    pub fn open(dir: &Path, policy: CheckpointPolicy) -> Result<OpenedCheckpoint> {
-        std::fs::create_dir_all(dir)?;
+    /// Returns the snapshot's schema version and payload if a valid one was
+    /// present (already version-checked), and records what it found in
+    /// `diagnostics`. A corrupt or foreign-version snapshot is
+    /// quarantined, not fatal.
+    pub fn load_snapshot(
+        dir: &Path,
+        diagnostics: &mut ResumeDiagnostics,
+    ) -> Result<Option<(u32, Vec<u8>)>> {
         let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let mut diagnostics = ResumeDiagnostics::default();
-
-        let snapshot_payload = match read_snapshot(&snapshot_path) {
+        Ok(match read_snapshot(&snapshot_path) {
             Ok(None) => None,
             Ok(Some((version, payload)))
                 if version == STATE_VERSION
@@ -645,21 +641,30 @@ impl CheckpointStore {
                 None
             }
             Err(e) => return Err(e),
-        };
+        })
+    }
 
-        let (journal, records, recovery) = Journal::open(dir.join(JOURNAL_FILE))?;
+    /// Opens the journal of the checkpoint directory `dir` (creating the
+    /// directory if absent), the second step of a resume.
+    ///
+    /// Every recovered record payload is handed to `visit` in round order
+    /// as the journal streams past (see [`Journal::open_with`]), and what
+    /// journal recovery repaired goes into `diagnostics`. Returns the
+    /// store, ready to append.
+    pub fn open(
+        dir: &Path,
+        policy: CheckpointPolicy,
+        diagnostics: &mut ResumeDiagnostics,
+        visit: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        let (journal, recovery) = Journal::open_with(dir.join(JOURNAL_FILE), visit)?;
         diagnostics.journal = recovery;
-
-        Ok((
-            CheckpointStore {
-                journal,
-                snapshot_path,
-                policy,
-            },
-            snapshot_payload,
-            records,
-            diagnostics,
-        ))
+        Ok(CheckpointStore {
+            journal,
+            snapshot_path: dir.join(SNAPSHOT_FILE),
+            policy,
+        })
     }
 
     /// Appends one round record, fsyncing per policy.
@@ -1036,9 +1041,16 @@ mod tests {
             let dir = base.join(format!("accept-{v}"));
             std::fs::create_dir_all(&dir).unwrap();
             write_snapshot(dir.join(SNAPSHOT_FILE), v, b"payload").unwrap();
-            let (_store, snapshot, records, diag) = CheckpointStore::open(&dir, policy).unwrap();
+            let mut diag = ResumeDiagnostics::default();
+            let snapshot = CheckpointStore::load_snapshot(&dir, &mut diag).unwrap();
             assert_eq!(snapshot, Some((v, b"payload".to_vec())));
-            assert!(records.is_empty());
+            let mut records = 0;
+            CheckpointStore::open(&dir, policy, &mut diag, |_| {
+                records += 1;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(records, 0);
             assert!(diag.snapshot_loaded, "v{v} snapshot must load");
             assert_eq!(diag.snapshot_foreign_version, None);
             assert!(diag.snapshot_quarantined.is_none());
@@ -1049,7 +1061,8 @@ mod tests {
             let dir = base.join(format!("reject-{v}"));
             std::fs::create_dir_all(&dir).unwrap();
             write_snapshot(dir.join(SNAPSHOT_FILE), v, b"payload").unwrap();
-            let (_store, snapshot, _records, diag) = CheckpointStore::open(&dir, policy).unwrap();
+            let mut diag = ResumeDiagnostics::default();
+            let snapshot = CheckpointStore::load_snapshot(&dir, &mut diag).unwrap();
             assert_eq!(snapshot, None, "v{v} must not load");
             assert!(!diag.snapshot_loaded);
             assert_eq!(diag.snapshot_foreign_version, Some(v));

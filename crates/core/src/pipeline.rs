@@ -201,14 +201,29 @@ impl Campaign {
         policy: CheckpointPolicy,
     ) -> fbs_types::Result<CampaignRunner<'_>> {
         let statics = Statics::build(self)?;
-        let (mut store, snapshot_payload, raw_records, mut diagnostics) =
-            CheckpointStore::open(dir, policy)?;
+        let mut diagnostics = ResumeDiagnostics::default();
+        let snapshot = CheckpointStore::load_snapshot(dir, &mut diagnostics)?;
 
-        // Decode and contiguity-check the recovered journal. The WAL layer
-        // already CRC-validated every payload, so a decode failure here is
+        // Decode the snapshot before the journal streams past: its cursor
+        // says which records replay needs. A payload that does not decode
+        // (or does not match this world) leaves the journal alone to
+        // rebuild the state; it is quarantined only once the journal has
+        // validated, so a journal error leaves the snapshot in place.
+        let snapshot_state =
+            snapshot.map(|(version, payload)| decode_state(&payload, version, &statics));
+        let completed = match &snapshot_state {
+            Some(Ok(state)) => state.cursor.completed() as usize,
+            _ => 0,
+        };
+
+        // Decode and contiguity-check every recovered record, keeping only
+        // those at or past the snapshot cursor. The WAL layer already
+        // CRC-validated every payload, so a decode failure here is
         // logic-level corruption (foreign file, schema mismatch).
-        let mut records: Vec<RoundRecord> = Vec::with_capacity(raw_records.len());
-        for (i, raw) in raw_records.iter().enumerate() {
+        let mut journaled = 0usize;
+        let mut records: Vec<RoundRecord> = Vec::new();
+        let mut store = CheckpointStore::open(dir, policy, &mut diagnostics, |raw| {
+            let i = journaled;
             let record = RoundRecord::decode(raw).map_err(|e| {
                 FbsError::corrupt_journal(format!("record {i} undecodable: {e}"), i as u64)
             })?;
@@ -221,47 +236,44 @@ impl Campaign {
                     i as u64,
                 ));
             }
-            records.push(record);
-        }
-        if records.len() as u64 > statics.rounds as u64 {
+            if i >= completed {
+                records.push(record);
+            }
+            journaled += 1;
+            Ok(())
+        })?;
+        if journaled as u64 > statics.rounds as u64 {
             return Err(FbsError::corrupt_journal(
                 format!(
-                    "journal holds {} records for a {}-round campaign",
-                    records.len(),
+                    "journal holds {journaled} records for a {}-round campaign",
                     statics.rounds
                 ),
-                records.len() as u64,
+                journaled as u64,
             ));
         }
 
-        // Load the snapshot if one survived validation; a payload that does
-        // not decode (or does not match this world) is quarantined and the
-        // journal alone rebuilds the state.
-        let mut state = None;
-        if let Some((version, payload)) = snapshot_payload {
-            match decode_state(&payload, version, &statics) {
-                Ok(s) => state = Some(s),
-                Err(_) => {
-                    diagnostics.snapshot_loaded = false;
-                    diagnostics.snapshot_quarantined = store.quarantine_snapshot_file()?;
-                }
+        let mut state = match snapshot_state {
+            Some(Ok(state)) => state,
+            Some(Err(_)) => {
+                diagnostics.snapshot_loaded = false;
+                diagnostics.snapshot_quarantined = store.quarantine_snapshot_file()?;
+                initial_state(&self.world, &self.config, &statics)
             }
-        }
-        let mut state = state.unwrap_or_else(|| initial_state(&self.world, &self.config, &statics));
+            None => initial_state(&self.world, &self.config, &statics),
+        };
 
-        let completed = state.cursor.completed() as usize;
-        if records.len() < completed {
+        if journaled < completed {
             // The journal lags the snapshot (its tail was truncated after
             // the snapshot was written). The missing rounds are already in
             // the state; re-measure them — determinism makes the records
             // identical — and heal the journal so it stays authoritative.
-            for i in records.len()..completed {
+            for i in journaled..completed {
                 let record = measure_round(&self.world, &self.config, &statics, Round(i as u32));
                 store.append(&record)?;
                 diagnostics.healed_rounds += 1;
             }
         } else {
-            for record in &records[completed..] {
+            for record in &records {
                 apply_round(&self.world, &self.config, &statics, &mut state, record)?;
                 diagnostics.replayed_rounds += 1;
             }

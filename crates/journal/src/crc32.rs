@@ -1,15 +1,24 @@
-//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven.
+//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), slicing-by-8.
 //!
 //! Journal records and snapshot payloads are checksummed with the same
 //! CRC-32 variant used by zlib/gzip so the files can be cross-checked with
 //! standard tooling (`python3 -c 'import zlib; print(zlib.crc32(data))'`).
+//!
+//! The kernel folds eight input bytes per step through eight 256-entry
+//! tables (Intel's "slicing-by-8"), about four times the throughput of the
+//! one-table bytewise loop and bit-identical to it, so files checksummed
+//! by either verify with the other. The bytewise loop is kept in the tests
+//! as the reference.
 
 const POLY: u32 = 0xEDB8_8320;
 
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is the CRC
+/// register after byte `b` is followed by `k` zero bytes, which lets one
+/// step fold eight bytes with eight independent lookups.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,17 +31,40 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Computes the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -40,6 +72,16 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise one-table loop: the reference the sliced kernel must
+    /// match bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn known_vectors() {
@@ -50,6 +92,26 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn sliced_kernel_matches_the_bytewise_reference() {
+        // Every length through several 8-byte steps plus every tail, a few
+        // large lengths, each at every start offset within an 8-byte word.
+        let buf: Vec<u8> = (0u32..(1 << 20) + 64)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let lengths = (0..=64).chain([255, 4_099, 65_536 + 5, 1 << 20]);
+        for len in lengths {
+            for offset in 0..8 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "length {len} at offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

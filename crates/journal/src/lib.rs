@@ -10,13 +10,17 @@
 //!   recovers the longest valid prefix: torn or bit-corrupted tails are
 //!   physically truncated away, and a file with a damaged header is
 //!   quarantined (renamed to `<name>.quarantined`) rather than trusted or
-//!   deleted.
+//!   deleted. [`Journal::open_with`] does this in one streaming pass that
+//!   hands each CRC-checked record to a visitor, so recovery memory is one
+//!   read buffer plus one record however long the journal grows;
+//!   [`Journal::open`] collects the records instead.
 //! - [`write_snapshot`] / [`read_snapshot`] — atomic whole-state
 //!   snapshots (temp file + fsync + rename) with a versioned header, so a
 //!   resume can skip replaying most of the journal.
 //!
-//! Both formats checksum with the zlib-compatible CRC-32 ([`crc32`]) and
-//! carry explicit magic/version bytes so stale or foreign files fail fast.
+//! Both formats checksum with the zlib-compatible CRC-32 ([`crc32`], a
+//! slicing-by-8 table kernel) and carry explicit magic/version bytes so
+//! stale or foreign files fail fast.
 //!
 //! This crate is deliberately payload-version-agnostic: it moves opaque
 //! bytes, and `fbs-core`'s checkpoint layer owns the schema. For

@@ -18,7 +18,7 @@
 //! should treat by quarantining the file and replaying its journal.
 
 use crate::crc32::crc32;
-use crate::wal::sync_parent_dir;
+use crate::wal::{read_array, sync_parent_dir};
 use fbs_types::{FbsError, Result};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -34,19 +34,19 @@ pub fn write_snapshot(path: impl AsRef<Path>, version: u32, payload: &[u8]) -> R
     let path = path.as_ref();
     let tmp = tmp_path(path);
 
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&version.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(SNAPSHOT_MAGIC);
+    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    header.extend_from_slice(&crc32(payload).to_le_bytes());
 
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(true)
         .open(&tmp)?;
-    file.write_all(&bytes)?;
+    file.write_all(&header)?;
+    file.write_all(payload)?;
     file.sync_all()?;
     drop(file);
 
@@ -67,42 +67,38 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<(u32, Vec<u8>)>> {
         return Ok(None);
     }
     let mut file = File::open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-
-    if bytes.len() < HEADER_LEN {
+    let file_len = file.metadata()?.len();
+    if file_len < HEADER_LEN as u64 {
         return Err(FbsError::corrupt_snapshot(format!(
-            "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
-            bytes.len()
+            "file is {file_len} bytes, shorter than the {HEADER_LEN}-byte header"
         )));
     }
-    if &bytes[..8] != SNAPSHOT_MAGIC {
+    let magic: [u8; 8] = read_array(&mut file)?;
+    if &magic != SNAPSHOT_MAGIC {
         return Err(FbsError::corrupt_snapshot(format!(
-            "bad magic {:02x?}",
-            &bytes[..8]
+            "bad magic {magic:02x?}"
         )));
     }
-    // Slice-to-array conversions on ranges already guarded by the
-    // HEADER_LEN length check above; the expects cannot fire.
-    // fbs-lint: allow(panic-in-pipeline) fixed-width slice, length checked above
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("len 4"));
-    // fbs-lint: allow(panic-in-pipeline) fixed-width slice, length checked above
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("len 8"));
-    // fbs-lint: allow(panic-in-pipeline) fixed-width slice, length checked above
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("len 4"));
-    let payload = &bytes[HEADER_LEN..];
+    let version = u32::from_le_bytes(read_array(&mut file)?);
+    let len = u64::from_le_bytes(read_array(&mut file)?);
+    let crc = u32::from_le_bytes(read_array(&mut file)?);
+    // The payload is read straight into the buffer that is returned. Its
+    // capacity comes from the file size, never from the header, so a
+    // corrupt length cannot request an allocation.
+    let mut payload = Vec::with_capacity((file_len - HEADER_LEN as u64) as usize);
+    file.read_to_end(&mut payload)?;
     if payload.len() as u64 != len {
         return Err(FbsError::corrupt_snapshot(format!(
             "header declares {len} payload bytes, file holds {}",
             payload.len()
         )));
     }
-    if crc32(payload) != crc {
+    if crc32(&payload) != crc {
         return Err(FbsError::corrupt_snapshot(
             "payload checksum mismatch".to_string(),
         ));
     }
-    Ok(Some((version, payload.to_vec())))
+    Ok(Some((version, payload)))
 }
 
 /// Moves a damaged snapshot aside to `<name>.quarantined`, returning the

@@ -11,18 +11,21 @@
 //! ```
 //!
 //! Appends are frame-at-a-time, so the only damage a crash can cause is a
-//! torn final frame. [`Journal::open`] scans the record stream from the
-//! start and stops at the first frame that is truncated, oversized, or
-//! fails its CRC; everything after that point is discarded by physically
-//! truncating the file, and scanning resumes from a clean tail. A file
-//! whose *header* is damaged can't be trusted at all — it is renamed to
-//! `<name>.quarantined` (preserved for forensics, never silently deleted)
-//! and a fresh journal is started in its place.
+//! torn final frame. [`Journal::open_with`] scans the record stream from
+//! the start in one pass through a fixed-size read buffer, handing each
+//! CRC-valid payload to a visitor, and stops at the first frame that is
+//! truncated, oversized, or fails its CRC; everything after that point is
+//! discarded by physically truncating the file, and appending resumes from
+//! a clean tail. Recovery memory is one read buffer plus the largest
+//! record, whatever the journal's length. A file whose *header* is damaged
+//! can't be trusted at all — it is renamed to `<name>.quarantined`
+//! (preserved for forensics, never silently deleted) and a fresh journal is
+//! started in its place.
 
 use crate::crc32::crc32;
 use fbs_types::{FbsError, Result};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Format magic: name + version, bumped on incompatible layout changes.
@@ -33,6 +36,10 @@ pub const WAL_MAGIC: &[u8; 8] = b"FBSWAL01";
 pub const MAX_RECORD_LEN: u32 = 1 << 30;
 
 const FRAME_HEADER_LEN: usize = 8; // len u32 + crc u32
+
+/// Read buffer of the recovery scan. A record larger than this is read
+/// straight into the payload buffer.
+const READ_BUFFER_LEN: usize = 64 * 1024;
 
 /// What [`Journal::open`] had to do to produce a clean journal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -89,19 +96,48 @@ impl Journal {
     /// bit-corrupted tail is truncated away; a file with a damaged header
     /// is quarantined and replaced. None of these cases is an error —
     /// `Err` is reserved for real I/O failures.
+    ///
+    /// This collects every payload in memory; [`Journal::open_with`] is the
+    /// same scan with bounded memory.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Vec<u8>>, JournalRecovery)> {
+        let mut payloads = Vec::new();
+        let (journal, recovery) = Self::open_with(path, |payload| {
+            payloads.push(payload.to_vec());
+            Ok(())
+        })?;
+        Ok((journal, payloads, recovery))
+    }
+
+    /// Opens the journal at `path` like [`Journal::open`], streaming each
+    /// recovered payload to `visit` in append order instead of collecting
+    /// them.
+    ///
+    /// The scan holds one fixed-size read buffer and the current record,
+    /// so memory does not grow with the journal. Every frame is still
+    /// CRC-checked before it is visited, and the repairs are exactly those
+    /// of [`Journal::open`]. If `visit` returns an error, no further
+    /// payloads are visited, but the scan still runs to the end of the
+    /// valid prefix and makes its repairs; the visitor's error is returned
+    /// only after them, so the file is left as a successful open leaves it.
+    pub fn open_with(
+        path: impl AsRef<Path>,
+        mut visit: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<(Self, JournalRecovery)> {
         let path = path.as_ref().to_path_buf();
         if !path.exists() {
-            return Ok((Self::create(&path)?, Vec::new(), JournalRecovery::default()));
+            return Ok((Self::create(&path)?, JournalRecovery::default()));
         }
 
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let file_len = file.metadata()?.len();
+        let mut reader = BufReader::with_capacity(READ_BUFFER_LEN, &file);
 
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        let header_ok =
+            file_len >= WAL_MAGIC.len() as u64 && read_array(&mut reader)? == *WAL_MAGIC;
+        if !header_ok {
             // Header damage: nothing in the file can be trusted. Move it
             // aside and start over.
+            drop(reader);
             drop(file);
             let quarantine = quarantine_path(&path);
             std::fs::rename(&path, &quarantine)?;
@@ -109,59 +145,55 @@ impl Journal {
             let journal = Self::create(&path)?;
             return Ok((
                 journal,
-                Vec::new(),
                 JournalRecovery {
                     records: 0,
-                    dropped_bytes: bytes.len() as u64,
+                    dropped_bytes: file_len,
                     quarantined: Some(quarantine),
                 },
             ));
         }
 
-        let mut payloads = Vec::new();
-        let mut pos = WAL_MAGIC.len();
+        let mut pos = WAL_MAGIC.len() as u64;
+        let mut records = 0u64;
+        let mut payload = Vec::new();
+        let mut visited = Ok(());
         loop {
-            let rest = bytes.len() - pos;
-            if rest == 0 {
-                break; // clean end
+            let rest = file_len - pos;
+            if rest < FRAME_HEADER_LEN as u64 {
+                break; // clean end, or a torn frame header
             }
-            if rest < FRAME_HEADER_LEN {
-                break; // torn frame header
+            let len = u32::from_le_bytes(read_array(&mut reader)?);
+            let crc = u32::from_le_bytes(read_array(&mut reader)?);
+            if len > MAX_RECORD_LEN || rest - (FRAME_HEADER_LEN as u64) < u64::from(len) {
+                break; // corrupt length prefix, or a torn payload
             }
-            // fbs-lint: allow(panic-in-pipeline) fixed-width slice, rest >= FRAME_HEADER_LEN checked above
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len 4"));
-            // fbs-lint: allow(panic-in-pipeline) fixed-width slice, rest >= FRAME_HEADER_LEN checked above
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("len 4"));
-            if len > MAX_RECORD_LEN {
-                break; // corrupt length prefix
-            }
-            let len = len as usize;
-            if rest < FRAME_HEADER_LEN + len {
-                break; // torn payload
-            }
-            let payload = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len];
-            if crc32(payload) != crc {
+            payload.resize(len as usize, 0);
+            reader.read_exact(&mut payload)?;
+            if crc32(&payload) != crc {
                 break; // bit corruption
             }
-            payloads.push(payload.to_vec());
-            pos += FRAME_HEADER_LEN + len;
+            if visited.is_ok() {
+                visited = visit(&payload);
+            }
+            records += 1;
+            pos += FRAME_HEADER_LEN as u64 + u64::from(len);
         }
+        drop(reader);
 
-        let dropped = (bytes.len() - pos) as u64;
+        let dropped = file_len - pos;
         if dropped > 0 {
-            file.set_len(pos as u64)?;
+            file.set_len(pos)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(pos as u64))?;
+        file.seek(SeekFrom::Start(pos))?;
+        visited?;
 
-        let records = payloads.len() as u64;
         Ok((
             Journal {
                 file,
                 path,
                 records,
             },
-            payloads,
             JournalRecovery {
                 records,
                 dropped_bytes: dropped,
@@ -214,6 +246,13 @@ fn quarantine_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(".quarantined");
     PathBuf::from(name)
+}
+
+/// Reads exactly `N` bytes: one fixed-width header field.
+pub(crate) fn read_array<const N: usize>(reader: &mut impl Read) -> std::io::Result<[u8; N]> {
+    let mut bytes = [0u8; N];
+    reader.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// Best-effort fsync of the parent directory so renames/creates survive a
@@ -346,6 +385,78 @@ mod tests {
         let (_, recs, recovery) = Journal::open(&path).unwrap();
         assert!(recovery.was_clean());
         assert_eq!(recs, vec![vec![0], vec![1], vec![2], vec![99]]);
+    }
+
+    #[test]
+    fn visitor_error_stops_visits_but_still_repairs() {
+        let dir = tmpdir("visit-err");
+        let path = dir.join("rounds.wal");
+        let mut j = Journal::create(&path).unwrap();
+        for i in 0u8..10 {
+            j.append(&[i; 16]).unwrap();
+        }
+        drop(j);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
+
+        let mut visited = Vec::new();
+        let err = Journal::open_with(&path, |payload| {
+            visited.push(payload[0]);
+            if payload[0] == 3 {
+                Err(FbsError::corrupt_journal("visitor refused", 3))
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FbsError::CorruptJournal {
+                    recovered_records: 3,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(visited, vec![0, 1, 2, 3], "no visits after the error");
+
+        // The torn tail was truncated before the error came back.
+        let valid = (WAL_MAGIC.len() + 9 * (FRAME_HEADER_LEN + 16)) as u64;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), valid);
+        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        assert!(recovery.was_clean());
+        assert_eq!(recs.len(), 9);
+    }
+
+    #[test]
+    fn records_larger_than_the_read_buffer_roundtrip_and_tear() {
+        let dir = tmpdir("big");
+        let path = dir.join("rounds.wal");
+        let big: Vec<u8> = (0u32..1 << 20).map(|i| (i % 251) as u8).collect();
+        assert!(big.len() > READ_BUFFER_LEN);
+        let records = vec![vec![1u8; 40], big, vec![2u8; 3]];
+        let mut j = Journal::create(&path).unwrap();
+        for r in &records {
+            j.append(r).unwrap();
+        }
+        drop(j);
+
+        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        assert!(recovery.was_clean());
+        assert_eq!(recs, records);
+
+        // Tear the file in the middle of the large record.
+        let full = std::fs::read(&path).unwrap();
+        let big_start = WAL_MAGIC.len() + FRAME_HEADER_LEN + 40;
+        let cut = big_start + FRAME_HEADER_LEN + records[1].len() / 2;
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        assert_eq!(recs, records[..1].to_vec());
+        assert_eq!(recovery.dropped_bytes, (cut - big_start) as u64);
+        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        assert!(recovery.was_clean());
+        assert_eq!(recs.len(), 1);
     }
 
     #[test]

@@ -9,15 +9,17 @@
 //! journal tail is truncated and the lost rounds rescanned, a corrupt
 //! snapshot is quarantined and the journal replayed from round zero.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use ukraine_fbs::core::checkpoint::{JOURNAL_FILE, SNAPSHOT_FILE};
 use ukraine_fbs::core::{CheckpointPolicy, DisagreementSummary};
+use ukraine_fbs::journal::{write_snapshot, Journal};
 use ukraine_fbs::netsim::{
     AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, FaultWindow,
     IbrConfig, IbrDarkWindow, Script, ScriptedEvent, VantageSpec, World, WorldConfig, WorldScale,
 };
 use ukraine_fbs::prelude::*;
-use ukraine_fbs::types::{Oblast, Prefix};
+use ukraine_fbs::types::{FbsError, Oblast, Prefix};
 
 const ROUNDS: u32 = 600; // 50 days at 12 rounds/day
 
@@ -450,6 +452,110 @@ fn journal_behind_snapshot_is_healed_by_rescanning() {
         diag.journal.records + diag.healed_rounds as u64,
         252,
         "journal healed exactly up to the snapshot"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The payloads of the intact journal at `path`.
+fn read_journal(path: &Path) -> Vec<Vec<u8>> {
+    let (_, records, recovery) = Journal::open(path).expect("readable journal");
+    assert!(recovery.was_clean(), "{recovery:?}");
+    records
+}
+
+/// Rewrites the journal at `path` through the journal API, so every frame
+/// carries a valid CRC: the damage under test is logical, not physical.
+fn write_journal(path: &Path, records: &[Vec<u8>]) {
+    let mut journal = Journal::create(path).expect("recreate journal");
+    for record in records {
+        journal.append(record).expect("append");
+    }
+    journal.sync().expect("sync");
+}
+
+/// Sets the round field of a version-2 record (after the u32 version tag).
+fn set_round(record: &mut [u8], round: u32) {
+    record[4..8].copy_from_slice(&round.to_le_bytes());
+}
+
+/// Resuming `dir` must fail with `CorruptJournal` naming `recovered`
+/// records and `reason`, and must leave `state.snap` where it was.
+fn assert_resume_rejects(campaign: &Campaign, dir: &Path, recovered: u64, reason: &str) {
+    let err = match campaign.runner_resumed(dir, policy()) {
+        Ok(_) => panic!("resume accepted a corrupt journal ({reason})"),
+        Err(err) => err,
+    };
+    match &err {
+        FbsError::CorruptJournal {
+            reason: got,
+            recovered_records,
+        } => {
+            assert_eq!(*recovered_records, recovered, "{err}");
+            assert!(got.contains(reason), "{err}");
+        }
+        other => panic!("expected a corrupt journal, got: {other}"),
+    }
+    assert!(dir.join(SNAPSHOT_FILE).exists(), "snapshot moved: {err}");
+    assert!(
+        !dir.join(format!("{SNAPSHOT_FILE}.quarantined")).exists(),
+        "snapshot quarantined: {err}"
+    );
+}
+
+#[test]
+fn resume_validates_every_journal_record() {
+    // Records before the snapshot cursor are never replayed, but resume
+    // still decodes and contiguity-checks every one, and counts them all.
+    let campaign = chaos_campaign();
+    let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
+    let dir = fresh_dir("validate");
+    run_and_kill(&campaign, &dir, 250); // last snapshot at round 168
+    let wal = dir.join(JOURNAL_FILE);
+    let pristine = read_journal(&wal);
+
+    // Record 100 does not decode: its `online` bool byte reads 2.
+    let mut records = pristine.clone();
+    records[100][8] = 2;
+    write_journal(&wal, &records);
+    assert_resume_rejects(&campaign, &dir, 100, "record 100 undecodable");
+
+    // Record 120 describes round 121.
+    let mut records = pristine.clone();
+    set_round(&mut records[120], 121);
+    write_journal(&wal, &records);
+    assert_resume_rejects(&campaign, &dir, 120, "record 120 describes round 121");
+
+    // A CRC-valid snapshot that does not decode is quarantined only once
+    // the journal has validated: over the bad journal it stays in place…
+    write_snapshot(dir.join(SNAPSHOT_FILE), 2, b"not a pipeline state").expect("snapshot");
+    assert_resume_rejects(&campaign, &dir, 120, "record 120 describes round 121");
+    // …and over the intact one it is moved aside and the journal replays
+    // from round zero.
+    write_journal(&wal, &pristine);
+    let (resumed, diag) = campaign.resume_with(&dir, policy()).expect("resume");
+    assert_eq!(format!("{resumed:?}"), baseline);
+    assert!(!diag.snapshot_loaded);
+    assert!(diag.snapshot_quarantined.is_some(), "{diag:?}");
+    assert_eq!(diag.replayed_rounds, 250);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A journal with more records than the campaign has rounds, each
+    // record decodable and contiguous.
+    let dir = fresh_dir("overlong");
+    campaign
+        .run_checkpointed(&dir, policy())
+        .expect("checkpointed run");
+    let wal = dir.join(JOURNAL_FILE);
+    let mut records = read_journal(&wal);
+    let mut extra = records.last().expect("a finished journal").clone();
+    set_round(&mut extra, ROUNDS);
+    records.push(extra);
+    write_journal(&wal, &records);
+    assert_resume_rejects(
+        &campaign,
+        &dir,
+        ROUNDS as u64 + 1,
+        "journal holds 601 records for a 600-round campaign",
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
