@@ -28,6 +28,13 @@
 //! `state.snap.quarantined` and the journal is replayed from round 0 (the
 //! journal is never compacted, precisely so that it alone can rebuild the
 //! full state).
+//!
+//! Both files carry one schema version, and every campaign writes the same
+//! one: the union layout [`UNION_STATE_VERSION`], in which every section of
+//! the older layouts is present and the optional layers (darknet, shard
+//! supervision) sit behind presence flags. Versions 2–5 are read-only:
+//! their decoders stay so checkpoint directories written by older builds
+//! still resume, but nothing writes them.
 
 use crate::pipeline::PipelineState;
 use fbs_feeds::FeedQuarantine;
@@ -36,10 +43,10 @@ use fbs_types::codec::{ByteReader, ByteWriter, Persist};
 use fbs_types::{FbsError, Result, Round, RoundQuality};
 use std::path::{Path, PathBuf};
 
-/// Schema version of both the journal record payloads and the snapshot
-/// payload. Bumped on any change to [`RoundRecord`] or `PipelineState`
-/// encoding; files with another version are rejected as corrupt rather
-/// than misread.
+/// The union schema version, the only one any campaign writes, for both
+/// the journal record payloads and the snapshot payload. Bumped on any
+/// change to [`RoundRecord`] or `PipelineState` encoding; files with a
+/// version no decoder accepts are rejected as corrupt rather than misread.
 ///
 /// Version history: 1 — initial crash-safe campaigns; 2 — feed-delivery
 /// observations ([`FeedObs`]) and the per-block `routed_known` bit; 3 —
@@ -48,32 +55,28 @@ use std::path::{Path, PathBuf};
 /// background-radiation signal (per-AS [`IbrObs`] in round records,
 /// per-AS seasonal predictors and IBR ledgers in the snapshot); 5 —
 /// supervised sharded execution (per-shard [`ShardObs`] outcomes in round
-/// records, per-round shard summaries in the snapshot).
-///
-/// A single-vantage campaign (empty roster) still writes
-/// [`LEGACY_STATE_VERSION`] files, byte-identical to what it always wrote;
-/// version 3 is only emitted when the roster is non-empty,
-/// [`IBR_STATE_VERSION`] only when the passive signal is enabled, and
-/// [`SHARD_STATE_VERSION`] only when shard supervision is enabled
-/// (`shard_plan: Some`), so pre-existing checkpoints stay readable and
-/// writable without any migration.
+/// records, per-round shard summaries in the snapshot); 6 — the union of
+/// all of them: the version-5 layout with the shard section behind a
+/// presence flag, written by every campaign whatever its roster, passive
+/// signal or shard plan.
+pub const UNION_STATE_VERSION: u32 = 6;
+
+/// The multi-vantage schema version (read-only): records carry the
+/// vantage roster in place of the single-vantage block section. The name
+/// predates the later layouts.
 pub const STATE_VERSION: u32 = 3;
 
-/// The pre-multi-vantage schema version, still both read and written (it
-/// is *the* on-disk format for single-vantage campaigns).
+/// The pre-multi-vantage schema version (read-only): the single-vantage
+/// layout, with no vantage section.
 pub const LEGACY_STATE_VERSION: u32 = 2;
 
-/// The passive-signal schema version, written only by campaigns with IBR
-/// enabled (`ibr: Some`). Unlike version 3 it carries both the
-/// single-vantage `blocks` and the multi-vantage `vantages` layouts, so
-/// it composes with either scanning mode.
+/// The passive-signal schema version (read-only): both scanning layouts
+/// plus an unconditional darknet section.
 pub const IBR_STATE_VERSION: u32 = 4;
 
-/// The supervised-shard schema version, written only by campaigns with a
-/// shard-fault plan (`shard_plan: Some`). It carries every section of the
-/// earlier layouts — `blocks`, `vantages`, and an *optional* darknet
-/// observation behind a presence flag — plus the per-shard supervision
-/// outcomes, so it composes with any scanning/passive mode.
+/// The supervised-shard schema version (read-only): every earlier section,
+/// the darknet observation behind a presence flag, and an unconditional
+/// shard section.
 pub const SHARD_STATE_VERSION: u32 = 5;
 
 /// Journal file name inside a checkpoint directory.
@@ -114,8 +117,7 @@ impl Default for CheckpointPolicy {
 /// roster entry (in roster order), `blocks` stays empty (the fused view is
 /// recomputed deterministically in `apply_round`, never journaled), and
 /// the top-level `quality` is the *fused* round quality — the best among
-/// usable vantages. Single-vantage records leave `vantages` empty and are
-/// encoded in the legacy version-2 layout, byte-identical to before.
+/// usable vantages. Single-vantage records leave `vantages` empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RoundRecord {
     /// The round this record describes.
@@ -139,14 +141,13 @@ pub(crate) struct RoundRecord {
     pub vantages: Vec<VantageObs>,
     /// The darknet collector's view of the round: per-AS background
     /// radiation, or the collector's own darkness. `None` when the passive
-    /// signal is disabled — only then do the pre-IBR layouts apply.
+    /// signal is disabled.
     pub ibr: Option<IbrObs>,
     /// Per-shard supervision outcomes for the round, in roster (slot)
-    /// order. `None` when shard supervision is off — only then do the
-    /// pre-shard layouts apply. Journaling outcomes (not timings) is what
-    /// makes a killed-and-resumed campaign replay a degraded round
-    /// byte-identically: replay reads which shards were lost instead of
-    /// re-running the supervisor.
+    /// order. `None` when shard supervision is off. Journaling outcomes
+    /// (not timings) is what makes a killed-and-resumed campaign replay a
+    /// degraded round byte-identically: replay reads which shards were
+    /// lost instead of re-running the supervisor.
     pub shards: Option<ShardObs>,
 }
 
@@ -413,34 +414,18 @@ impl Persist for FeedObs {
 
 impl Persist for RoundRecord {
     fn persist(&self, w: &mut ByteWriter) {
-        // One field sequence for all four layouts, with the version gating
-        // which sections appear: version 5 (shard supervision on) carries
-        // every section, with the darknet observation behind a presence
-        // flag; version 4 (passive signal on) carries both scanning
-        // layouts plus the darknet observation; version 2 is the legacy
-        // single-vantage layout byte-for-byte; version 3 swaps the block
-        // section for the vantage roster.
-        let version = self.layout_version();
-        w.put_u32(version);
+        // The union layout: every field in declaration order, whatever the
+        // campaign mode. The optional layers ride the generic `Option`
+        // codec, a presence flag then the payload.
+        w.put_u32(UNION_STATE_VERSION);
         self.round.persist(w);
-        w.put_bool(self.online);
+        self.online.persist(w);
         self.quality.persist(w);
-        if version != STATE_VERSION {
-            self.blocks.persist(w);
-        }
+        self.blocks.persist(w);
         self.feeds.persist(w);
-        if version != LEGACY_STATE_VERSION {
-            self.vantages.persist(w);
-        }
-        if version == SHARD_STATE_VERSION {
-            w.put_bool(self.ibr.is_some());
-        }
-        if let Some(ibr) = &self.ibr {
-            ibr.persist(w);
-        }
-        if let Some(shards) = &self.shards {
-            shards.persist(w);
-        }
+        self.vantages.persist(w);
+        self.ibr.persist(w);
+        self.shards.persist(w);
     }
     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
         let version = r.get_u32()?;
@@ -489,7 +474,7 @@ impl Persist for RoundRecord {
                 ibr: Some(IbrObs::restore(r)?),
                 shards: None,
             }),
-            SHARD_STATE_VERSION => {
+            SHARD_STATE_VERSION | UNION_STATE_VERSION => {
                 let round = Round::restore(r)?;
                 let online = r.get_bool()?;
                 let quality = RoundQuality::restore(r)?;
@@ -501,14 +486,21 @@ impl Persist for RoundRecord {
                 } else {
                     None
                 };
-                let shards = ShardObs::restore(r)?;
-                if shards.outcomes.is_empty() {
-                    return Err(FbsError::Io {
-                        reason: format!(
-                            "version-{SHARD_STATE_VERSION} round record with no shard outcomes"
-                        ),
-                    });
-                }
+                // Version 5 always carries the shard section; the union
+                // layout flags it.
+                let shards = if version == SHARD_STATE_VERSION || r.get_bool()? {
+                    let shards = ShardObs::restore(r)?;
+                    if shards.outcomes.is_empty() {
+                        return Err(FbsError::Io {
+                            reason: format!(
+                                "version-{version} round record with no shard outcomes"
+                            ),
+                        });
+                    }
+                    Some(shards)
+                } else {
+                    None
+                };
                 Ok(RoundRecord {
                     round,
                     online,
@@ -517,13 +509,13 @@ impl Persist for RoundRecord {
                     feeds,
                     vantages,
                     ibr,
-                    shards: Some(shards),
+                    shards,
                 })
             }
             other => Err(FbsError::Io {
                 reason: format!(
-                    "round record version {other}, expected {LEGACY_STATE_VERSION}, \
-                     {STATE_VERSION}, {IBR_STATE_VERSION} or {SHARD_STATE_VERSION}"
+                    "round record version {other}, expected {LEGACY_STATE_VERSION} to \
+                     {UNION_STATE_VERSION}"
                 ),
             }),
         }
@@ -531,22 +523,6 @@ impl Persist for RoundRecord {
 }
 
 impl RoundRecord {
-    /// The journal layout this record persists as: version 5 whenever
-    /// shard supervision rides along, version 4 whenever the passive
-    /// observation does (without shards), else the legacy single-vantage
-    /// version 2 (no roster) or the multi-vantage version 3.
-    fn layout_version(&self) -> u32 {
-        if self.shards.is_some() {
-            SHARD_STATE_VERSION
-        } else if self.ibr.is_some() {
-            IBR_STATE_VERSION
-        } else if self.vantages.is_empty() {
-            LEGACY_STATE_VERSION
-        } else {
-            STATE_VERSION
-        }
-    }
-
     /// Serializes the record to journal payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -560,6 +536,53 @@ impl RoundRecord {
         let record = Self::restore(&mut r)?;
         r.expect_exhausted()?;
         Ok(record)
+    }
+}
+
+#[cfg(test)]
+impl RoundRecord {
+    /// The read-only journal layout the pre-union writer chose for this
+    /// record: version 5 whenever shard supervision rides along, version 4
+    /// whenever the passive observation does, else version 2 (no roster)
+    /// or version 3.
+    pub(crate) fn legacy_version(&self) -> u32 {
+        if self.shards.is_some() {
+            SHARD_STATE_VERSION
+        } else if self.ibr.is_some() {
+            IBR_STATE_VERSION
+        } else if self.vantages.is_empty() {
+            LEGACY_STATE_VERSION
+        } else {
+            STATE_VERSION
+        }
+    }
+
+    /// The pre-union record writer, kept as the test oracle for the
+    /// read-only layouts: encodes the record as [`Self::legacy_version`].
+    pub(crate) fn encode_legacy(&self) -> Vec<u8> {
+        let version = self.legacy_version();
+        let mut w = ByteWriter::new();
+        w.put_u32(version);
+        self.round.persist(&mut w);
+        w.put_bool(self.online);
+        self.quality.persist(&mut w);
+        if version != STATE_VERSION {
+            self.blocks.persist(&mut w);
+        }
+        self.feeds.persist(&mut w);
+        if version != LEGACY_STATE_VERSION {
+            self.vantages.persist(&mut w);
+        }
+        if version == SHARD_STATE_VERSION {
+            w.put_bool(self.ibr.is_some());
+        }
+        if let Some(ibr) = &self.ibr {
+            ibr.persist(&mut w);
+        }
+        if let Some(shards) = &self.shards {
+            shards.persist(&mut w);
+        }
+        w.into_bytes()
     }
 }
 
@@ -620,10 +643,7 @@ impl CheckpointStore {
         Ok(match read_snapshot(&snapshot_path) {
             Ok(None) => None,
             Ok(Some((version, payload)))
-                if version == STATE_VERSION
-                    || version == LEGACY_STATE_VERSION
-                    || version == IBR_STATE_VERSION
-                    || version == SHARD_STATE_VERSION =>
+                if (LEGACY_STATE_VERSION..=UNION_STATE_VERSION).contains(&version) =>
             {
                 diagnostics.snapshot_loaded = true;
                 Some((version, payload))
@@ -698,269 +718,104 @@ impl CheckpointStore {
         }
     }
 
-    /// Unconditionally snapshots the current state, in the schema version
-    /// the state's vantage mode dictates (legacy for single-vantage).
+    /// Unconditionally snapshots the current state in the union layout.
     pub fn write_snapshot_now(&mut self, state: &PipelineState) -> Result<()> {
         let mut w = ByteWriter::new();
         state.persist_into(&mut w);
-        write_snapshot(&self.snapshot_path, state.schema_version(), &w.into_bytes())
+        write_snapshot(&self.snapshot_path, UNION_STATE_VERSION, &w.into_bytes())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn round_record_roundtrips() {
-        let record = RoundRecord {
-            round: Round(42),
-            online: true,
-            quality: RoundQuality::Degraded,
-            blocks: vec![
-                BlockObs {
-                    responsive: 118,
-                    rtt_ns: 40_120_000,
-                    routed: true,
-                    routed_known: true,
-                },
-                BlockObs {
-                    responsive: 0,
-                    rtt_ns: 0,
-                    routed: false,
-                    routed_known: false,
-                },
-            ],
-            feeds: Vec::new(),
-            vantages: Vec::new(),
-            ibr: None,
-            shards: None,
-        };
-        let back = RoundRecord::decode(&record.encode()).unwrap();
-        assert_eq!(back, record);
-        // The single-vantage encoding is pinned to the legacy version byte:
-        // old readers and writers keep interoperating with no migration.
-        assert_eq!(record.encode()[0] as u32, LEGACY_STATE_VERSION);
+    /// Every schema version the decoders accept, oldest first.
+    const ACCEPTED: [u32; 5] = [
+        LEGACY_STATE_VERSION,
+        STATE_VERSION,
+        IBR_STATE_VERSION,
+        SHARD_STATE_VERSION,
+        UNION_STATE_VERSION,
+    ];
 
-        let skipped = RoundRecord {
+    /// Record shapes covering every section in both writers: the golden
+    /// fixture record of each version, a skipped round, and the
+    /// single-vantage variants of the passive (dark collector) and
+    /// supervised (no darknet) layouts.
+    fn record_shapes() -> Vec<RoundRecord> {
+        let mut shapes: Vec<RoundRecord> = ACCEPTED.map(wire_fixture_record).to_vec();
+        let single = wire_fixture_record(LEGACY_STATE_VERSION);
+        let full = wire_fixture_record(UNION_STATE_VERSION);
+        shapes.push(RoundRecord {
             round: Round(7),
             online: false,
             quality: RoundQuality::Unusable,
             blocks: Vec::new(),
-            feeds: Vec::new(),
-            vantages: Vec::new(),
-            ibr: None,
-            shards: None,
-        };
-        assert_eq!(RoundRecord::decode(&skipped.encode()).unwrap(), skipped);
-    }
-
-    #[test]
-    fn multi_vantage_record_roundtrips_as_version_3() {
-        let obs = |responsive: u32| BlockObs {
-            responsive,
-            rtt_ns: 41_000_000,
-            routed: true,
-            routed_known: true,
-        };
-        let record = RoundRecord {
-            round: Round(12),
-            online: true,
-            quality: RoundQuality::Ok,
-            blocks: Vec::new(),
-            feeds: Vec::new(),
-            vantages: vec![
-                VantageObs {
-                    online: true,
-                    quality: RoundQuality::Ok,
-                    blocks: vec![obs(30), obs(0)],
-                },
-                VantageObs {
-                    online: true,
-                    quality: RoundQuality::Unusable,
-                    blocks: Vec::new(),
-                },
-                VantageObs {
-                    online: false,
-                    quality: RoundQuality::Ok,
-                    blocks: Vec::new(),
-                },
-            ],
-            ibr: None,
-            shards: None,
-        };
-        assert_eq!(record.encode()[0] as u32, STATE_VERSION);
-        assert_eq!(RoundRecord::decode(&record.encode()).unwrap(), record);
-        // A version-3 record must carry a roster; an empty one is damage.
-        let empty = RoundRecord {
-            vantages: Vec::new(),
-            ..record.clone()
-        };
-        let mut bytes = empty.encode();
-        bytes[0] = STATE_VERSION as u8;
-        assert!(RoundRecord::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn round_record_with_feed_observations_roundtrips() {
-        let quarantine = FeedQuarantine::measure(
-            "10.0.0.0/24|65000\ngarbage\n",
-            1,
-            vec![fbs_types::QuarantinedRecord::new(
-                2,
-                "missing '|'",
-                "garbage",
-            )],
-        );
-        let record = RoundRecord {
-            round: Round(9),
-            online: true,
-            quality: RoundQuality::Ok,
-            blocks: vec![BlockObs {
-                responsive: 3,
-                rtt_ns: 1,
-                routed: true,
-                routed_known: false,
-            }],
-            feeds: vec![
-                FeedObs::Accepted {
-                    retries: 1,
-                    quarantine: quarantine.clone(),
-                },
-                FeedObs::NotDue,
-                FeedObs::Rejected {
-                    retries: 0,
-                    quarantine,
-                },
-            ],
-            vantages: Vec::new(),
-            ibr: None,
-            shards: None,
-        };
-        assert_eq!(RoundRecord::decode(&record.encode()).unwrap(), record);
-        let absent = RoundRecord {
-            feeds: vec![FeedObs::Absent { retries: 2 }; 3],
-            ..record
-        };
-        assert_eq!(RoundRecord::decode(&absent.encode()).unwrap(), absent);
-    }
-
-    #[test]
-    fn ibr_record_roundtrips_as_version_4() {
-        // Version 4 composes with the single-vantage layout…
-        let single = RoundRecord {
-            round: Round(42),
-            online: true,
-            quality: RoundQuality::Ok,
-            blocks: vec![BlockObs {
-                responsive: 9,
-                rtt_ns: 40_000_000,
-                routed: true,
-                routed_known: true,
-            }],
-            feeds: Vec::new(),
-            vantages: Vec::new(),
-            ibr: Some(IbrObs {
-                dark: false,
-                volumes: vec![120_000, 0, 7],
-            }),
-            shards: None,
-        };
-        assert_eq!(single.encode()[0] as u32, IBR_STATE_VERSION);
-        assert_eq!(RoundRecord::decode(&single.encode()).unwrap(), single);
-        // …and with a vantage roster, and with a dark collector.
-        let rostered = RoundRecord {
-            blocks: Vec::new(),
-            vantages: vec![VantageObs {
-                online: true,
-                quality: RoundQuality::Degraded,
-                blocks: vec![],
-            }],
+            ..single.clone()
+        });
+        shapes.push(RoundRecord {
             ibr: Some(IbrObs {
                 dark: true,
                 volumes: Vec::new(),
             }),
             ..single.clone()
+        });
+        shapes.push(RoundRecord {
+            shards: full.shards,
+            ..single
+        });
+        shapes
+    }
+
+    #[test]
+    fn every_record_shape_round_trips_through_both_writers() {
+        for record in record_shapes() {
+            // Every campaign mode writes the union layout…
+            let union = record.encode();
+            assert_eq!(union[0] as u32, UNION_STATE_VERSION);
+            assert_eq!(RoundRecord::decode(&union).unwrap(), record);
+            // …and still decodes what the pre-union writer wrote for it.
+            let legacy = record.encode_legacy();
+            assert_eq!(legacy[0] as u32, record.legacy_version());
+            assert_eq!(RoundRecord::decode(&legacy).unwrap(), record);
+        }
+    }
+
+    #[test]
+    fn structural_damage_is_rejected() {
+        // A version-3 record must carry a roster; an empty one is damage.
+        let bare = RoundRecord {
+            blocks: Vec::new(),
+            feeds: Vec::new(),
+            ..wire_fixture_record(LEGACY_STATE_VERSION)
         };
-        assert_eq!(rostered.encode()[0] as u32, IBR_STATE_VERSION);
-        assert_eq!(RoundRecord::decode(&rostered.encode()).unwrap(), rostered);
-        // A dark observation claiming volumes is structural damage.
+        let mut bytes = bare.encode_legacy();
+        bytes[0] = STATE_VERSION as u8;
+        assert!(RoundRecord::decode(&bytes).is_err());
+        // A dark darknet observation claiming volumes is damage.
         let mut w = ByteWriter::new();
         w.put_bool(true);
         vec![5u64].persist(&mut w);
         assert!(IbrObs::restore(&mut ByteReader::new(&w.into_bytes())).is_err());
-    }
-
-    #[test]
-    fn shard_record_roundtrips_as_version_5() {
-        let outcomes = ShardObs {
-            outcomes: vec![
-                ShardOutcomeObs::Completed {
-                    attempt: 0,
-                    panics: 0,
-                    timeouts: 0,
-                },
-                ShardOutcomeObs::Completed {
-                    attempt: 2,
-                    panics: 1,
-                    timeouts: 1,
-                },
-                ShardOutcomeObs::Lost {
-                    panics: 3,
-                    timeouts: 0,
-                },
-            ],
-        };
-        assert!(outcomes.outcomes[0].completed());
-        assert!(!outcomes.outcomes[2].completed());
-        // Version 5 composes with the single-vantage layout, no darknet…
-        let single = RoundRecord {
-            round: Round(90),
-            online: true,
-            quality: RoundQuality::Degraded,
-            blocks: vec![BlockObs {
-                responsive: 7,
-                rtt_ns: 41_000_000,
-                routed: true,
-                routed_known: true,
-            }],
-            feeds: Vec::new(),
-            vantages: Vec::new(),
-            ibr: None,
-            shards: Some(outcomes.clone()),
-        };
-        assert_eq!(single.encode()[0] as u32, SHARD_STATE_VERSION);
-        assert_eq!(RoundRecord::decode(&single.encode()).unwrap(), single);
-        // …and with a roster plus a darknet observation behind the flag.
-        let full = RoundRecord {
-            blocks: Vec::new(),
-            vantages: vec![VantageObs {
-                online: true,
-                quality: RoundQuality::Ok,
-                blocks: vec![],
-            }],
-            ibr: Some(IbrObs {
-                dark: false,
-                volumes: vec![11, 0],
-            }),
-            ..single.clone()
-        };
-        assert_eq!(full.encode()[0] as u32, SHARD_STATE_VERSION);
-        assert_eq!(RoundRecord::decode(&full.encode()).unwrap(), full);
-        // A version-5 record must carry shard outcomes; none is damage.
-        let mut w = ByteWriter::new();
+        // A shard section that is present must carry outcomes, in either
+        // layout.
         let hollow = RoundRecord {
             shards: Some(ShardObs {
                 outcomes: Vec::new(),
             }),
-            ..single.clone()
+            ..bare
         };
-        hollow.persist(&mut w);
-        assert!(RoundRecord::decode(&w.into_bytes()).is_err());
-        // An unknown outcome tag is damage.
+        assert!(RoundRecord::decode(&hollow.encode_legacy()).is_err());
+        assert!(RoundRecord::decode(&hollow.encode()).is_err());
+        // An unknown shard outcome tag is damage.
         let mut w = ByteWriter::new();
         w.put_u8(9);
         assert!(ShardOutcomeObs::restore(&mut ByteReader::new(&w.into_bytes())).is_err());
+        let outcomes = wire_fixture_record(UNION_STATE_VERSION).shards.unwrap();
+        assert!(outcomes.outcomes[0].completed());
+        assert!(!outcomes.outcomes[1].completed());
     }
 
     #[test]
@@ -992,7 +847,7 @@ mod tests {
     fn round_record_version_probe_is_exhaustive() {
         // Foreign tags fail *at the probe*, carrying the tag in the error
         // so an operator can see which schema stranded the journal.
-        for foreign in [0u32, 1, 6, u32::MAX] {
+        for foreign in [0u32, 1, 7, u32::MAX] {
             let mut w = ByteWriter::new();
             w.put_u32(foreign);
             let err = RoundRecord::decode(&w.into_bytes()).unwrap_err();
@@ -1006,14 +861,9 @@ mod tests {
                 "tag {foreign} missing from error: {msg}"
             );
         }
-        // The four live tags pass the probe: a truncated payload fails in
+        // The accepted tags pass the probe: a truncated payload fails in
         // the section decoders, never as version drift.
-        for live in [
-            LEGACY_STATE_VERSION,
-            STATE_VERSION,
-            IBR_STATE_VERSION,
-            SHARD_STATE_VERSION,
-        ] {
+        for live in ACCEPTED {
             let mut w = ByteWriter::new();
             w.put_u32(live);
             let err = RoundRecord::decode(&w.into_bytes()).unwrap_err();
@@ -1032,12 +882,7 @@ mod tests {
             snapshot_every: 8,
             fsync: false,
         };
-        for v in [
-            LEGACY_STATE_VERSION,
-            STATE_VERSION,
-            IBR_STATE_VERSION,
-            SHARD_STATE_VERSION,
-        ] {
+        for v in ACCEPTED {
             let dir = base.join(format!("accept-{v}"));
             std::fs::create_dir_all(&dir).unwrap();
             write_snapshot(dir.join(SNAPSHOT_FILE), v, b"payload").unwrap();
@@ -1057,7 +902,7 @@ mod tests {
         }
         // A structurally valid snapshot at any other version is
         // quarantined, and the diagnostics name the foreign schema.
-        for v in [0u32, 1, 6, u32::MAX] {
+        for v in [0u32, 1, 7, u32::MAX] {
             let dir = base.join(format!("reject-{v}"));
             std::fs::create_dir_all(&dir).unwrap();
             write_snapshot(dir.join(SNAPSHOT_FILE), v, b"payload").unwrap();
@@ -1153,7 +998,7 @@ mod tests {
                 record.vantages = vantages;
                 record.ibr = Some(ibr);
             }
-            SHARD_STATE_VERSION => {
+            SHARD_STATE_VERSION | UNION_STATE_VERSION => {
                 record.vantages = vantages;
                 record.ibr = Some(ibr);
                 record.shards = Some(shards);
@@ -1163,62 +1008,345 @@ mod tests {
         record
     }
 
+    fn wire_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/wire")
+    }
+
+    /// A committed golden blob under `fixtures/wire/v<version>/`.
+    fn golden(version: u32, file: &str) -> Vec<u8> {
+        let path = wire_dir().join(format!("v{version}")).join(file);
+        std::fs::read(&path).unwrap_or_else(|e| {
+            panic!(
+                "{}: {e} (regenerate with FBS_WRITE_WIRE_FIXTURES=1)",
+                path.display()
+            )
+        })
+    }
+
     #[test]
     fn golden_wire_fixtures_round_trip_byte_for_byte() {
         // `FBS_WRITE_WIRE_FIXTURES=1 cargo test -p fbs-core` regenerates
-        // the committed blobs; a plain run pins the bytes exactly, so any
-        // encoder change that touches a frozen layout fails here even if
-        // encode/decode still agree with each other.
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/wire");
+        // the union-layout blobs; the read-only v2–v5 blobs were written by
+        // the pre-union writers and are never regenerated. A plain run pins
+        // the bytes exactly: the union encoder must reproduce v6 and the
+        // pre-union writer, kept as the oracle, must reproduce v2–v5, so
+        // an encoder change that touches a frozen layout fails here even
+        // if encode/decode still agree with each other.
         let write = std::env::var("FBS_WRITE_WIRE_FIXTURES").is_ok();
+        for version in ACCEPTED {
+            let record = wire_fixture_record(version);
+            let union = version == UNION_STATE_VERSION;
+            let encoded = if union {
+                record.encode()
+            } else {
+                record.encode_legacy()
+            };
+            assert_eq!(u32::from(encoded[0]), version, "v{version} layout drifted");
+            let vdir = wire_dir().join(format!("v{version}"));
+            if write && union {
+                std::fs::create_dir_all(&vdir).unwrap();
+                std::fs::write(vdir.join("round_record.bin"), &encoded).unwrap();
+                write_snapshot(vdir.join("state.snap"), version, &encoded).unwrap();
+                let ckpt = scratch_dir("golden");
+                run_and_kill(&compat_campaign(version), &ckpt, 24);
+                let (_, payload) = read_snapshot(ckpt.join(SNAPSHOT_FILE)).unwrap().unwrap();
+                std::fs::write(vdir.join("pipeline_state.bin"), payload).unwrap();
+                let _ = std::fs::remove_dir_all(&ckpt);
+            }
+            let golden_record = golden(version, "round_record.bin");
+            assert_eq!(
+                golden_record, encoded,
+                "v{version} golden journal bytes drifted from the encoder"
+            );
+            assert_eq!(
+                RoundRecord::decode(&golden_record).unwrap(),
+                record,
+                "v{version} golden decode drifted"
+            );
+            // The snapshot container round-trips the same payload under
+            // the same version tag.
+            let (snap_version, payload) = read_snapshot(vdir.join("state.snap"))
+                .unwrap()
+                .expect("snapshot fixture present");
+            assert_eq!(snap_version, version);
+            assert_eq!(payload, encoded);
+            // A pipeline state decoded from its golden payload re-encodes
+            // to the same bytes.
+            let golden_state = golden(version, "pipeline_state.bin");
+            let state = PipelineState::decode(&golden_state, version).unwrap();
+            let mut w = ByteWriter::new();
+            if union {
+                state.persist_into(&mut w);
+            } else {
+                assert_eq!(state.legacy_version(), version);
+                state.persist_legacy(&mut w);
+            }
+            assert_eq!(
+                w.into_bytes(),
+                golden_state,
+                "v{version} golden snapshot payload drifted from the encoder"
+            );
+        }
+    }
+
+    #[test]
+    fn every_locked_version_has_a_wire_fixture_dir() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../SCHEMA.lock");
+        let lock = std::fs::read_to_string(&path).unwrap();
+        let tags: Vec<u32> = lock
+            .lines()
+            .find_map(|l| l.strip_prefix("versions "))
+            .expect("SCHEMA.lock has a versions line")
+            .split_whitespace()
+            .map(|t| t.parse().expect("numeric version tag"))
+            .collect();
+        assert_eq!(tags, ACCEPTED, "SCHEMA.lock and the decoders disagree");
+        for tag in tags {
+            let dir = wire_dir().join(format!("v{tag}"));
+            assert!(dir.is_dir(), "{} is missing", dir.display());
+        }
+    }
+
+    // --- Read-only checkpoints resume -------------------------------------
+
+    const COMPAT_ROUNDS: u32 = 48;
+
+    fn compat_policy() -> CheckpointPolicy {
+        CheckpointPolicy {
+            snapshot_every: 12,
+            fsync: false,
+        }
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static N: AtomicU32 = AtomicU32::new(0);
+        let n = N.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("fbs-wire-{tag}-{}-{n}", std::process::id()))
+    }
+
+    /// A tiny campaign in the mode that wrote `version` before the union
+    /// layout: no roster (v2, with the feed layer on), a roster (v3), the
+    /// passive signal (v4), and everything under shard supervision (v5,
+    /// and the union golden). The v2–v5 `pipeline_state.bin` goldens are
+    /// the round-24 snapshots of these campaigns, written by the
+    /// pre-union writers.
+    fn compat_campaign(version: u32) -> crate::pipeline::Campaign {
+        use fbs_netsim::*;
+        use fbs_types::{Asn, BlockId, Oblast, Prefix};
+        let block = |c: u8| BlockSpec {
+            block: BlockId::from_octets(10, 0, c),
+            owner: Asn(100),
+            home: Oblast::Kherson,
+            base_responders: 120,
+            geo_population: 220,
+            response_prob: 0.9,
+            diurnal: false,
+            power_backup: 1.0,
+            annual_decay: 1.0,
+        };
+        let blocks: Vec<BlockSpec> = (0..8).map(block).collect();
+        let ases = vec![AsSpec {
+            asn: Asn(100),
+            name: "wire-compat".into(),
+            profile: AsProfile::Regional,
+            hq: Some(Oblast::Kherson),
+            prefixes: blocks.iter().map(|b| Prefix::from_block(b.block)).collect(),
+            base_rtt_ns: 40_000_000,
+            upstream: Asn(1),
+        }];
+        let mut script = Script::new();
+        script.push(ScriptedEvent {
+            name: "outage".into(),
+            target: EventTarget::As(Asn(100)),
+            kind: EventKind::BgpOutage,
+            start: Round(20).start(),
+            end: Some(Round(26).start()),
+        });
+        let config = WorldConfig {
+            seed: 7,
+            scale: WorldScale::Tiny,
+            rounds: COMPAT_ROUNDS,
+            ases,
+            blocks,
+        };
+        let world = World::new(config, script, vec![]).unwrap();
+        let lossy = FaultPlan {
+            baseline: FaultIntensity::default(),
+            windows: vec![FaultWindow::over_rounds(
+                "lossy",
+                8..30,
+                FaultIntensity {
+                    reply_loss: 0.3,
+                    ..FaultIntensity::default()
+                },
+            )],
+        };
+        let roster = vec![
+            VantageSpec::new("kyiv"),
+            VantageSpec {
+                path_rtt_ns: 12_000_000,
+                fault_plan: Some(lossy.clone()),
+                ..VantageSpec::new("warsaw")
+            },
+        ];
+        let ibr = IbrConfig::with_dark_windows(vec![IbrDarkWindow { start: 12, end: 16 }]);
+        let stall = |name: &str, rounds, attempts| {
+            let kind = ShardFaultKind::Stall {
+                extra_ns: 2_000_000_000,
+            };
+            ShardFaultWindow::scripted(name, rounds, vec![], attempts, kind)
+        };
+        let mut cfg = crate::config::CampaignConfig {
+            tracked: vec![
+                fbs_signals::EntityId::As(Asn(100)),
+                fbs_signals::EntityId::Block(BlockId::from_octets(10, 0, 0)),
+            ],
+            rtt_tracked: vec![Asn(100)],
+            threads: 1,
+            fault_plan: Some(lossy),
+            ..Default::default()
+        };
+        match version {
+            LEGACY_STATE_VERSION => cfg.feed_plan = Some(FeedFaultPlan::none()),
+            STATE_VERSION => cfg.vantages = roster,
+            IBR_STATE_VERSION => cfg.ibr = Some(ibr),
+            _ => {
+                cfg.vantages = roster;
+                cfg.ibr = Some(ibr);
+                cfg.shard_plan = Some(ShardFaultPlan {
+                    windows: vec![stall("retried", 5..7, 1), stall("lost", 14..15, 3)],
+                });
+            }
+        }
+        crate::pipeline::Campaign::new(world, cfg).unwrap()
+    }
+
+    fn run_and_kill(campaign: &crate::pipeline::Campaign, dir: &Path, kill_at: u32) {
+        let mut runner = campaign.runner_checkpointed(dir, compat_policy()).unwrap();
+        for _ in 0..kill_at {
+            assert!(runner.step_round().unwrap());
+        }
+    }
+
+    #[test]
+    fn read_only_checkpoints_resume_byte_identically() {
         for version in [
             LEGACY_STATE_VERSION,
             STATE_VERSION,
             IBR_STATE_VERSION,
             SHARD_STATE_VERSION,
         ] {
-            let record = wire_fixture_record(version);
-            let encoded = record.encode();
-            assert_eq!(
-                u32::from(encoded[0]),
-                version,
-                "layout_version drifted for the v{version} fixture record"
-            );
-            let vdir = dir.join(format!("v{version}"));
-            let record_path = vdir.join("round_record.bin");
-            let snap_path = vdir.join("state.snap");
-            if write {
-                std::fs::create_dir_all(&vdir).unwrap();
-                std::fs::write(&record_path, &encoded).unwrap();
-                write_snapshot(&snap_path, version, &encoded).unwrap();
+            let campaign = compat_campaign(version);
+            let baseline = format!("{:?}", campaign.run().unwrap());
+            let dir = scratch_dir("compat");
+            run_and_kill(&campaign, &dir, 30);
+
+            // Rewrite the journal and the round-24 snapshot into the
+            // read-only layout, as a pre-union build would have left them.
+            let wal = dir.join(JOURNAL_FILE);
+            let (_, records, _) = Journal::open(&wal).unwrap();
+            let mut journal = Journal::create(&wal).unwrap();
+            for raw in &records {
+                let legacy = RoundRecord::decode(raw).unwrap().encode_legacy();
+                assert_eq!(legacy[..4], version.to_le_bytes(), "v{version} journal");
+                journal.append(&legacy).unwrap();
             }
-            let golden = std::fs::read(&record_path).unwrap_or_else(|e| {
-                panic!(
-                    "{}: {e} (regenerate with FBS_WRITE_WIRE_FIXTURES=1)",
-                    record_path.display()
-                )
-            });
+            journal.sync().unwrap();
+            drop(journal);
+            let snap = dir.join(SNAPSHOT_FILE);
+            let (union, payload) = read_snapshot(&snap).unwrap().unwrap();
+            assert_eq!(union, UNION_STATE_VERSION);
+            let state = PipelineState::decode(&payload, union).unwrap();
+            assert_eq!(state.legacy_version(), version, "v{version} snapshot");
+            let mut w = ByteWriter::new();
+            state.persist_legacy(&mut w);
+            write_snapshot(&snap, version, &w.into_bytes()).unwrap();
+
+            let (resumed, diag) = campaign
+                .resume_with(&dir, compat_policy())
+                .unwrap_or_else(|e| panic!("v{version} checkpoint did not resume: {e}"));
             assert_eq!(
-                golden, encoded,
-                "v{version} golden journal bytes drifted from the encoder"
+                format!("{resumed:?}"),
+                baseline,
+                "v{version} resume diverged"
             );
-            assert_eq!(
-                RoundRecord::decode(&golden).unwrap(),
-                record,
-                "v{version} golden decode drifted"
-            );
-            // The snapshot container round-trips the same payload under
-            // the same version tag.
-            let (snap_version, payload) = read_snapshot(&snap_path)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{}: {e} (regenerate with FBS_WRITE_WIRE_FIXTURES=1)",
-                        snap_path.display()
-                    )
-                })
-                .expect("snapshot fixture present");
-            assert_eq!(snap_version, version);
-            assert_eq!(payload, encoded);
+            assert!(diag.snapshot_loaded && diag.journal.was_clean(), "{diag:?}");
+            assert_eq!(diag.replayed_rounds, 6);
+            // The journal now mixes read-only and union records; it still
+            // validates end to end.
+            let (again, _) = campaign.resume_with(&dir, compat_policy()).unwrap();
+            assert_eq!(format!("{again:?}"), baseline);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    // --- Decoder totality -------------------------------------------------
+
+    /// Decodes `bytes` as a round record and as a snapshot state at every
+    /// accepted version. Returning is the property: no decoder panics, and
+    /// every failure is a typed `FbsError` by construction.
+    fn decode_everything(bytes: &[u8]) {
+        let _ = RoundRecord::decode(bytes);
+        for version in ACCEPTED {
+            let _ = PipelineState::decode(bytes, version);
+        }
+    }
+
+    fn flip_bit(bytes: &[u8], bit: usize) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[bit / 8] ^= 1 << (bit % 8);
+        out
+    }
+
+    #[test]
+    fn decoders_are_total_on_damaged_golden_records() {
+        for version in ACCEPTED {
+            let golden = golden(version, "round_record.bin");
+            for cut in 0..golden.len() {
+                assert!(RoundRecord::decode(&golden[..cut]).is_err());
+                decode_everything(&golden[..cut]);
+            }
+            for bit in 0..golden.len() * 8 {
+                decode_everything(&flip_bit(&golden, bit));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn decoders_are_total_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..512usize),
+            pick in any::<usize>(),
+        ) {
+            decode_everything(&bytes);
+            // Behind an accepted record tag the section decoders run too.
+            let mut tagged = ACCEPTED[pick % ACCEPTED.len()].to_le_bytes().to_vec();
+            tagged.extend_from_slice(&bytes);
+            decode_everything(&tagged);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn decoders_are_total_on_damaged_golden_states(
+            cut in any::<usize>(),
+            bit in any::<usize>(),
+            tail_bit in any::<usize>(),
+        ) {
+            for version in ACCEPTED {
+                let golden = golden(version, "pipeline_state.bin");
+                let bits = golden.len() * 8;
+                let cut = cut % golden.len();
+                assert!(PipelineState::decode(&golden[..cut], version).is_err());
+                decode_everything(&golden[..cut]);
+                decode_everything(&flip_bit(&golden, bit % bits));
+                // Half the flips land in the last 2 KiB, where the
+                // version-specific sections live.
+                let tail = bits.min(2048 * 8);
+                decode_everything(&flip_bit(&golden, bits - 1 - tail_bit % tail));
+            }
         }
     }
 }

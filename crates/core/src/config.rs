@@ -60,9 +60,9 @@ pub struct CampaignConfig {
     #[serde(default)]
     pub feed_retry: RetryPolicy,
     /// The vantage roster. Empty (the default) runs the paper's implicit
-    /// single vantage: the legacy measurement path, legacy checkpoint
-    /// schema, byte-identical output. Non-empty — even with one entry —
-    /// switches the campaign into *vantage mode*: every listed vantage
+    /// single vantage: the legacy measurement path, byte-identical
+    /// output. Non-empty — even with one entry — switches the campaign
+    /// into *vantage mode*: every listed vantage
     /// scans independently (its own fault plan, path latency and RNG
     /// domain), and detection consumes the per-block quorum fusion of
     /// their observations instead of any single wire.
@@ -70,8 +70,8 @@ pub struct CampaignConfig {
     pub vantages: Vec<VantageSpec>,
     /// Optional passive background-radiation signal (Chocolatine-style).
     /// `None` (the default) disables the darknet entirely: no IBR is
-    /// emitted or recorded, the legacy checkpoint schema is written, and
-    /// output stays byte-identical to pre-IBR builds. `Some` observes
+    /// emitted or recorded, and output stays byte-identical to pre-IBR
+    /// builds. `Some` observes
     /// per-AS IBR volume every round — including rounds where every
     /// active vantage is `Unusable` — and feeds the seasonal predictor.
     #[serde(default)]
@@ -85,12 +85,11 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Optional scripted shard-fault schedule (panic / stall / jitter)
     /// exercising the shard supervisor. `None` (the default) keeps the
-    /// executor transparent: no supervision ledger is journaled, the
-    /// pre-shard checkpoint schema is written, and a genuine shard panic
-    /// propagates exactly as the serial pipeline would. `Some` — even of
-    /// an empty plan — turns on supervised mode: shard outcomes are
-    /// journaled (schema v5), lost shards degrade the round, and the
-    /// report carries a [`ShardLedger`](crate::report::ShardLedger).
+    /// executor transparent: no supervision ledger is journaled, and a
+    /// genuine shard panic propagates exactly as the serial pipeline
+    /// would. `Some` — even of an empty plan — turns on supervised mode:
+    /// shard outcomes are journaled, lost shards degrade the round, and
+    /// the report carries a [`ShardLedger`](crate::report::ShardLedger).
     #[serde(default)]
     pub shard_plan: Option<ShardFaultPlan>,
     /// Bounded retry budget per shard per round in supervised mode: a
@@ -225,8 +224,8 @@ impl CampaignConfig {
         Ok(())
     }
 
-    /// Whether the shard supervisor runs in supervised (ledger-journaling,
-    /// schema v5) mode.
+    /// Whether the shard supervisor runs in supervised (ledger-journaling)
+    /// mode.
     pub fn shard_mode(&self) -> bool {
         self.shard_plan.is_some()
     }
@@ -237,17 +236,6 @@ impl CampaignConfig {
             shard_plan: Some(plan),
             ..CampaignConfig::default()
         }
-    }
-
-    /// Whether the campaign runs in multi-vantage mode (a non-empty
-    /// roster; the empty roster is the legacy implicit single vantage).
-    pub fn vantage_mode(&self) -> bool {
-        !self.vantages.is_empty()
-    }
-
-    /// Whether the passive background-radiation signal is enabled.
-    pub fn ibr_mode(&self) -> bool {
-        self.ibr.is_some()
     }
 
     /// A configuration observing passive background radiation with `ibr`.
@@ -262,14 +250,6 @@ impl CampaignConfig {
     pub fn with_vantages(vantages: Vec<VantageSpec>) -> Self {
         CampaignConfig {
             vantages,
-            ..CampaignConfig::default()
-        }
-    }
-
-    /// A configuration applying `plan` to the measurement path.
-    pub fn with_fault_plan(plan: FaultPlan) -> Self {
-        CampaignConfig {
-            fault_plan: Some(plan),
             ..CampaignConfig::default()
         }
     }
@@ -301,12 +281,11 @@ mod tests {
     #[test]
     fn vantage_roster_defaults_empty_and_validates() {
         let cfg = CampaignConfig::default();
-        assert!(!cfg.vantage_mode(), "legacy single vantage by default");
+        assert!(cfg.vantages.is_empty(), "legacy single vantage by default");
         let multi = CampaignConfig::with_vantages(vec![
             VantageSpec::new("kyiv"),
             VantageSpec::new("frankfurt"),
         ]);
-        assert!(multi.vantage_mode());
         assert!(multi.validate().is_ok());
         // Duplicate names collide in the fault-RNG domain: rejected.
         let dup =
@@ -328,10 +307,10 @@ mod tests {
     #[test]
     fn ibr_defaults_off_and_validates() {
         let cfg = CampaignConfig::default();
-        assert!(!cfg.ibr_mode(), "passive signal must default off");
-        let with = CampaignConfig::with_ibr(IbrConfig::default());
-        assert!(with.ibr_mode());
-        assert!(with.validate().is_ok());
+        assert!(cfg.ibr.is_none(), "passive signal must default off");
+        assert!(CampaignConfig::with_ibr(IbrConfig::default())
+            .validate()
+            .is_ok());
         let bad = CampaignConfig::with_ibr(IbrConfig {
             rate_per_responder: -1.0,
             ..IbrConfig::default()

@@ -19,8 +19,8 @@
 
 use crate::checkpoint::{
     BlockObs, CheckpointPolicy, CheckpointStore, FeedObs, IbrObs, ResumeDiagnostics, RoundRecord,
-    ShardOutcomeObs, VantageObs, IBR_STATE_VERSION, LEGACY_STATE_VERSION, SHARD_STATE_VERSION,
-    STATE_VERSION,
+    ShardOutcomeObs, VantageObs, IBR_STATE_VERSION, SHARD_STATE_VERSION, STATE_VERSION,
+    UNION_STATE_VERSION,
 };
 use crate::classify::{
     campaign_months, classify_world, classify_world_with_snapshots, ClassificationOutcome,
@@ -89,8 +89,8 @@ impl Campaign {
         validate_block_owners(world.blocks(), &as_list)?;
         if config.shard_mode() && world.blocks().is_empty() {
             // A supervised round record must carry at least one shard
-            // outcome (the version-5 decoder rejects an empty list), so an
-            // empty world cannot run under supervision.
+            // outcome (the decoder rejects an empty list), so an empty
+            // world cannot run under supervision.
             return Err(FbsError::config(
                 "shard supervision requires a world with at least one block",
             ));
@@ -619,7 +619,7 @@ pub(crate) struct PipelineState {
     ibr_ledgers: Vec<IbrLedger>,
     // Shard-supervision state (inert when no shard plan is configured).
     /// Whether this campaign journals shard outcomes (a shard fault plan
-    /// is set). Decides the version-5 snapshot layout.
+    /// is set). Flags the snapshot's shard section.
     shard_supervised: bool,
     /// One supervision summary per completed round, in round order —
     /// checkpointed so a killed-and-resumed campaign replays the ledger
@@ -628,37 +628,17 @@ pub(crate) struct PipelineState {
 }
 
 impl PipelineState {
-    /// Whether this state belongs to a multi-vantage campaign. Decides the
-    /// on-disk schema version: the legacy layout has no vantage tail.
-    fn vantage_mode(&self) -> bool {
-        !self.vantage_ledgers.is_empty()
-    }
-
     /// Whether this state carries the passive background-radiation layer.
     fn ibr_mode(&self) -> bool {
         !self.ibr_predictors.is_empty()
     }
 
-    /// The snapshot schema version this state serializes as.
-    pub(crate) fn schema_version(&self) -> u32 {
-        if self.shard_supervised {
-            SHARD_STATE_VERSION
-        } else if self.ibr_mode() {
-            IBR_STATE_VERSION
-        } else if self.vantage_mode() {
-            STATE_VERSION
-        } else {
-            LEGACY_STATE_VERSION
-        }
-    }
-
-    /// Serializes the state: the legacy field set, then — only in vantage
-    /// mode — the vantage tail, then — only in IBR mode — the vantage tail
-    /// (possibly empty) followed by the IBR tail. The split keeps
-    /// single-vantage, IBR-off snapshots byte-identical to the
-    /// pre-multi-vantage format, and v3 snapshots byte-identical to the
-    /// pre-IBR format.
+    /// Serializes the state in the union layout: the base fields, the
+    /// vantage tail (possibly an empty roster), then the IBR and shard
+    /// sections, each behind a presence flag.
     pub(crate) fn persist_into(&self, w: &mut ByteWriter) {
+        // The version travels in the snapshot header, not the payload.
+        // fbs-schema: writes(6)
         self.cursor.persist(w);
         self.current_month.persist(w);
         self.pool.persist(w);
@@ -687,35 +667,21 @@ impl PipelineState {
         self.feed_rejections.persist(w);
         self.last_routed.persist(w);
         self.feed_quarantines.persist(w);
-        if self.shard_supervised {
-            // The v5 layout carries every tail unconditionally — possibly
-            // empty vantage ledgers, a presence flag for the IBR section —
-            // then the shard-round ledger, so restore never has to guess
-            // which optional layers a supervised campaign ran with.
-            self.vantage_ledgers.persist(w);
-            self.disagreement.persist(w);
-            w.put_bool(self.ibr_mode());
-            if self.ibr_mode() {
-                self.ibr_predictors.persist(w);
-                self.ibr_ledgers.persist(w);
-            }
-            self.shard_rounds.persist(w);
-        } else if self.ibr_mode() {
-            // The v4 layout always carries the vantage tail — an empty
-            // roster persists as an empty vector — so restore never has to
-            // guess whether one follows.
-            self.vantage_ledgers.persist(w);
-            self.disagreement.persist(w);
+        self.vantage_ledgers.persist(w);
+        self.disagreement.persist(w);
+        w.put_bool(self.ibr_mode());
+        if self.ibr_mode() {
             self.ibr_predictors.persist(w);
             self.ibr_ledgers.persist(w);
-        } else if self.vantage_mode() {
-            self.vantage_ledgers.persist(w);
-            self.disagreement.persist(w);
+        }
+        w.put_bool(self.shard_supervised);
+        if self.shard_supervised {
+            self.shard_rounds.persist(w);
         }
     }
 
     /// Deserializes a state of the given schema version (the version
-    /// decides whether a vantage tail follows the legacy fields).
+    /// decides which tails follow the base fields).
     pub(crate) fn restore_from(r: &mut ByteReader<'_>, version: u32) -> fbs_types::Result<Self> {
         let mut state = PipelineState {
             cursor: RoundCursor::restore(r)?,
@@ -782,8 +748,7 @@ impl PipelineState {
                 )));
             }
         }
-        if version == SHARD_STATE_VERSION {
-            state.shard_supervised = true;
+        if version == SHARD_STATE_VERSION || version == UNION_STATE_VERSION {
             state.vantage_ledgers = Vec::<VantageLedger>::restore(r)?;
             state.disagreement = DisagreementSummary::restore(r)?;
             if r.get_bool()? {
@@ -793,15 +758,29 @@ impl PipelineState {
                     || state.ibr_predictors.len() != state.ibr_ledgers.len()
                 {
                     return Err(FbsError::corrupt_snapshot(format!(
-                        "version-{SHARD_STATE_VERSION} snapshot flags IBR but carries \
+                        "version-{version} snapshot flags IBR but carries \
                          {} predictors and {} ledgers",
                         state.ibr_predictors.len(),
                         state.ibr_ledgers.len()
                     )));
                 }
             }
-            state.shard_rounds = Vec::<ShardRoundSummary>::restore(r)?;
+            // Version 5 always carries the shard section; the union layout
+            // flags it.
+            state.shard_supervised = version == SHARD_STATE_VERSION || r.get_bool()?;
+            if state.shard_supervised {
+                state.shard_rounds = Vec::<ShardRoundSummary>::restore(r)?;
+            }
         }
+        Ok(state)
+    }
+
+    /// Decodes a snapshot payload of the given schema version, requiring
+    /// full consumption.
+    pub(crate) fn decode(payload: &[u8], version: u32) -> fbs_types::Result<Self> {
+        let mut r = ByteReader::new(payload);
+        let state = Self::restore_from(&mut r, version)?;
+        r.expect_exhausted()?;
         Ok(state)
     }
 
@@ -910,14 +889,82 @@ impl PipelineState {
     }
 }
 
+#[cfg(test)]
+impl PipelineState {
+    /// The read-only snapshot layout the pre-union writer chose for this
+    /// state: version 5 under shard supervision, else version 4 with the
+    /// passive signal, else version 3 with a vantage roster, else 2.
+    pub(crate) fn legacy_version(&self) -> u32 {
+        if self.shard_supervised {
+            SHARD_STATE_VERSION
+        } else if self.ibr_mode() {
+            IBR_STATE_VERSION
+        } else if !self.vantage_ledgers.is_empty() {
+            STATE_VERSION
+        } else {
+            crate::checkpoint::LEGACY_STATE_VERSION
+        }
+    }
+
+    /// The pre-union snapshot writer, kept as the test oracle for the
+    /// read-only layouts: the base fields, then the tails that
+    /// [`Self::legacy_version`] carries.
+    pub(crate) fn persist_legacy(&self, w: &mut ByteWriter) {
+        self.cursor.persist(w);
+        self.current_month.persist(w);
+        self.pool.persist(w);
+        self.fbs_eligible.persist(w);
+        self.trin_eligible.persist(w);
+        self.trin_indet.persist(w);
+        self.trin_avail.persist(w);
+        self.ips_usable_as.persist(w);
+        self.as_fbs_count.persist(w);
+        self.as_trin_count.persist(w);
+        self.reg_fbs_count.persist(w);
+        self.as_detectors.persist(w);
+        self.region_detectors.persist(w);
+        self.block_detectors.persist(w);
+        self.beliefs.persist(w);
+        self.ioda.persist(w);
+        self.tracked.persist(w);
+        self.rtt_monthly.persist(w);
+        self.oblast_monthly.persist(w);
+        self.non_regional_monthly.persist(w);
+        self.missing_rounds.persist(w);
+        self.round_quality.persist(w);
+        self.feed_ages.persist(w);
+        self.feed_ledger.persist(w);
+        self.feed_retries.persist(w);
+        self.feed_rejections.persist(w);
+        self.last_routed.persist(w);
+        self.feed_quarantines.persist(w);
+        if self.shard_supervised {
+            self.vantage_ledgers.persist(w);
+            self.disagreement.persist(w);
+            w.put_bool(self.ibr_mode());
+            if self.ibr_mode() {
+                self.ibr_predictors.persist(w);
+                self.ibr_ledgers.persist(w);
+            }
+            self.shard_rounds.persist(w);
+        } else if self.ibr_mode() {
+            self.vantage_ledgers.persist(w);
+            self.disagreement.persist(w);
+            self.ibr_predictors.persist(w);
+            self.ibr_ledgers.persist(w);
+        } else if !self.vantage_ledgers.is_empty() {
+            self.vantage_ledgers.persist(w);
+            self.disagreement.persist(w);
+        }
+    }
+}
+
 fn decode_state(
     payload: &[u8],
     version: u32,
     statics: &Statics,
 ) -> fbs_types::Result<PipelineState> {
-    let mut r = ByteReader::new(payload);
-    let state = PipelineState::restore_from(&mut r, version)?;
-    r.expect_exhausted()?;
+    let state = PipelineState::decode(payload, version)?;
     state.validate_against(statics)?;
     Ok(state)
 }

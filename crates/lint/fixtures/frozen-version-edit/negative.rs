@@ -1,6 +1,7 @@
 //! Fixture: the same wire types as the positive case, but
-//! `negative.lock` records exactly the layouts the source writes — a
-//! clean tree against its frozen baseline.
+//! `negative.lock` records exactly the layouts the source writes, plus the
+//! read-only v1 layout of `Record` that no source derives — a clean tree
+//! against its frozen baseline.
 
 const V1: u32 = 1;
 const V2: u32 = 2;
@@ -28,24 +29,11 @@ pub struct Record {
     notes: Vec<u8>,
 }
 
-impl Record {
-    fn layout_version(&self) -> u32 {
-        if self.notes.is_empty() {
-            V1
-        } else {
-            V2
-        }
-    }
-}
-
 impl Persist for Record {
     fn persist(&self, w: &mut ByteWriter) {
-        let version = self.layout_version();
-        w.put_u32(version);
+        w.put_u32(V2);
         self.head.persist(w);
-        if version != V1 {
-            self.notes.persist(w);
-        }
+        self.notes.persist(w);
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {

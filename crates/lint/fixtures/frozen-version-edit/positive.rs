@@ -1,8 +1,9 @@
 //! Fixture: the source encoder disagrees with the frozen lockfile.
 //!
-//! Relative to `positive.lock`, `Header` swapped its two field writes
-//! and the v2 layout of `Record` moved `notes` ahead of `head` — both
-//! are breaking edits to frozen wire versions.
+//! Relative to `positive.lock`, `Header` swapped its two field writes and
+//! the written v2 layout of `Record` moved `notes` ahead of `head` — both
+//! are breaking edits to frozen layouts. `Record` v1 is read-only: its
+//! layout lives in the lock alone and raises nothing.
 
 const V1: u32 = 1;
 const V2: u32 = 2;
@@ -30,24 +31,11 @@ pub struct Record {
     notes: Vec<u8>,
 }
 
-impl Record {
-    fn layout_version(&self) -> u32 {
-        if self.notes.is_empty() {
-            V1
-        } else {
-            V2
-        }
-    }
-}
-
 impl Persist for Record {
     fn persist(&self, w: &mut ByteWriter) {
-        let version = self.layout_version();
-        w.put_u32(version);
+        w.put_u32(V2);
         self.head.persist(w);
-        if version != V1 {
-            self.notes.persist(w);
-        }
+        self.notes.persist(w);
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {

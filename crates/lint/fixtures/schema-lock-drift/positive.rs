@@ -1,5 +1,7 @@
-//! Fixture: the source grew a wire type (`Extra`) that `positive.lock`
-//! has not recorded — an additive drift the lockfile must catch up to.
+//! Fixture: the source grew a wire type (`Extra`) and moved `Record`'s
+//! write tag from v2 to v3 with a new decode arm; `positive.lock` still
+//! records the old state. Both are additive drifts the lockfile must catch
+//! up to — v2 turning read-only is not an edit at all.
 
 pub struct Point {
     x: u32,
@@ -31,5 +33,33 @@ impl Persist for Extra {
     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
         let n = r.get_u64()?;
         Ok(Extra { n })
+    }
+}
+
+const V1: u32 = 1;
+const V2: u32 = 2;
+const V3: u32 = 3;
+
+pub struct Record {
+    at: Point,
+    extra: Option<Extra>,
+}
+
+impl Persist for Record {
+    fn persist(&self, w: &mut ByteWriter) {
+        w.put_u32(V3);
+        self.at.persist(w);
+        self.extra.persist(w);
+    }
+
+    fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
+        let version = r.get_u32()?;
+        let at = Point::restore(r)?;
+        let extra = match version {
+            V1 | V2 => None,
+            V3 => Option::<Extra>::restore(r)?,
+            other => return Err(FbsError::corrupt_snapshot(other.to_string())),
+        };
+        Ok(Record { at, extra })
     }
 }

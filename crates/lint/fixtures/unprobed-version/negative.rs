@@ -1,5 +1,6 @@
-//! Fixture: a versioned wire root whose decoder accepts exactly the
-//! versions its encoder can write — every tag is probed both ways.
+//! Fixture: a versioned wire root whose decoder accepts the version its
+//! encoder writes (V3) plus two read-only versions whose layouts
+//! `negative.lock` freezes — every accepted tag is live.
 
 const V1: u32 = 1;
 const V2: u32 = 2;
@@ -10,26 +11,11 @@ pub struct Snapshot {
     tail: Vec<u32>,
 }
 
-impl Snapshot {
-    fn layout_version(&self) -> u32 {
-        if self.tail.is_empty() {
-            V1
-        } else if self.base > 0 {
-            V2
-        } else {
-            V3
-        }
-    }
-}
-
 impl Persist for Snapshot {
     fn persist(&self, w: &mut ByteWriter) {
-        let version = self.layout_version();
-        w.put_u32(version);
+        w.put_u32(V3);
         w.put_u32(self.base);
-        if version != V1 {
-            self.tail.persist(w);
-        }
+        self.tail.persist(w);
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {

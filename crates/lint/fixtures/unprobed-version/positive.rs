@@ -1,8 +1,9 @@
 //! Fixture: a versioned wire root whose write set and read set disagree.
 //!
-//! `layout_version` can produce V3, but the decoder's `match version`
-//! only accepts V1 and V2 — a campaign checkpointed at v3 could never
-//! resume. The decoder also accepts V9, which no encoder branch writes.
+//! The encoder writes V3, but the decoder's `match version` only accepts
+//! V1, V2 and V9 — a campaign checkpointed at v3 could never resume. V1
+//! and V2 are read-only, their layouts frozen in `positive.lock`; V9 has
+//! no frozen layout and nothing writes it, so its acceptance is dead.
 
 const V1: u32 = 1;
 const V2: u32 = 2;
@@ -14,26 +15,11 @@ pub struct Snapshot {
     tail: Vec<u32>,
 }
 
-impl Snapshot {
-    fn layout_version(&self) -> u32 {
-        if self.tail.is_empty() {
-            V1
-        } else if self.base > 0 {
-            V2
-        } else {
-            V3
-        }
-    }
-}
-
 impl Persist for Snapshot {
     fn persist(&self, w: &mut ByteWriter) {
-        let version = self.layout_version();
-        w.put_u32(version);
+        w.put_u32(V3);
         w.put_u32(self.base);
-        if version != V1 {
-            self.tail.persist(w);
-        }
+        self.tail.persist(w);
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {

@@ -81,8 +81,9 @@ pub fn lint_sources(files: &[SourceFile], complete: bool) -> LintRun {
 
 /// [`lint_sources`] plus the wire-schema compatibility gate: when the
 /// `SCHEMA.lock` text is supplied, the extraction is diffed against it
-/// and `frozen-version-edit` / `schema-lock-drift` findings join the run
-/// (`unprobed-version` needs no lockfile and always runs).
+/// and `frozen-version-edit` / `schema-lock-drift` findings join the run.
+/// `unprobed-version` always runs; without a lockfile no read-only
+/// version is frozen, so every one of them counts as dead.
 pub fn lint_sources_with_lock(files: &[SourceFile], complete: bool, lock: Option<&str>) -> LintRun {
     let mut run = LintRun {
         files_checked: files.len(),

@@ -34,11 +34,11 @@
 //!   `shard-merge-order`, `rng-domain-collision`,
 //!   `shared-mutable-in-shard-path`, `float-reduction-order`.
 //! * [`schema`] — static wire-format extraction over the symbol graph:
-//!   every `Persist` impl's ordered writes, enum wire tags, and
-//!   version-gated sections resolved into one layout per version tag,
-//!   serialized as the committed `SCHEMA.lock` and diffed against it by
-//!   the compatibility rules `frozen-version-edit`, `unprobed-version`,
-//!   and `schema-lock-drift`.
+//!   every `Persist` impl's ordered writes, enum wire tags, and the
+//!   written layout of each versioned root (read-only versions keep the
+//!   layout the lockfile froze), serialized as the committed
+//!   `SCHEMA.lock` and diffed against it by the compatibility rules
+//!   `frozen-version-edit`, `unprobed-version`, and `schema-lock-drift`.
 //! * [`rules`] + [`engine`] — the lexical rule registry and the driver
 //!   that walks the workspace, applies each rule in scope, runs the
 //!   semantic pass over the assembled graph, and filters excused lines.

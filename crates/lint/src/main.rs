@@ -148,9 +148,10 @@ fn lint_paths(paths: &[PathBuf], root: &Path) -> Result<LintRun, String> {
 }
 
 /// The `schema` subcommand: extract the wire schema from a fresh
-/// workspace analysis, then either rewrite `SCHEMA.lock` (`--write-lock`)
-/// or diff against it (`--check`). Check mode also emits a
-/// `BENCH_schema.json` timing row when benchmarking is requested.
+/// workspace analysis, carry the read-only layouts over from the current
+/// `SCHEMA.lock`, then either rewrite the lock (`--write-lock`) or diff
+/// against it (`--check`). Check mode also emits a `BENCH_schema.json`
+/// timing row when benchmarking is requested.
 fn run_schema(mode: SchemaMode, args: &Args, root: &Path, started: Instant) -> ExitCode {
     let files = match analyze_workspace(root) {
         Ok(files) => files,
@@ -160,8 +161,15 @@ fn run_schema(mode: SchemaMode, args: &Args, root: &Path, started: Instant) -> E
         }
     };
     let graph = fbs_lint::graph::build(&files);
-    let schema = extract(&files, &graph);
+    let mut schema = extract(&files, &graph);
     let lock_path = root.join("SCHEMA.lock");
+    let lock = std::fs::read_to_string(&lock_path).map(|text| {
+        let parsed = parse_lock(&text);
+        (text, parsed)
+    });
+    if let Ok((_, Ok(locked))) = &lock {
+        schema.carry_read_only(locked);
+    }
     let versions = schema
         .all_versions()
         .iter()
@@ -184,7 +192,7 @@ fn run_schema(mode: SchemaMode, args: &Args, root: &Path, started: Instant) -> E
     }
 
     let mut violations: Vec<String> = Vec::new();
-    match std::fs::read_to_string(&lock_path) {
+    match lock {
         Err(e) => {
             eprintln!(
                 "fbs-lint: reading {}: {e} (run `fbs-lint schema --write-lock` first)",
@@ -192,28 +200,26 @@ fn run_schema(mode: SchemaMode, args: &Args, root: &Path, started: Instant) -> E
             );
             return ExitCode::from(2);
         }
-        Ok(lock_text) => match parse_lock(&lock_text) {
-            Err(e) => violations.push(format!("SCHEMA.lock: [schema-lock-drift] {e}")),
-            Ok(locked) => {
-                for edit in diff_schemas(&locked, &schema) {
-                    let rule = match edit.kind {
-                        EditKind::Breaking => "frozen-version-edit",
-                        EditKind::Additive => "schema-lock-drift",
-                    };
-                    violations.push(format!(
-                        "{}:{}: [{rule}] {}: {}",
-                        edit.path, edit.line, edit.type_name, edit.detail
-                    ));
-                }
-                if violations.is_empty() && lock_text != render_lock(&schema) {
-                    violations.push(
-                        "SCHEMA.lock: [schema-lock-drift] lock text is not the canonical \
-                         serialization; regenerate with `fbs-lint schema --write-lock`"
-                            .to_string(),
-                    );
-                }
+        Ok((_, Err(e))) => violations.push(format!("SCHEMA.lock: [schema-lock-drift] {e}")),
+        Ok((lock_text, Ok(locked))) => {
+            for edit in diff_schemas(&locked, &schema) {
+                let rule = match edit.kind {
+                    EditKind::Breaking => "frozen-version-edit",
+                    EditKind::Additive => "schema-lock-drift",
+                };
+                violations.push(format!(
+                    "{}:{}: [{rule}] {}: {}",
+                    edit.path, edit.line, edit.type_name, edit.detail
+                ));
             }
-        },
+            if violations.is_empty() && lock_text != render_lock(&schema) {
+                violations.push(
+                    "SCHEMA.lock: [schema-lock-drift] lock text is not the canonical \
+                         serialization; regenerate with `fbs-lint schema --write-lock`"
+                        .to_string(),
+                );
+            }
+        }
     }
     for v in &violations {
         println!("{v}");

@@ -1,15 +1,20 @@
 //! Static wire-format extraction and the frozen-version compatibility gate.
 //!
 //! The journal and snapshot bytes are a long-lived contract: campaigns
-//! checkpointed under schema versions 2–5 must stay resumable forever.
+//! checkpointed under any schema version must stay resumable forever.
 //! [`crate::semantic`]'s `persist-field-drift` sees one `Persist` impl at
 //! a time; this module sees the *whole wire format* at once. It walks
 //! every `impl Persist for T` encode body in the workspace symbol graph
 //! and extracts the ordered field writes — codec primitives (`put_u32`),
 //! nested `persist` calls, length-prefixed sequences (`for` loops after a
-//! length write), wire-tag match arms for enums — and resolves
-//! `layout_version()`-style branching into one concrete layout per
-//! version tag.
+//! length write), wire-tag match arms for enums.
+//!
+//! A type whose decoder accepts schema versions is a *versioned root*. Its
+//! encoder writes one version — the leading version constant, or a
+//! `// fbs-schema: writes(n)` annotation — and that layout is extracted.
+//! Every other version the decoder accepts is *read-only*: nothing writes
+//! it, so its layout cannot be re-derived from source and is carried over
+//! verbatim from the lockfile instead.
 //!
 //! The extraction serializes into a deterministic, human-diffable text IR
 //! committed as `SCHEMA.lock` at the workspace root. A compatibility
@@ -22,8 +27,8 @@
 //! * `frozen-version-edit` — a breaking edit to a layout the lockfile
 //!   froze;
 //! * `unprobed-version` — a versioned encoder writes a version tag its
-//!   decoder never accepts, or vice versa (computed from source alone,
-//!   no lockfile needed);
+//!   decoder never accepts, or the decoder accepts a tag that is neither
+//!   written nor frozen read-only in the lockfile;
 //! * `schema-lock-drift` — the extraction differs additively from
 //!   `SCHEMA.lock` (regenerate with `fbs-lint schema --write-lock`).
 //!
@@ -48,8 +53,8 @@ pub enum WireOp {
     /// `expr: "self.round"`.
     Nested { expr: String },
     /// A section whose presence the bytes themselves encode (an
-    /// `if let Some(…)` the version cannot resolve, or a predicate gate
-    /// with no version mapping). `expr` is the guarding expression.
+    /// `if let Some(…)` or a predicate gate). `expr` is the guarding
+    /// expression.
     Opt { expr: String, ops: Vec<WireOp> },
     /// A repeated section (a `for` loop body — the element layout of a
     /// length-prefixed sequence). `expr` is the iterated expression.
@@ -89,21 +94,22 @@ pub struct TypeSchema {
     pub layout: Layout,
 }
 
-/// One versioned root: an encoder whose byte layout depends on a version
-/// decider (`layout_version()` / `schema_version()`), resolved into one
-/// concrete op sequence per version tag.
+/// One versioned root: a type whose decoder accepts schema versions, with
+/// one concrete op sequence per version tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedSchema {
     pub name: String,
     pub path: String,
     /// Anchor line in the current tree; `0` when parsed from a lockfile.
     pub line: u32,
-    /// Version tags the decider can make the encoder write.
+    /// Version tags the encoder writes: its leading version constant, or
+    /// `// fbs-schema: writes(…)` annotations.
     pub writes: BTreeSet<u32>,
     /// Version tags the decoder accepts (match arms on the version, `==`
     /// comparisons, plus `// fbs-schema: accepts(…)` annotations).
     pub reads: BTreeSet<u32>,
-    /// Version tag → the concrete layout written under it.
+    /// Version tag → the concrete layout under it: extracted for written
+    /// tags, carried over from the lockfile for read-only ones.
     pub layouts: BTreeMap<u32, Vec<WireOp>>,
 }
 
@@ -129,6 +135,22 @@ impl WireSchema {
         }
         out
     }
+
+    /// Copies the frozen layouts of read-only tags (accepted on decode,
+    /// no longer written) from `lock`: source can no longer derive them,
+    /// so the lockfile is their record.
+    pub fn carry_read_only(&mut self, lock: &WireSchema) {
+        for (name, v) in &mut self.versioned {
+            let Some(locked) = lock.versioned.get(name) else {
+                continue;
+            };
+            for tag in v.reads.difference(&v.writes) {
+                if let Some(ops) = locked.layouts.get(tag) {
+                    v.layouts.insert(*tag, ops.clone());
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +158,7 @@ impl WireSchema {
 // ---------------------------------------------------------------------------
 
 /// The statement-level shapes the encode-body walker recognizes before
-/// version resolution flattens them.
+/// they are flattened into wire ops.
 #[derive(Debug, Clone)]
 enum RawOp {
     Prim {
@@ -155,23 +177,13 @@ enum RawOp {
         ops: Vec<RawOp>,
     },
     IfChain {
-        branches: Vec<(Cond, Vec<RawOp>)>,
+        /// `(condition text, branch ops)` in source order.
+        branches: Vec<(String, Vec<RawOp>)>,
         else_ops: Option<Vec<RawOp>>,
     },
     Match {
         arms: Vec<(String, Vec<RawOp>)>,
     },
-}
-
-/// A classified `if` condition.
-#[derive(Debug, Clone)]
-enum Cond {
-    /// `version == <const>`, resolved through the workspace const table.
-    VersionEq(Option<u32>),
-    /// `version != <const>`.
-    VersionNe(Option<u32>),
-    /// Anything else, kept as normalized text for decider matching.
-    Pred(String),
 }
 
 /// Joins significant tokens into canonical expression text: a single
@@ -241,14 +253,10 @@ pub fn const_table(files: &[SourceFile]) -> BTreeMap<String, u32> {
     out
 }
 
-/// Resolves a version operand token (const ident or integer literal).
-fn resolve_version(file: &SourceFile, i: usize, consts: &BTreeMap<String, u32>) -> Option<u32> {
-    let t = file.sig_token(i);
-    match t.kind {
-        TokenKind::Int => int_value(&token_text(file, i)),
-        TokenKind::Ident => consts.get(&token_text(file, i)).copied(),
-        _ => None,
-    }
+/// Resolves a version operand: a workspace const name or an integer
+/// literal.
+fn version_of(text: &str, consts: &BTreeMap<String, u32>) -> Option<u32> {
+    consts.get(text).copied().or_else(|| int_value(text))
 }
 
 /// Advances past a balanced token pair starting at `i` (which must hold
@@ -317,12 +325,7 @@ fn receiver_before(file: &SourceFile, end: usize, lo: usize) -> Option<String> {
 
 /// Walks the significant tokens of `[lo, hi)` and collects the raw wire
 /// operations. Total: unknown constructs are skipped token-by-token.
-fn parse_raw_ops(
-    file: &SourceFile,
-    lo: usize,
-    hi: usize,
-    consts: &BTreeMap<String, u32>,
-) -> Vec<RawOp> {
+fn parse_raw_ops(file: &SourceFile, lo: usize, hi: usize) -> Vec<RawOp> {
     let src = &file.src;
     let hi = hi.min(file.sig_len());
     let mut ops = Vec::new();
@@ -346,7 +349,7 @@ fn parse_raw_ops(
                 .collect();
             let expr = join_tokens(file, &expr_indices);
             let close = skip_balanced_sig(file, open, hi, "{", "}");
-            let inner = parse_raw_ops(file, open + 1, close.saturating_sub(1), consts);
+            let inner = parse_raw_ops(file, open + 1, close.saturating_sub(1));
             ops.push(RawOp::IfLet { expr, ops: inner });
             i = close;
             continue;
@@ -362,9 +365,10 @@ fn parse_raw_ops(
                 if open >= hi {
                     break;
                 }
-                let cond = classify_cond(file, j + 1, open, consts);
+                let cond_indices: Vec<usize> = (j + 1..open).collect();
+                let cond = join_tokens(file, &cond_indices);
                 let close = skip_balanced_sig(file, open, hi, "{", "}");
-                let inner = parse_raw_ops(file, open + 1, close.saturating_sub(1), consts);
+                let inner = parse_raw_ops(file, open + 1, close.saturating_sub(1));
                 branches.push((cond, inner));
                 j = close;
                 if j < hi && file.sig_token(j).is_ident(src, "else") {
@@ -375,12 +379,7 @@ fn parse_raw_ops(
                     let eopen = find_block_open(file, j + 1, hi);
                     if eopen < hi {
                         let eclose = skip_balanced_sig(file, eopen, hi, "{", "}");
-                        else_ops = Some(parse_raw_ops(
-                            file,
-                            eopen + 1,
-                            eclose.saturating_sub(1),
-                            consts,
-                        ));
+                        else_ops = Some(parse_raw_ops(file, eopen + 1, eclose.saturating_sub(1)));
                         j = eclose;
                     }
                 }
@@ -402,7 +401,7 @@ fn parse_raw_ops(
                 continue;
             }
             let close = skip_balanced_sig(file, open, hi, "{", "}");
-            let arms = parse_match_arms(file, open + 1, close.saturating_sub(1), consts);
+            let arms = parse_match_arms(file, open + 1, close.saturating_sub(1));
             ops.push(RawOp::Match { arms });
             i = close;
             continue;
@@ -424,7 +423,7 @@ fn parse_raw_ops(
                 .collect();
             let expr = join_tokens(file, &expr_indices);
             let close = skip_balanced_sig(file, open, hi, "{", "}");
-            let inner = parse_raw_ops(file, open + 1, close.saturating_sub(1), consts);
+            let inner = parse_raw_ops(file, open + 1, close.saturating_sub(1));
             ops.push(RawOp::Rep { expr, ops: inner });
             i = close;
             continue;
@@ -462,29 +461,8 @@ fn parse_raw_ops(
     ops
 }
 
-/// Classifies the condition tokens of `[lo, hi)`.
-fn classify_cond(file: &SourceFile, lo: usize, hi: usize, consts: &BTreeMap<String, u32>) -> Cond {
-    let src = &file.src;
-    // The canonical version comparison is exactly `version ==/!= X`.
-    if hi == lo + 3 && file.sig_token(lo).is_ident(src, "version") {
-        if file.sig_token(lo + 1).is_punct(src, "==") {
-            return Cond::VersionEq(resolve_version(file, lo + 2, consts));
-        }
-        if file.sig_token(lo + 1).is_punct(src, "!=") {
-            return Cond::VersionNe(resolve_version(file, lo + 2, consts));
-        }
-    }
-    let indices: Vec<usize> = (lo..hi).collect();
-    Cond::Pred(join_tokens(file, &indices))
-}
-
 /// Splits a match body `[lo, hi)` into `(pattern text, arm ops)` pairs.
-fn parse_match_arms(
-    file: &SourceFile,
-    lo: usize,
-    hi: usize,
-    consts: &BTreeMap<String, u32>,
-) -> Vec<(String, Vec<RawOp>)> {
+fn parse_match_arms(file: &SourceFile, lo: usize, hi: usize) -> Vec<(String, Vec<RawOp>)> {
     let src = &file.src;
     let mut arms = Vec::new();
     let mut i = lo;
@@ -511,7 +489,7 @@ fn parse_match_arms(
         // Body: a block, or an expression up to the next depth-0 comma.
         let (ops, next) = if arrow + 1 < hi && file.sig_token(arrow + 1).is_punct(src, "{") {
             let close = skip_balanced_sig(file, arrow + 1, hi, "{", "}");
-            let ops = parse_raw_ops(file, arrow + 2, close.saturating_sub(1), consts);
+            let ops = parse_raw_ops(file, arrow + 2, close.saturating_sub(1));
             let mut n = close;
             if n < hi && file.sig_token(n).is_punct(src, ",") {
                 n += 1;
@@ -531,7 +509,7 @@ fn parse_match_arms(
                 }
                 k += 1;
             }
-            let ops = parse_raw_ops(file, arrow + 1, k, consts);
+            let ops = parse_raw_ops(file, arrow + 1, k);
             (ops, (k + 1).min(hi))
         };
         if !pattern.is_empty() {
@@ -554,210 +532,8 @@ fn variant_name(pattern: &str) -> String {
     head.rsplit([':', ' ']).next().unwrap_or(head).to_string()
 }
 
-// ---------------------------------------------------------------------------
-// Version resolution
-// ---------------------------------------------------------------------------
-
-/// A parsed version decider (`layout_version()` / `schema_version()`):
-/// an if/else-if chain of predicates, each returning a version constant.
-#[derive(Debug, Clone)]
-struct Decider {
-    /// `(normalized condition text, version returned when it is true)`,
-    /// in evaluation order.
-    branches: Vec<(String, u32)>,
-    /// Version returned when every predicate is false.
-    else_version: Option<u32>,
-}
-
-impl Decider {
-    fn write_versions(&self) -> BTreeSet<u32> {
-        let mut out: BTreeSet<u32> = self.branches.iter().map(|&(_, v)| v).collect();
-        out.extend(self.else_version);
-        out
-    }
-
-    /// Index of the branch producing `v`, or `usize::MAX` for the else.
-    fn chosen_index(&self, v: u32) -> usize {
-        self.branches
-            .iter()
-            .position(|&(_, bv)| bv == v)
-            .unwrap_or(usize::MAX)
-    }
-
-    /// Truth of a predicate (by normalized text) under version `v`:
-    /// `Some(bool)` when the decider pins it, `None` when unknowable
-    /// (the decider short-circuited before evaluating it).
-    fn eval(&self, cond: &str, v: u32) -> Option<bool> {
-        let j = self.branches.iter().position(|(c, _)| c == cond)?;
-        let chosen = self.chosen_index(v);
-        if chosen == usize::MAX {
-            // The else branch: every predicate evaluated false.
-            return Some(false);
-        }
-        match j.cmp(&chosen) {
-            std::cmp::Ordering::Less => Some(false),
-            std::cmp::Ordering::Equal => Some(true),
-            std::cmp::Ordering::Greater => None,
-        }
-    }
-}
-
-/// Parses a decider body: each branch block must reduce to a single
-/// version constant or integer literal.
-fn parse_decider(file: &SourceFile, span: Span, consts: &BTreeMap<String, u32>) -> Option<Decider> {
-    let src = &file.src;
-    let hi = span.hi.min(file.sig_len());
-    let lo = span.lo.min(hi);
-    let version_of = |file: &SourceFile, b_lo: usize, b_hi: usize| -> Option<u32> {
-        let inner: Vec<usize> = (b_lo..b_hi).collect();
-        match inner.as_slice() {
-            [only] => resolve_version(file, *only, consts),
-            _ => None,
-        }
-    };
-    let mut branches = Vec::new();
-    let mut else_version = None;
-    let mut i = lo;
-    while i < hi {
-        if !file.sig_token(i).is_ident(src, "if") {
-            i += 1;
-            continue;
-        }
-        loop {
-            let open = find_block_open(file, i + 1, hi);
-            if open >= hi {
-                return None;
-            }
-            let cond_indices: Vec<usize> = (i + 1..open).collect();
-            let cond = join_tokens(file, &cond_indices);
-            let close = skip_balanced_sig(file, open, hi, "{", "}");
-            let v = version_of(file, open + 1, close.saturating_sub(1))?;
-            branches.push((cond, v));
-            i = close;
-            if i < hi && file.sig_token(i).is_ident(src, "else") {
-                if i + 1 < hi && file.sig_token(i + 1).is_ident(src, "if") {
-                    i += 1;
-                    continue;
-                }
-                let eopen = find_block_open(file, i + 1, hi);
-                if eopen < hi {
-                    let eclose = skip_balanced_sig(file, eopen, hi, "{", "}");
-                    else_version = version_of(file, eopen + 1, eclose.saturating_sub(1));
-                }
-            }
-            break;
-        }
-        break;
-    }
-    if branches.is_empty() {
-        return None;
-    }
-    Some(Decider {
-        branches,
-        else_version,
-    })
-}
-
-/// Flattens raw ops into the concrete layout written under version `v`.
-fn flatten_for_version(raw: &[RawOp], decider: &Decider, v: u32) -> Vec<WireOp> {
-    let mut out = Vec::new();
-    for op in raw {
-        match op {
-            RawOp::Prim { codec, expr } => out.push(WireOp::Prim {
-                codec: codec.clone(),
-                expr: expr.clone(),
-            }),
-            RawOp::Nested { expr } => out.push(WireOp::Nested { expr: expr.clone() }),
-            RawOp::Rep { expr, ops } => out.push(WireOp::Rep {
-                expr: expr.clone(),
-                ops: flatten_for_version(ops, decider, v),
-            }),
-            RawOp::IfLet { expr, ops } => {
-                // `if let Some(x) = self.foo` gates on `self.foo.is_some()`,
-                // which the decider may pin for this version.
-                let key = format!("{expr}.is_some()");
-                match decider.eval(&key, v) {
-                    Some(true) => out.extend(flatten_for_version(ops, decider, v)),
-                    Some(false) => {}
-                    None => out.push(WireOp::Opt {
-                        expr: expr.clone(),
-                        ops: flatten_for_version(ops, decider, v),
-                    }),
-                }
-            }
-            RawOp::IfChain { branches, else_ops } => {
-                flatten_chain(branches, else_ops.as_deref(), decider, v, &mut out);
-            }
-            RawOp::Match { arms } => {
-                // A match inside a versioned body: keep each arm as an
-                // optional section keyed by its pattern.
-                for (pat, ops) in arms {
-                    out.push(WireOp::Opt {
-                        expr: pat.clone(),
-                        ops: flatten_for_version(ops, decider, v),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Resolves one if/else chain under version `v`, appending the ops of
-/// whichever branch the version pins (or `Opt` sections once a predicate
-/// becomes unknowable).
-fn flatten_chain(
-    branches: &[(Cond, Vec<RawOp>)],
-    else_ops: Option<&[RawOp]>,
-    decider: &Decider,
-    v: u32,
-    out: &mut Vec<WireOp>,
-) {
-    let mut unknown = false;
-    for (cond, ops) in branches {
-        let truth = if unknown {
-            None
-        } else {
-            match cond {
-                Cond::VersionEq(Some(x)) => Some(v == *x),
-                Cond::VersionNe(Some(x)) => Some(v != *x),
-                Cond::VersionEq(None) | Cond::VersionNe(None) => None,
-                Cond::Pred(text) => decider.eval(text, v),
-            }
-        };
-        match truth {
-            Some(true) => {
-                out.extend(flatten_for_version(ops, decider, v));
-                return;
-            }
-            Some(false) => {}
-            None => {
-                unknown = true;
-                let label = match cond {
-                    Cond::Pred(text) => text.clone(),
-                    Cond::VersionEq(_) | Cond::VersionNe(_) => "version".to_string(),
-                };
-                out.push(WireOp::Opt {
-                    expr: label,
-                    ops: flatten_for_version(ops, decider, v),
-                });
-            }
-        }
-    }
-    if let Some(eops) = else_ops {
-        if unknown {
-            out.push(WireOp::Opt {
-                expr: "else".to_string(),
-                ops: flatten_for_version(eops, decider, v),
-            });
-        } else {
-            out.extend(flatten_for_version(eops, decider, v));
-        }
-    }
-}
-
-/// Flattens raw ops with no version context (plain, non-versioned types):
-/// gates become `Opt` sections, matches become variant arms upstream.
+/// Flattens raw ops into wire ops: gates become `Opt` sections, matches
+/// become variant arms upstream.
 fn flatten_plain(raw: &[RawOp]) -> Vec<WireOp> {
     let mut out = Vec::new();
     for op in raw {
@@ -777,12 +553,8 @@ fn flatten_plain(raw: &[RawOp]) -> Vec<WireOp> {
             }),
             RawOp::IfChain { branches, else_ops } => {
                 for (cond, ops) in branches {
-                    let label = match cond {
-                        Cond::Pred(text) => text.clone(),
-                        Cond::VersionEq(_) | Cond::VersionNe(_) => "version".to_string(),
-                    };
                     out.push(WireOp::Opt {
-                        expr: label,
+                        expr: cond.clone(),
                         ops: flatten_plain(ops),
                     });
                 }
@@ -837,8 +609,9 @@ fn variants_from_arms(arms: &[(String, Vec<RawOp>)]) -> Vec<VariantLayout> {
 // ---------------------------------------------------------------------------
 
 /// Version tags a decode body accepts: `match version { <const> => … }`
-/// arms, `version == <const>` comparisons, and
-/// `// fbs-schema: accepts(n, m)` annotations in the body's line range.
+/// arms (including `A | B` alternatives), `version == <const>`
+/// comparisons, and `// fbs-schema: accepts(n, m)` annotations in the
+/// body's line range.
 fn read_versions(file: &SourceFile, span: Span, consts: &BTreeMap<String, u32>) -> BTreeSet<u32> {
     let src = &file.src;
     let hi = span.hi.min(file.sig_len());
@@ -853,40 +626,59 @@ fn read_versions(file: &SourceFile, span: Span, consts: &BTreeMap<String, u32>) 
             && file.sig_token(i + 2).is_punct(src, "{")
         {
             let close = skip_balanced_sig(file, i + 2, hi, "{", "}");
-            for (pat, _) in parse_match_arms(file, i + 3, close.saturating_sub(1), consts) {
-                if let Some(v) = consts.get(&pat).copied().or_else(|| int_value(&pat)) {
-                    out.insert(v);
-                }
+            for (pat, _) in parse_match_arms(file, i + 3, close.saturating_sub(1)) {
+                out.extend(pat.split('|').filter_map(|alt| version_of(alt, consts)));
             }
             i = close;
             continue;
         }
         if t.is_ident(src, "version") && i + 2 < hi && file.sig_token(i + 1).is_punct(src, "==") {
-            if let Some(v) = resolve_version(file, i + 2, consts) {
-                out.insert(v);
-            }
+            out.extend(version_of(&token_text(file, i + 2), consts));
         }
         i += 1;
     }
-    // Annotations live in comment tokens, which `sig` filters out — scan
-    // the raw token stream across the body's line range.
-    if lo < hi {
-        let first = file.sig_token(lo).line;
-        let last = file.sig_token(hi - 1).line;
-        for t in &file.tokens {
-            if t.kind != TokenKind::LineComment || t.line < first || t.line > last {
-                continue;
-            }
-            let text = String::from_utf8_lossy(t.bytes(src));
-            if let Some(rest) = text.split("fbs-schema: accepts(").nth(1) {
-                if let Some(list) = rest.split(')').next() {
-                    for part in list.split(',') {
-                        if let Some(v) = int_value(part.trim()) {
-                            out.insert(v);
-                        }
-                    }
-                }
-            }
+    out.extend(annotated_versions(file, span, "accepts"));
+    out
+}
+
+/// Version tags an encode body writes: its leading `put_u32(<const>)`,
+/// plus `// fbs-schema: writes(n)` annotations for encoders whose version
+/// travels outside the payload (a snapshot header).
+fn write_versions(
+    file: &SourceFile,
+    span: Span,
+    raw: &[RawOp],
+    consts: &BTreeMap<String, u32>,
+) -> BTreeSet<u32> {
+    let mut out = annotated_versions(file, span, "writes");
+    if let Some(RawOp::Prim { codec, expr }) = raw.first() {
+        if codec == "u32" {
+            out.extend(version_of(expr, consts));
+        }
+    }
+    out
+}
+
+/// The tags of `// fbs-schema: <key>(n, m)` annotations in a body's line
+/// range, braces included. Annotations live in comment tokens, which `sig`
+/// filters out, so this scans the raw token stream.
+fn annotated_versions(file: &SourceFile, span: Span, key: &str) -> BTreeSet<u32> {
+    let mut out = BTreeSet::new();
+    let n = file.sig_len();
+    if n == 0 {
+        return out;
+    }
+    let first = file.sig_token(span.lo.saturating_sub(1).min(n - 1)).line;
+    let last = file.sig_token(span.hi.min(n - 1)).line;
+    let marker = format!("fbs-schema: {key}(");
+    for t in &file.tokens {
+        if t.kind != TokenKind::LineComment || t.line < first || t.line > last {
+            continue;
+        }
+        let text = String::from_utf8_lossy(t.bytes(&file.src));
+        if let Some(list) = text.split(marker.as_str()).nth(1) {
+            let list = list.split(')').next().unwrap_or_default();
+            out.extend(list.split(',').filter_map(|part| int_value(part.trim())));
         }
     }
     out
@@ -896,8 +688,28 @@ fn read_versions(file: &SourceFile, span: Span, consts: &BTreeMap<String, u32>) 
 // Whole-workspace extraction
 // ---------------------------------------------------------------------------
 
-/// Names a version decider may carry.
-const DECIDER_NAMES: &[&str] = &["layout_version", "schema_version"];
+/// A versioned root over one encode body: the written tags each map to
+/// the extracted layout.
+fn versioned_root(
+    name: &str,
+    file: &SourceFile,
+    line: u32,
+    encode: Span,
+    reads: BTreeSet<u32>,
+    consts: &BTreeMap<String, u32>,
+) -> VersionedSchema {
+    let raw = parse_raw_ops(file, encode.lo, encode.hi);
+    let writes = write_versions(file, encode, &raw, consts);
+    let ops = flatten_plain(&raw);
+    VersionedSchema {
+        name: name.to_string(),
+        path: file.meta.path.clone(),
+        line,
+        layouts: writes.iter().map(|&v| (v, ops.clone())).collect(),
+        writes,
+        reads,
+    }
+}
 
 /// Statically extracts the wire schema of every `Persist` impl (and every
 /// `persist_into`/`restore_from` inherent pair) in library files.
@@ -905,23 +717,9 @@ pub fn extract(files: &[SourceFile], g: &SymbolGraph) -> WireSchema {
     let consts = const_table(files);
     let mut schema = WireSchema::default();
 
-    // Version deciders, by type name.
-    let mut deciders: BTreeMap<String, Decider> = BTreeMap::new();
-    for f in &g.fns {
-        if !DECIDER_NAMES.contains(&f.name.as_str()) || !is_library(&files[f.file]) {
-            continue;
-        }
-        let (Some(ty), Some(body)) = (&f.impl_type, f.body) else {
-            continue;
-        };
-        if let Some(d) = parse_decider(&files[f.file], body, &consts) {
-            deciders.entry(ty.clone()).or_insert(d);
-        }
-    }
-
     // `persist_prim!` codec aliases (the macro body is opaque to the item
     // parser; the invocations are a fixed lexical shape).
-    for (fi, file) in files.iter().enumerate() {
+    for file in files {
         if !is_library(file) {
             continue;
         }
@@ -948,43 +746,27 @@ pub fn extract(files: &[SourceFile], g: &SymbolGraph) -> WireSchema {
                 line: file.sig_token(i).line,
                 layout: Layout::Prim { codec },
             });
-            let _ = fi;
         }
     }
 
-    // Plain `impl Persist for T` layouts.
+    // `impl Persist for T` layouts; a decoder that accepts versions makes
+    // the type a versioned root.
     for pi in &g.persist_impls {
         let file = &files[pi.file];
         if !is_library(file) || pi.type_name.is_empty() {
             continue;
         }
         let Some(encode) = pi.encode else { continue };
-        if let Some(decider) = deciders.get(&pi.type_name) {
-            // A versioned root: resolve one layout per version.
-            let raw = parse_raw_ops(file, encode.lo, encode.hi, &consts);
-            let writes = decider.write_versions();
-            let layouts: BTreeMap<u32, Vec<WireOp>> = writes
-                .iter()
-                .map(|&v| (v, flatten_for_version(&raw, decider, v)))
-                .collect();
-            let reads = pi
-                .decode
-                .map(|d| read_versions(file, d, &consts))
-                .unwrap_or_default();
-            schema
-                .versioned
-                .entry(pi.type_name.clone())
-                .or_insert(VersionedSchema {
-                    name: pi.type_name.clone(),
-                    path: file.meta.path.clone(),
-                    line: pi.line,
-                    writes,
-                    reads,
-                    layouts,
-                });
+        let reads = pi
+            .decode
+            .map(|d| read_versions(file, d, &consts))
+            .unwrap_or_default();
+        if !reads.is_empty() {
+            let root = versioned_root(&pi.type_name, file, pi.line, encode, reads, &consts);
+            schema.versioned.entry(pi.type_name.clone()).or_insert(root);
             continue;
         }
-        let raw = parse_raw_ops(file, encode.lo, encode.hi, &consts);
+        let raw = parse_raw_ops(file, encode.lo, encode.hi);
         let layout = match raw.as_slice() {
             [RawOp::Match { arms }] => Layout::Enum {
                 variants: variants_from_arms(arms),
@@ -1018,33 +800,17 @@ pub fn extract(files: &[SourceFile], g: &SymbolGraph) -> WireSchema {
         if schema.versioned.contains_key(&ty) || schema.types.contains_key(&ty) {
             continue;
         }
-        let Some(decider) = deciders.get(&ty) else {
-            continue;
-        };
-        let file = &files[fi];
-        let raw = parse_raw_ops(file, encode.lo, encode.hi, &consts);
-        let writes = decider.write_versions();
-        let layouts: BTreeMap<u32, Vec<WireOp>> = writes
-            .iter()
-            .map(|&v| (v, flatten_for_version(&raw, decider, v)))
-            .collect();
         let reads = g
             .fns
             .iter()
             .find(|f| f.name == "restore_from" && f.impl_type.as_deref() == Some(ty.as_str()))
             .and_then(|f| f.body.map(|b| read_versions(&files[f.file], b, &consts)))
             .unwrap_or_default();
-        schema.versioned.insert(
-            ty.clone(),
-            VersionedSchema {
-                name: ty,
-                path: file.meta.path.clone(),
-                line,
-                writes,
-                reads,
-                layouts,
-            },
-        );
+        if reads.is_empty() {
+            continue;
+        }
+        let root = versioned_root(&ty, &files[fi], line, encode, reads, &consts);
+        schema.versioned.insert(ty, root);
     }
 
     schema
@@ -1057,9 +823,10 @@ pub fn extract(files: &[SourceFile], g: &SymbolGraph) -> WireSchema {
 const LOCK_HEADER: &str = "\
 # SCHEMA.lock — wire layouts statically extracted from every Persist impl.
 # Generated by `fbs-lint schema --write-lock`; CI runs `fbs-lint schema
-# --check` and fails on drift. Versions v2–v5 are frozen (DESIGN.md): any
-# edit to a layout below is a breaking change unless it ships behind a
-# new version tag.";
+# --check` and fails on drift. Every layout below is frozen (DESIGN.md):
+# an edit is a breaking change unless it ships behind a new version tag.
+# A tag a root `reads` but no longer `writes` is read-only: its layout is
+# never re-derived, and `--write-lock` carries it over verbatim.";
 
 fn render_ops(out: &mut String, ops: &[WireOp], indent: usize) {
     for op in ops {
@@ -1567,6 +1334,9 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
         };
         for (tag, oops) in &ov.layouts {
             match nv.layouts.get(tag) {
+                // Read-only: accepted, no longer written; the lockfile
+                // layout carries over verbatim.
+                None if nv.reads.contains(tag) && !nv.writes.contains(tag) => {}
                 None => push(
                     EditKind::Breaking,
                     name,
@@ -1598,21 +1368,25 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
                 );
             }
         }
+        // A tag leaving `writes` but staying in `reads` just became
+        // read-only, which is not an edit; dropping a tag from `reads`
+        // strands every checkpoint written under it.
+        for v in ov.reads.difference(&nv.reads) {
+            push(
+                EditKind::Breaking,
+                name,
+                &nv.path,
+                nv.line,
+                format!("`{name}` no longer reads version {v}"),
+            );
+        }
         for (label, oset, nset) in [
             ("writes", &ov.writes, &nv.writes),
             ("reads", &ov.reads, &nv.reads),
         ] {
-            for v in oset.difference(nset) {
-                push(
-                    EditKind::Breaking,
-                    name,
-                    &nv.path,
-                    nv.line,
-                    format!("`{name}` no longer {label} version {v}"),
-                );
-            }
             for v in nset.difference(oset) {
-                if !ov.layouts.contains_key(v) && !nv.layouts.contains_key(v) {
+                // A brand-new layout tag is already reported above.
+                if ov.layouts.contains_key(v) || !nv.layouts.contains_key(v) {
                     push(
                         EditKind::Additive,
                         name,
@@ -1716,15 +1490,15 @@ fn diff_enum(
 // ---------------------------------------------------------------------------
 
 /// Runs the three schema rules over an analyzed file set. The lockfile
-/// text is optional: without it only `unprobed-version` (a pure source
-/// property) can fire.
+/// text is optional: without it nothing is frozen, so only
+/// `unprobed-version` can fire, and every read-only tag counts as dead.
 pub fn check_schema(
     files: &[SourceFile],
     g: &SymbolGraph,
     lock: Option<&str>,
 ) -> Vec<SemanticFinding> {
     let mut out = Vec::new();
-    let fresh = extract(files, g);
+    let mut fresh = extract(files, g);
 
     // File index by path, for anchoring.
     let by_path: BTreeMap<&str, usize> = files
@@ -1739,42 +1513,12 @@ pub fn check_schema(
             .unwrap_or_else(|| Anchor::Path(path.to_string()))
     };
 
-    for v in fresh.versioned.values() {
-        for tag in v.writes.difference(&v.reads) {
-            out.push(SemanticFinding {
-                anchor: anchor_of(&v.path),
-                finding: Finding {
-                    rule: "unprobed-version",
-                    line: v.line,
-                    col: 1,
-                    message: format!(
-                        "`{}` can write schema version {tag}, but its decoder only accepts {{{}}}: a campaign checkpointed at v{tag} could never resume",
-                        v.name,
-                        fmt_versions(&v.reads),
-                    ),
-                },
-            });
+    let locked = match lock.map(parse_lock) {
+        Some(Ok(locked)) => {
+            fresh.carry_read_only(&locked);
+            Some(locked)
         }
-        for tag in v.reads.difference(&v.writes) {
-            out.push(SemanticFinding {
-                anchor: anchor_of(&v.path),
-                finding: Finding {
-                    rule: "unprobed-version",
-                    line: v.line,
-                    col: 1,
-                    message: format!(
-                        "`{}` accepts schema version {tag} on decode, but no encoder branch can write it: the acceptance is dead (or the write path was lost)",
-                        v.name,
-                    ),
-                },
-            });
-        }
-    }
-
-    let Some(lock_text) = lock else { return out };
-    let locked = match parse_lock(lock_text) {
-        Ok(s) => s,
-        Err(e) => {
+        Some(Err(e)) => {
             out.push(SemanticFinding {
                 anchor: Anchor::Path("SCHEMA.lock".to_string()),
                 finding: Finding {
@@ -1786,15 +1530,50 @@ pub fn check_schema(
                     ),
                 },
             });
-            return out;
+            None
         }
+        None => None,
     };
+
+    for v in fresh.versioned.values() {
+        let mut unprobed = |message: String| {
+            out.push(SemanticFinding {
+                anchor: anchor_of(&v.path),
+                finding: Finding {
+                    rule: "unprobed-version",
+                    line: v.line,
+                    col: 1,
+                    message: format!("`{}` {message}", v.name),
+                },
+            });
+        };
+        for tag in v.writes.difference(&v.reads) {
+            let reads = fmt_versions(&v.reads);
+            unprobed(format!(
+                "writes schema version {tag}, but its decoder only accepts {{{reads}}}: \
+                 a campaign checkpointed at v{tag} could never resume"
+            ));
+        }
+        // A read-only tag is live only while the lockfile freezes its
+        // layout (carried into `layouts` above).
+        for tag in v.reads.difference(&v.writes) {
+            if !v.layouts.contains_key(tag) {
+                unprobed(format!(
+                    "accepts schema version {tag} on decode, but nothing writes it and \
+                     SCHEMA.lock freezes no layout for it: the acceptance is dead (or its \
+                     frozen layout was lost)"
+                ));
+            }
+        }
+    }
+
+    let Some(locked) = locked else { return out };
     for edit in diff_schemas(&locked, &fresh) {
         let (rule, message): (&'static str, String) = match edit.kind {
             EditKind::Breaking => (
                 "frozen-version-edit",
                 format!(
-                    "{}: versions v2–v5 are frozen; breaking wire edits must ship behind a new version tag",
+                    "{}: locked layouts are frozen; breaking wire edits must ship behind a new version tag",
                     edit.detail
                 ),
             ),
@@ -1892,87 +1671,68 @@ mod tests {
         }
     }
 
+    /// A record root (leading version constant, `A | B` decode arm) and a
+    /// snapshot root (`writes` annotation, `accepts` annotation).
+    const VERSIONED: &str = "const OLD: u32 = 2;\n\
+        const NEW: u32 = 3;\n\
+        impl Persist for Rec {\n\
+        fn persist(&self, w: &mut ByteWriter) {\n\
+        w.put_u32(NEW);\n\
+        w.put_u32(self.base);\n\
+        if let Some(extra) = &self.extra { extra.persist(w); }\n\
+        }\n\
+        fn restore(r: &mut ByteReader) -> Result<Self> {\n\
+        let version = r.get_u32()?;\n\
+        match version { OLD | NEW => Err(a), _ => Err(c) }\n\
+        }\n\
+        }\n\
+        impl State {\n\
+        fn persist_into(&self, w: &mut ByteWriter) {\n\
+        // fbs-schema: writes(3)\n\
+        self.base.persist(w);\n\
+        }\n\
+        fn restore_from(r: &mut ByteReader, version: u32) -> Result<Self> {\n\
+        // fbs-schema: accepts(2)\n\
+        if version == NEW { tail(r) }\n\
+        }\n\
+        }\n";
+
     #[test]
-    fn version_gates_resolve_per_version() {
-        let s = extract_src(
-            "const OLD: u32 = 2;\n\
-             const NEW: u32 = 3;\n\
-             impl Rec {\n\
-             fn layout_version(&self) -> u32 {\n\
-             if self.extra.is_some() { NEW } else { OLD }\n\
-             }\n\
-             }\n\
-             impl Persist for Rec {\n\
-             fn persist(&self, w: &mut ByteWriter) {\n\
-             let version = self.layout_version();\n\
-             w.put_u32(version);\n\
-             w.put_u32(self.base);\n\
-             if version == NEW { w.put_bool(self.flag); }\n\
-             if let Some(extra) = &self.extra { extra.persist(w); }\n\
-             }\n\
-             fn restore(r: &mut ByteReader) -> Result<Self> {\n\
-             let version = r.get_u32()?;\n\
-             match version { OLD => Err(a), NEW => Err(b), _ => Err(c) }\n\
-             }\n\
-             }\n",
-        );
-        let v = s.versioned.get("Rec").expect("versioned root");
-        assert_eq!(v.writes, BTreeSet::from([2, 3]));
-        assert_eq!(v.reads, BTreeSet::from([2, 3]));
-        let v2: Vec<String> = v.layouts[&2].iter().map(op_text).collect();
-        assert_eq!(v2, ["u32 version", "u32 self.base"]);
-        let v3: Vec<String> = v.layouts[&3].iter().map(op_text).collect();
-        assert_eq!(
-            v3,
-            [
-                "u32 version",
-                "u32 self.base",
-                "bool self.flag",
-                "nested extra"
-            ]
-        );
+    fn versioned_roots_are_found_from_their_decoders() {
+        let s = extract_src(VERSIONED);
+        let rec = s.versioned.get("Rec").expect("record root");
+        assert_eq!(rec.writes, BTreeSet::from([3]));
+        assert_eq!(rec.reads, BTreeSet::from([2, 3]));
+        let v3: Vec<String> = rec.layouts[&3].iter().map(op_text).collect();
+        assert_eq!(v3, ["u32 NEW", "u32 self.base", "opt self.extra"]);
+        // Read-only v2 has no source to derive it from: it comes from
+        // the lockfile, never from extraction.
+        assert!(!rec.layouts.contains_key(&2));
+        let state = s.versioned.get("State").expect("snapshot root");
+        assert_eq!(state.writes, BTreeSet::from([3]));
+        assert_eq!(state.reads, BTreeSet::from([2, 3]));
     }
 
     #[test]
-    fn lock_round_trips_through_parse() {
-        let s = extract_src(
-            "const OLD: u32 = 2;\n\
-             const NEW: u32 = 3;\n\
-             impl Rec {\n\
-             fn layout_version(&self) -> u32 { if self.extra.is_some() { NEW } else { OLD } }\n\
-             }\n\
-             impl Persist for Rec {\n\
-             fn persist(&self, w: &mut ByteWriter) {\n\
-             let version = self.layout_version();\n\
-             w.put_u32(version);\n\
-             if let Some(extra) = &self.extra { extra.persist(w); }\n\
-             }\n\
-             fn restore(r: &mut ByteReader) -> Result<Self> {\n\
-             let version = r.get_u32()?;\n\
-             match version { OLD => Err(a), NEW => Err(b), _ => Err(c) }\n\
-             }\n\
-             }\n\
-             impl Persist for Leaf {\n\
-             fn persist(&self, w: &mut ByteWriter) {\n\
-             w.put_u64(self.len() as u64);\n\
-             for item in self.items { item.persist(w); }\n\
-             }\n\
-             fn restore(r: &mut ByteReader) -> Result<Self> { Err(x) }\n\
-             }\n",
-        );
+    fn lock_round_trips_and_carries_read_only_layouts() {
+        let mut s = extract_src(VERSIONED);
         let text = render_lock(&s);
         let parsed = parse_lock(&text).expect("lock parses");
-        // Lines are source positions, not wire facts: blank them before
-        // comparing.
-        let mut blanked = s.clone();
-        for t in blanked.types.values_mut() {
-            t.line = 0;
-        }
-        for v in blanked.versioned.values_mut() {
-            v.line = 0;
-        }
-        assert_eq!(parsed, blanked);
         assert_eq!(render_lock(&parsed), text);
+        // A lock that froze a v2 layout: carried into the extraction
+        // verbatim, so the diff is clean and the re-rendered lock keeps it.
+        let frozen = text.replace(
+            "  v3\n",
+            "  v2\n    u32 version\n    u8 self.legacy\n  v3\n",
+        );
+        let locked = parse_lock(&frozen).expect("frozen lock parses");
+        s.carry_read_only(&locked);
+        assert_eq!(
+            s.versioned["Rec"].layouts[&2],
+            locked.versioned["Rec"].layouts[&2]
+        );
+        assert!(diff_schemas(&locked, &s).is_empty());
+        assert_eq!(render_lock(&s), frozen);
     }
 
     #[test]

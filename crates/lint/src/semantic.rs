@@ -69,11 +69,11 @@ pub const SEMANTIC_RULES: &[SemanticRule] = &[
     },
     SemanticRule {
         name: "frozen-version-edit",
-        summary: "wire layouts frozen in SCHEMA.lock (versions v2-v5) must not be reordered, retyped, removed, or retagged; breaking edits ship behind a new version tag",
+        summary: "wire layouts frozen in SCHEMA.lock (written and read-only versions alike) must not be reordered, retyped, removed, or retagged, and no accepted version may be dropped; breaking edits ship behind a new version tag",
     },
     SemanticRule {
         name: "unprobed-version",
-        summary: "every schema version a versioned encoder can write must be accepted by its decoder, and vice versa (a written-but-unreadable version strands checkpoints)",
+        summary: "every schema version a versioned encoder writes must be accepted by its decoder, and every accepted version must be written or frozen read-only in SCHEMA.lock (a written-but-unreadable version strands checkpoints)",
     },
     SemanticRule {
         name: "schema-lock-drift",

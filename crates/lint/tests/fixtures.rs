@@ -327,22 +327,42 @@ fn float_reduction_order_accepts_integer_max_and_pragmad_reductions() {
 
 #[test]
 fn unprobed_version_fires_on_asymmetric_write_read_sets() {
-    // Both findings anchor at the `impl Persist` line: the encoder can
-    // write v3 the decoder never accepts, and the decoder accepts v9
-    // nothing writes.
-    assert_fires("unprobed-version", "crates/geodb/src/fixture.rs", &[29, 29]);
+    // Both findings anchor at the `impl Persist` line: the encoder writes
+    // v3 the decoder never accepts, and the decoder accepts v9, which
+    // nothing writes and the lock freezes no layout for.
+    let got = lint_locked_fixture(
+        "unprobed-version",
+        "positive",
+        "crates/geodb/src/fixture.rs",
+    );
+    let want = ("unprobed-version".to_string(), 18);
+    assert_eq!(got, [want.clone(), want]);
 }
 
 #[test]
-fn unprobed_version_accepts_symmetric_version_sets() {
-    assert_clean("unprobed-version", "crates/geodb/src/fixture.rs");
+fn unprobed_version_accepts_read_only_versions_the_lock_freezes() {
+    let got = lint_locked_fixture(
+        "unprobed-version",
+        "negative",
+        "crates/geodb/src/fixture.rs",
+    );
+    assert!(got.is_empty(), "negative fixture fired: {got:?}");
+    // Without the lock nothing is frozen, so the read-only v1 and v2 are
+    // dead acceptances.
+    let unlocked = lint_fixture(
+        "unprobed-version",
+        "negative",
+        "crates/geodb/src/fixture.rs",
+    );
+    let want = ("unprobed-version".to_string(), 14);
+    assert_eq!(unlocked, [want.clone(), want]);
 }
 
 #[test]
 fn frozen_version_edit_fires_on_reorders_against_the_lock() {
-    // line 15: `Header` swapped its two field writes relative to the
-    // frozen baseline; line 43: the frozen v2 layout of `Record` moved
-    // `notes` ahead of `head`.
+    // line 16: `Header` swapped its two field writes relative to the
+    // frozen baseline; line 34: the written v2 layout of `Record` moved
+    // `notes` ahead of `head`. The read-only v1 layout raises nothing.
     let got = lint_locked_fixture(
         "frozen-version-edit",
         "positive",
@@ -351,8 +371,8 @@ fn frozen_version_edit_fires_on_reorders_against_the_lock() {
     assert_eq!(
         got,
         [
-            ("frozen-version-edit".to_string(), 15),
-            ("frozen-version-edit".to_string(), 43),
+            ("frozen-version-edit".to_string(), 16),
+            ("frozen-version-edit".to_string(), 34),
         ]
     );
 }
@@ -368,15 +388,22 @@ fn frozen_version_edit_accepts_a_matching_lock() {
 }
 
 #[test]
-fn schema_lock_drift_fires_on_an_unrecorded_new_type() {
-    // line 26: `Extra` is extracted from the source but absent from the
-    // frozen baseline — additive drift, not a frozen-version break.
+fn schema_lock_drift_fires_on_a_new_type_and_a_new_write_tag() {
+    // line 28: `Extra` is absent from the frozen baseline; line 48:
+    // `Record` now writes v3, a tag the baseline lacks. Both are additive
+    // drift, not frozen-version breaks.
     let got = lint_locked_fixture(
         "schema-lock-drift",
         "positive",
         "crates/geodb/src/fixture.rs",
     );
-    assert_eq!(got, [("schema-lock-drift".to_string(), 26)]);
+    assert_eq!(
+        got,
+        [
+            ("schema-lock-drift".to_string(), 28),
+            ("schema-lock-drift".to_string(), 48),
+        ]
+    );
 }
 
 #[test]

@@ -93,97 +93,71 @@ fn appending_a_field_to_a_frozen_struct_is_still_breaking() {
     assert_verdict(PAIR_OLD, new, EditKind::Breaking, "appended");
 }
 
-const VERSIONED_OLD: &str = "const V1: u32 = 1;
-const V2: u32 = 2;
-pub struct S { tail: Vec<u32> }
-impl S {
-    fn layout_version(&self) -> u32 {
-        if self.tail.is_empty() {
-            V1
-        } else {
-            V2
-        }
-    }
-}
-impl Persist for S {
+/// A record that writes its union layout v6 and still decodes v5 — the
+/// shape of `RoundRecord` once a layout turns read-only.
+const VERSIONED_OLD: &str = "const V5: u32 = 5;
+const V6: u32 = 6;
+impl Persist for Rec {
     fn persist(&self, w: &mut ByteWriter) {
-        let version = self.layout_version();
-        w.put_u32(version);
-        if version != V1 {
-            self.tail.persist(w);
+        w.put_u32(V6);
+        self.base.persist(w);
+        self.extra.persist(w);
+    }
+    fn restore(r: &mut ByteReader) -> Result<Self> {
+        let version = r.get_u32()?;
+        match version {
+            V5 | V6 => decode(r, version),
+            other => Err(other),
         }
     }
 }
 ";
 
 #[test]
-fn a_new_version_tag_is_additive() {
-    // The frozen v1/v2 layouts are untouched; v3 is a fresh tag carrying
-    // the new section, which is exactly how wire evolution must ship.
-    let new = "const V1: u32 = 1;
-const V2: u32 = 2;
-const V3: u32 = 3;
-pub struct S { tail: Vec<u32>, extra: Vec<u32> }
-impl S {
-    fn layout_version(&self) -> u32 {
-        if self.tail.is_empty() {
-            V1
-        } else if self.extra.is_empty() {
-            V2
-        } else {
-            V3
-        }
-    }
-}
-impl Persist for S {
-    fn persist(&self, w: &mut ByteWriter) {
-        let version = self.layout_version();
-        w.put_u32(version);
-        if version != V1 {
-            self.tail.persist(w);
-        }
-        if version == V3 {
-            self.extra.persist(w);
-        }
-    }
-}
-";
+fn editing_the_written_layout_is_breaking() {
+    let new = VERSIONED_OLD.replace(
+        "self.base.persist(w);\n        self.extra.persist(w);",
+        "self.extra.persist(w);\n        self.base.persist(w);",
+    );
     assert_verdict(
         VERSIONED_OLD,
-        new,
-        EditKind::Additive,
-        "new version tag v3 of `S`",
+        &new,
+        EditKind::Breaking,
+        "frozen v6 layout of `Rec` edited: field order changed",
     );
 }
 
 #[test]
-fn editing_a_frozen_version_layout_is_breaking() {
-    // Same version set, but v2 now writes its section in another order.
-    let new = "const V1: u32 = 1;
-const V2: u32 = 2;
-pub struct S { tail: Vec<u32> }
-impl S {
-    fn layout_version(&self) -> u32 {
-        if self.tail.is_empty() {
-            V1
-        } else {
-            V2
-        }
-    }
+fn bumping_the_write_tag_with_a_decode_arm_is_additive() {
+    // v6 stops being written but stays decodable: it turns read-only,
+    // which is not an edit. v7 is a fresh tag.
+    let new = VERSIONED_OLD
+        .replace(
+            "const V6: u32 = 6;",
+            "const V6: u32 = 6;\nconst V7: u32 = 7;",
+        )
+        .replace("w.put_u32(V6);", "w.put_u32(V7);")
+        .replace(
+            "self.extra.persist(w);",
+            "self.extra.persist(w);\n        self.more.persist(w);",
+        )
+        .replace("V5 | V6 =>", "V5 | V6 | V7 =>");
+    assert_verdict(
+        VERSIONED_OLD,
+        &new,
+        EditKind::Additive,
+        "new version tag v7 of `Rec`",
+    );
 }
-impl Persist for S {
-    fn persist(&self, w: &mut ByteWriter) {
-        if self.layout_version() != V1 {
-            self.tail.persist(w);
-        }
-        w.put_u32(self.layout_version());
-    }
-}
-";
-    let edits = diff_schemas(&schema_of(VERSIONED_OLD), &schema_of(new));
-    assert!(
-        !edits.is_empty() && edits.iter().all(|e| e.kind == EditKind::Breaking),
-        "frozen-layout edit must be breaking: {edits:?}"
+
+#[test]
+fn dropping_a_read_only_decode_arm_is_breaking() {
+    let new = VERSIONED_OLD.replace("V5 | V6 =>", "V6 =>");
+    assert_verdict(
+        VERSIONED_OLD,
+        &new,
+        EditKind::Breaking,
+        "`Rec` no longer reads version 5",
     );
 }
 

@@ -245,70 +245,39 @@ fn single_vantage_roster_matches_the_legacy_pipeline() {
 }
 
 #[test]
-fn checkpoint_schema_version_tracks_the_roster() {
-    // Empty roster → the legacy version-2 snapshot layout, bit-for-bit
-    // compatible with pre-vantage checkpoints; any roster → version 3.
-    let dir = fresh_dir("ver");
-    campaign()
-        .run_checkpointed(&dir, policy())
-        .expect("legacy run");
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(version, 2, "legacy campaigns must stay on version 2");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut cfg = CampaignConfig::without_baseline();
-    cfg.tracked.clear();
-    cfg.rtt_tracked.clear();
-    cfg.vantages = vec![VantageSpec::new("solo")];
-    let dir = fresh_dir("ver3");
-    Campaign::new(world(23), cfg)
-        .expect("valid config")
-        .run_checkpointed(&dir, policy())
-        .expect("rostered run");
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(version, 3, "rostered campaigns checkpoint as version 3");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The passive signal — with or without a roster — lifts the layout to
-    // version 4.
-    let mut cfg = CampaignConfig::without_baseline();
-    cfg.tracked.clear();
-    cfg.rtt_tracked.clear();
-    cfg.ibr = Some(IbrConfig::default());
-    let dir = fresh_dir("ver4");
-    Campaign::new(world(23), cfg)
-        .expect("valid config")
-        .run_checkpointed(&dir, policy())
-        .expect("passive run");
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(
-        version, 4,
-        "passive-signal campaigns checkpoint as version 4"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Supervised shard execution — any shard fault plan, even an empty
-    // one — journals per-shard outcomes and lifts the layout to version 5.
-    let mut cfg = CampaignConfig::without_baseline();
-    cfg.tracked.clear();
-    cfg.rtt_tracked.clear();
-    cfg.shard_plan = Some(ShardFaultPlan::none());
-    let dir = fresh_dir("ver5");
-    Campaign::new(world(23), cfg)
-        .expect("valid config")
-        .run_checkpointed(&dir, policy())
-        .expect("supervised run");
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(version, 5, "supervised campaigns checkpoint as version 5");
-    let _ = std::fs::remove_dir_all(&dir);
+fn every_campaign_mode_checkpoints_as_version_6() {
+    // One union layout whatever the roster, passive signal or shard plan:
+    // the snapshot header and every journal record carry version 6.
+    for tag in ["legacy", "roster", "passive", "shards", "all"] {
+        let mut cfg = CampaignConfig::without_baseline();
+        cfg.tracked.clear();
+        cfg.rtt_tracked.clear();
+        if matches!(tag, "roster" | "all") {
+            cfg.vantages = vec![VantageSpec::new("solo")];
+        }
+        if matches!(tag, "passive" | "all") {
+            cfg.ibr = Some(IbrConfig::default());
+        }
+        if matches!(tag, "shards" | "all") {
+            cfg.shard_plan = Some(ShardFaultPlan::none());
+        }
+        let dir = fresh_dir(tag);
+        Campaign::new(world(23), cfg)
+            .expect("valid config")
+            .run_checkpointed(&dir, policy())
+            .expect(tag);
+        let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
+            .expect("readable snapshot")
+            .expect("snapshot written");
+        assert_eq!(version, 6, "{tag} snapshot");
+        let (_, records, _) =
+            ukraine_fbs::journal::Journal::open(dir.join(JOURNAL_FILE)).expect("journal");
+        assert_eq!(records.len() as u32, ROUNDS);
+        for record in &records {
+            assert_eq!(record[..4], 6u32.to_le_bytes(), "{tag} journal record");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

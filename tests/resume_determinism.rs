@@ -12,7 +12,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use ukraine_fbs::core::checkpoint::{JOURNAL_FILE, SNAPSHOT_FILE};
-use ukraine_fbs::core::{CheckpointPolicy, DisagreementSummary};
+use ukraine_fbs::core::CheckpointPolicy;
 use ukraine_fbs::journal::{write_snapshot, Journal};
 use ukraine_fbs::netsim::{
     AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, FaultWindow,
@@ -98,7 +98,7 @@ fn chaos_campaign() -> Campaign {
 
 /// The chaos campaign scanned from three vantage points: one clean, one
 /// behind the chaos-matrix fault mix with extra path latency, one blacked
-/// out entirely mid-campaign. Exercises the version-3 checkpoint layout,
+/// out entirely mid-campaign. Exercises the per-vantage journal sections,
 /// per-vantage fault-RNG recomputation on replay, and the quorum-fusion
 /// recompute in `apply_round`.
 fn multi_vantage_campaign() -> Campaign {
@@ -139,9 +139,9 @@ fn multi_vantage_campaign() -> Campaign {
 }
 
 /// The multi-vantage campaign with the passive background-radiation
-/// signal riding along — the version-4 checkpoint layout. A darknet-dark
-/// window sits well before the scripted outage so journal replay covers
-/// dark records, frozen-predictor state and an open passive outage.
+/// signal riding along. A darknet-dark window sits well before the
+/// scripted outage so journal replay covers dark records, frozen-predictor
+/// state and an open passive outage.
 fn ibr_campaign() -> Campaign {
     let outage = ScriptedEvent {
         name: "scripted-outage".into(),
@@ -351,12 +351,11 @@ fn multi_vantage_resume_is_byte_identical() {
 }
 
 #[test]
-fn multi_vantage_checkpoints_are_version_3_and_byte_stable() {
+fn multi_vantage_checkpoints_are_byte_stable() {
     // Two independent checkpointed runs of the 3-vantage campaign write
-    // byte-identical snapshot + journal files, and the snapshot header
-    // carries the multi-vantage schema version.
+    // byte-identical snapshot + journal files.
     let campaign = multi_vantage_campaign();
-    let (dir_a, dir_b) = (fresh_dir("v3a"), fresh_dir("v3b"));
+    let (dir_a, dir_b) = (fresh_dir("mva"), fresh_dir("mvb"));
     let report_a = campaign.run_checkpointed(&dir_a, policy()).expect("run a");
     let report_b = campaign.run_checkpointed(&dir_b, policy()).expect("run b");
     assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
@@ -366,19 +365,14 @@ fn multi_vantage_checkpoints_are_version_3_and_byte_stable() {
         let b = std::fs::read(dir_b.join(file)).expect(file);
         assert_eq!(a, b, "{file} differs between two identical runs");
     }
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir_a.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(version, 3, "a rostered campaign checkpoints as version 3");
-
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 #[test]
 fn multi_vantage_corrupt_journal_tail_is_truncated_and_rescanned() {
-    // The crash-recovery ladder holds for version-3 records too: a damaged
-    // tail record is dropped and the round re-measured per vantage.
+    // The crash-recovery ladder holds for multi-vantage records too: a
+    // damaged tail record is dropped and the round re-measured per vantage.
     let campaign = multi_vantage_campaign();
     let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
 
@@ -392,33 +386,10 @@ fn multi_vantage_corrupt_journal_tail_is_truncated_and_rescanned() {
     assert_eq!(
         format!("{resumed:?}"),
         baseline,
-        "corrupt v3 journal tail changed the report"
+        "corrupt multi-vantage journal tail changed the report"
     );
     assert!(!diag.journal.was_clean(), "{diag:?}");
     assert_eq!(diag.journal.records, 299, "exactly the damaged record lost");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn legacy_v2_checkpoint_resumes_without_a_roster() {
-    // An empty-roster campaign still writes and resumes the legacy
-    // version-2 layout: old checkpoint directories keep working, and the
-    // resumed report carries no vantage ledgers and no disagreement.
-    let campaign = chaos_campaign();
-    let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
-
-    let dir = fresh_dir("v2");
-    run_and_kill(&campaign, &dir, 250);
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(version, 2, "no roster, legacy schema version");
-
-    let (resumed, diag) = campaign.resume_with(&dir, policy()).expect("v2 resume");
-    assert_eq!(format!("{resumed:?}"), baseline);
-    assert!(diag.journal.was_clean());
-    assert!(resumed.vantages.is_empty(), "no roster, no ledgers");
-    assert_eq!(resumed.disagreement, DisagreementSummary::default());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -473,7 +444,7 @@ fn write_journal(path: &Path, records: &[Vec<u8>]) {
     journal.sync().expect("sync");
 }
 
-/// Sets the round field of a version-2 record (after the u32 version tag).
+/// Sets the round field of a record (after the u32 version tag).
 fn set_round(record: &mut [u8], round: u32) {
     record[4..8].copy_from_slice(&round.to_le_bytes());
 }
@@ -562,7 +533,7 @@ fn resume_validates_every_journal_record() {
 
 #[test]
 fn ibr_resume_is_byte_identical() {
-    // The version-4 layout through the whole crash ladder: kill before the
+    // The passive signal through the whole crash ladder: kill before the
     // first snapshot, mid-campaign (replay crosses the darknet-dark window,
     // so frozen predictors restore bit-for-bit), mid-outage (an *open*
     // passive event lives in the snapshot), and one round short of the end.
@@ -596,12 +567,11 @@ fn ibr_resume_is_byte_identical() {
 }
 
 #[test]
-fn ibr_checkpoints_are_version_4_and_byte_stable() {
+fn ibr_checkpoints_are_byte_stable() {
     // Two independent checkpointed runs of the passive-signal campaign
-    // write byte-identical snapshot + journal files, and the snapshot
-    // header carries the IBR schema version.
+    // write byte-identical snapshot + journal files.
     let campaign = ibr_campaign();
-    let (dir_a, dir_b) = (fresh_dir("v4a"), fresh_dir("v4b"));
+    let (dir_a, dir_b) = (fresh_dir("ibra"), fresh_dir("ibrb"));
     let report_a = campaign.run_checkpointed(&dir_a, policy()).expect("run a");
     let report_b = campaign.run_checkpointed(&dir_b, policy()).expect("run b");
     assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
@@ -611,22 +581,15 @@ fn ibr_checkpoints_are_version_4_and_byte_stable() {
         let b = std::fs::read(dir_b.join(file)).expect(file);
         assert_eq!(a, b, "{file} differs between two identical runs");
     }
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir_a.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(
-        version, 4,
-        "a passive-signal campaign checkpoints as version 4"
-    );
-
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 #[test]
 fn ibr_corrupt_journal_tail_is_truncated_and_rescanned() {
-    // The crash-recovery ladder holds for version-4 records too: a damaged
-    // tail record is dropped and the round re-measured, darknet included.
+    // The crash-recovery ladder holds for passive-signal records too: a
+    // damaged tail record is dropped and the round re-measured, darknet
+    // included.
     let campaign = ibr_campaign();
     let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
 
@@ -640,33 +603,9 @@ fn ibr_corrupt_journal_tail_is_truncated_and_rescanned() {
     assert_eq!(
         format!("{resumed:?}"),
         baseline,
-        "corrupt v4 journal tail changed the report"
+        "corrupt passive-signal journal tail changed the report"
     );
     assert!(!diag.journal.was_clean(), "{diag:?}");
     assert_eq!(diag.journal.records, 299, "exactly the damaged record lost");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn v3_checkpoint_resumes_as_an_ibr_disabled_campaign() {
-    // A checkpoint directory written *without* the passive signal stays on
-    // the version-3 layout and resumes exactly as an IBR-disabled
-    // campaign: no passive ledgers appear, and the report matches the
-    // uninterrupted run bit-for-bit. Old directories keep working.
-    let campaign = multi_vantage_campaign();
-    let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
-
-    let dir = fresh_dir("v3compat");
-    run_and_kill(&campaign, &dir, 250);
-    let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
-        .expect("readable snapshot")
-        .expect("snapshot written");
-    assert_eq!(version, 3, "no passive signal, vantage schema version");
-
-    let (resumed, diag) = campaign.resume_with(&dir, policy()).expect("v3 resume");
-    assert_eq!(format!("{resumed:?}"), baseline);
-    assert!(diag.journal.was_clean());
-    assert!(resumed.ibr.is_empty(), "no passive config, no ledgers");
-    assert_eq!(resumed.total_ibr_outages(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
