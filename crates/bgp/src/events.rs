@@ -42,7 +42,8 @@ pub struct BgpEvent {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EventLog {
     events: Vec<BgpEvent>,
-    /// Highest round seen, for cheap append-in-order detection.
+    /// Whether every append so far arrived in round order, so
+    /// [`EventLog::normalize`] can skip the sort.
     sorted: bool,
 }
 
@@ -172,6 +173,13 @@ impl Replayer {
     pub fn round(&self) -> Round {
         self.current
     }
+
+    /// How many log events have been applied so far. The table can only
+    /// have changed across a [`Replayer::advance_to`] that moved this
+    /// count.
+    pub fn applied(&self) -> usize {
+        self.cursor
+    }
 }
 
 #[cfg(test)]
@@ -190,11 +198,15 @@ mod tests {
         log.announce(Round(9), p("10.0.0.0/24"), vec![Asn(1)]);
 
         let mut rp = log.replayer();
+        assert_eq!(rp.applied(), 0);
         assert!(rp.advance_to(Round(0)).is_visible(Asn(1)));
         assert!(rp.advance_to(Round(4)).is_visible(Asn(1)));
+        assert_eq!(rp.applied(), 1);
         assert!(!rp.advance_to(Round(5)).is_visible(Asn(1)));
         assert!(!rp.advance_to(Round(8)).is_visible(Asn(1)));
+        assert_eq!(rp.applied(), 2);
         assert!(rp.advance_to(Round(9)).is_visible(Asn(1)));
+        assert_eq!(rp.applied(), 3);
     }
 
     #[test]

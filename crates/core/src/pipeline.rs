@@ -12,10 +12,12 @@
 //!   this function over journaled records, so a resumed campaign is
 //!   bit-identical to an uninterrupted one.
 //!
-//! [`CampaignRunner`] owns the split state — immutable [`Statics`] plus
-//! the persistable [`PipelineState`] — and drives `step_round()` until the
-//! cursor is done; [`Campaign::run`], [`Campaign::run_checkpointed`] and
-//! [`Campaign::resume`] are thin drivers over it.
+//! [`CampaignRunner`] owns the split state — immutable [`Statics`], the
+//! persistable [`PipelineState`], and the feed layer's derived
+//! [`FeedState`], which is carried across rounds but never persisted —
+//! and drives `step_round()` until the cursor is done; [`Campaign::run`],
+//! [`Campaign::run_checkpointed`] and [`Campaign::resume`] are thin
+//! drivers over it.
 
 use crate::checkpoint::{
     BlockObs, CheckpointPolicy, CheckpointStore, FeedObs, IbrObs, ResumeDiagnostics, RoundRecord,
@@ -33,9 +35,10 @@ use crate::report::{
 use crate::shard::{self, ShardExec};
 use fbs_feeds::{FeedHealth, FeedLoader, FeedOutcome, FeedQuarantine, TaggedQuarantine};
 use fbs_geodb::GeoSnapshot;
+use fbs_netsim::feedfaults::{self, BgpDumps};
 use fbs_netsim::{
-    faults, feedfaults, geo, ibr, BlockSpec, FaultIntensity, FaultPlan, FeedFaultPlan, IbrConfig,
-    VantageSpec, World, WorldRng,
+    faults, geo, ibr, BlockSpec, FaultIntensity, FaultPlan, FeedFaultPlan, IbrConfig, VantageSpec,
+    World, WorldRng,
 };
 use fbs_prober::RoundCursor;
 use fbs_regional::Regionality;
@@ -165,6 +168,7 @@ impl Campaign {
         let shard_wall_ns = vec![0u64; statics.shard.n_shards()];
         Ok(CampaignRunner {
             campaign: self,
+            feeds: FeedState::cold(self),
             statics,
             state,
             store: None,
@@ -185,6 +189,7 @@ impl Campaign {
         let shard_wall_ns = vec![0u64; statics.shard.n_shards()];
         Ok(CampaignRunner {
             campaign: self,
+            feeds: FeedState::cold(self),
             statics,
             state,
             store: Some(store),
@@ -262,13 +267,23 @@ impl Campaign {
             None => initial_state(&self.world, &self.config, &statics),
         };
 
+        // The feed state is derived, never persisted: it starts cold here
+        // and serves the heal loop and then the live rounds, in ascending
+        // round order.
+        let mut feeds = FeedState::cold(self);
         if journaled < completed {
             // The journal lags the snapshot (its tail was truncated after
             // the snapshot was written). The missing rounds are already in
             // the state; re-measure them — determinism makes the records
             // identical — and heal the journal so it stays authoritative.
             for i in journaled..completed {
-                let record = measure_round(&self.world, &self.config, &statics, Round(i as u32));
+                let record = measure_round(
+                    &self.world,
+                    &self.config,
+                    &statics,
+                    feeds.as_mut(),
+                    Round(i as u32),
+                );
                 store.append(&record)?;
                 diagnostics.healed_rounds += 1;
             }
@@ -282,6 +297,7 @@ impl Campaign {
         let shard_wall_ns = vec![0u64; statics.shard.n_shards()];
         Ok(CampaignRunner {
             campaign: self,
+            feeds,
             statics,
             state,
             store: Some(store),
@@ -336,6 +352,28 @@ pub(crate) struct Statics {
 pub(crate) struct IbrStatic {
     config: IbrConfig,
     rng: WorldRng,
+}
+
+/// The feed layer's carried state: the BGP dump stream and the loader
+/// with its memo of each feed's last judged delivery.
+///
+/// World, config and round determine all of it, so it is never journaled
+/// or snapshotted; a resumed runner starts it cold. It is only ever asked
+/// for ascending rounds (the dump stream cannot rewind).
+pub(crate) struct FeedState {
+    bgp: BgpDumps,
+    loader: FeedLoader,
+}
+
+impl FeedState {
+    /// A fresh feed state, or `None` when the feed layer is off.
+    fn cold(campaign: &Campaign) -> Option<Self> {
+        let cfg = &campaign.config;
+        cfg.feed_plan.is_some().then(|| FeedState {
+            bgp: BgpDumps::new(&campaign.world),
+            loader: FeedLoader::new(cfg.feed_retry, cfg.feed_tolerance),
+        })
+    }
 }
 
 /// One roster entry with its per-vantage derivations resolved once.
@@ -1140,9 +1178,10 @@ fn measure_round(
     world: &World,
     cfg: &CampaignConfig,
     statics: &Statics,
+    feeds: Option<&mut FeedState>,
     round: Round,
 ) -> RoundRecord {
-    measure_round_timed(world, cfg, statics, round).0
+    measure_round_timed(world, cfg, statics, feeds, round).0
 }
 
 /// [`measure_round`] plus this round's per-shard wall times (slot order;
@@ -1152,13 +1191,14 @@ fn measure_round_timed(
     world: &World,
     cfg: &CampaignConfig,
     statics: &Statics,
+    feed_state: Option<&mut FeedState>,
     round: Round,
 ) -> (RoundRecord, Vec<u64>) {
     let online = world.vantage_online(round);
     // Feeds are fetched by infrastructure independent of the probing
     // vantage(s), so feed observations are collected even for rounds the
     // scanner itself cannot measure — and fetched once, not per shard.
-    let (feeds, routed_unknown) = measure_feeds(world, cfg, statics, round);
+    let (feeds, routed_unknown) = measure_feeds(world, statics, feed_state, round);
     // `None`: the IBR layer is off. `Some(false)`: the collector itself
     // is dark this round. `Some(true)`: the darknet is listening.
     let ibr_live = statics.ibr.as_ref().map(|is| !is.config.dark_at(round));
@@ -1395,19 +1435,20 @@ fn measure_round_timed(
 /// Returns the per-feed observations — `Vec::new()` when the feed layer is
 /// off, exactly three entries in [`FeedKind::ALL`] order when on — plus the
 /// per-block "routing state unknown" mask derived from what the BGP dump
-/// delivery lost.
+/// delivery lost. `feeds` carries the dump stream and the loader's memo
+/// across rounds; the observations equal those of a cold state.
 fn measure_feeds(
     world: &World,
-    cfg: &CampaignConfig,
     statics: &Statics,
+    feeds: Option<&mut FeedState>,
     round: Round,
 ) -> (Vec<FeedObs>, Vec<bool>) {
     let n_blocks = statics.n_blocks;
-    let Some(plan) = statics.feed_plan.as_ref() else {
+    let (Some(plan), Some(FeedState { bgp, loader })) = (statics.feed_plan.as_ref(), feeds) else {
         return (Vec::new(), vec![false; n_blocks]);
     };
     let mi = world.month_index(round) as usize;
-    let bgp_text = feedfaults::bgp_dump_text(world, round);
+    let bgp_text = bgp.at(round);
     let geo_due = statics
         .months
         .get(mi)
@@ -1415,71 +1456,60 @@ fn measure_feeds(
     let delegations_due = round.0.is_multiple_of(DELEGATIONS_CADENCE);
 
     let rng = &statics.feed_rng;
-    let source = |kind: FeedKind, r: Round, attempt: u32| -> Option<String> {
+    let mut source = |kind: FeedKind, r: Round, attempt: u32| -> Option<String> {
         let pristine: &str = match kind {
-            FeedKind::Bgp => &bgp_text,
+            FeedKind::Bgp => bgp_text,
             FeedKind::Geo => statics.geo_texts.get(mi).map(String::as_str).unwrap_or(""),
             FeedKind::Delegations => &statics.delegations_text,
         };
         feedfaults::deliver(plan, rng, kind, r, attempt, pristine)
     };
-    let mut loader = FeedLoader::new(source, cfg.feed_retry, cfg.feed_tolerance);
 
-    // BGP is due every round. The parsed RIB itself is discarded — the
-    // journal's `routed` bits carry the truth — but which *records* the
-    // delivery lost decides which blocks' routing state is known.
+    // BGP is due every round. Only the verdict is kept — the journal's
+    // `routed` bits carry the truth — but which *records* the delivery
+    // lost decides which blocks' routing state is known.
     let mut routed_unknown = vec![false; n_blocks];
-    let bgp_obs = match loader.load_bgp(round) {
+    let bgp_outcome = loader.load(&mut source, FeedKind::Bgp, round);
+    match &bgp_outcome {
         FeedOutcome::Accepted { quarantine, .. } => {
-            mark_unknown_routes(world, &bgp_text, &quarantine, &mut routed_unknown);
-            FeedObs::Accepted {
-                retries: loader.health(FeedKind::Bgp).retries,
-                quarantine,
-            }
+            mark_unknown_routes(world, bgp_text, quarantine, &mut routed_unknown);
         }
-        FeedOutcome::Rejected(quarantine) => {
-            routed_unknown.fill(true);
-            FeedObs::Rejected {
-                retries: loader.health(FeedKind::Bgp).retries,
-                quarantine,
-            }
-        }
-        FeedOutcome::Absent => {
-            routed_unknown.fill(true);
-            FeedObs::Absent {
-                retries: loader.health(FeedKind::Bgp).retries,
-            }
+        FeedOutcome::Rejected { .. } | FeedOutcome::Absent { .. } => routed_unknown.fill(true),
+    }
+    let mut load_if_due = |kind: FeedKind, due: bool| {
+        if due {
+            feed_obs_of(loader.load(&mut source, kind, round))
+        } else {
+            FeedObs::NotDue
         }
     };
+    let geo_obs = load_if_due(FeedKind::Geo, geo_due);
+    let delegations_obs = load_if_due(FeedKind::Delegations, delegations_due);
 
-    let geo_obs = if geo_due {
-        let outcome = loader.load_geo(round);
-        feed_obs_of(outcome, loader.health(FeedKind::Geo).retries)
-    } else {
-        FeedObs::NotDue
-    };
-    let delegations_obs = if delegations_due {
-        let outcome = loader.load_delegations(round);
-        feed_obs_of(outcome, loader.health(FeedKind::Delegations).retries)
-    } else {
-        FeedObs::NotDue
-    };
-
-    (vec![bgp_obs, geo_obs, delegations_obs], routed_unknown)
+    (
+        vec![feed_obs_of(bgp_outcome), geo_obs, delegations_obs],
+        routed_unknown,
+    )
 }
 
-/// Collapses a typed [`FeedOutcome`] into its journalable observation.
-fn feed_obs_of<T>(outcome: FeedOutcome<T>, retries: u32) -> FeedObs {
+/// Maps a loader verdict onto its journalable observation.
+fn feed_obs_of(outcome: FeedOutcome) -> FeedObs {
     match outcome {
-        FeedOutcome::Accepted { quarantine, .. } => FeedObs::Accepted {
+        FeedOutcome::Accepted {
+            retries,
+            quarantine,
+        } => FeedObs::Accepted {
             retries,
             quarantine,
         },
-        FeedOutcome::Rejected(quarantine) => FeedObs::Rejected {
+        FeedOutcome::Rejected {
+            retries,
+            quarantine,
+        } => FeedObs::Rejected {
             retries,
             quarantine,
         },
-        FeedOutcome::Absent => FeedObs::Absent { retries },
+        FeedOutcome::Absent { retries } => FeedObs::Absent { retries },
     }
 }
 
@@ -2268,6 +2298,8 @@ fn apply_shards(
 pub struct CampaignRunner<'a> {
     campaign: &'a Campaign,
     statics: Statics,
+    /// The feed layer's carried state (`None` when the feed layer is off).
+    feeds: Option<FeedState>,
     state: PipelineState,
     store: Option<CheckpointStore>,
     diagnostics: ResumeDiagnostics,
@@ -2290,6 +2322,7 @@ impl CampaignRunner<'_> {
             &self.campaign.world,
             &self.campaign.config,
             &self.statics,
+            self.feeds.as_mut(),
             round,
         );
         for (acc, w) in self.shard_wall_ns.iter_mut().zip(wall) {
@@ -2680,6 +2713,159 @@ mod tests {
             kherson > lviv,
             "kherson {kherson}h should exceed lviv {lviv}h"
         );
+    }
+
+    /// A 240-round world of two ASes with eight blocks each, whose routes
+    /// change a few times: AS 100 has two scripted BGP outages, AS 200 one.
+    fn feed_world() -> World {
+        use fbs_netsim::{AsProfile, AsSpec, EventKind, EventTarget, Script, ScriptedEvent};
+        let specs = [(Asn(100), 1u8), (Asn(200), 2u8)];
+        let blocks: Vec<BlockSpec> = specs
+            .iter()
+            .flat_map(|&(owner, octet)| {
+                (0..8u8).map(move |c| BlockSpec {
+                    block: BlockId::from_octets(10, octet, c),
+                    owner,
+                    home: Oblast::Kherson,
+                    base_responders: 120,
+                    geo_population: 220,
+                    response_prob: 0.9,
+                    diurnal: false,
+                    power_backup: 1.0,
+                    annual_decay: 1.0,
+                })
+            })
+            .collect();
+        let ases = specs
+            .iter()
+            .map(|&(asn, _)| AsSpec {
+                asn,
+                name: format!("feed-{}", asn.value()),
+                profile: AsProfile::Regional,
+                hq: Some(Oblast::Kherson),
+                prefixes: blocks
+                    .iter()
+                    .filter(|b| b.owner == asn)
+                    .map(|b| Prefix::from_block(b.block))
+                    .collect(),
+                base_rtt_ns: 40_000_000,
+                upstream: Asn(1),
+            })
+            .collect();
+        let mut script = Script::new();
+        for (asn, outage) in [(100, 30..45), (100, 90..92), (200, 150..200)] {
+            script.push(ScriptedEvent {
+                name: "bgp-outage".into(),
+                target: EventTarget::As(Asn(asn)),
+                kind: EventKind::BgpOutage,
+                start: Round(outage.start).start(),
+                end: Some(Round(outage.end).start()),
+            });
+        }
+        let config = fbs_netsim::WorldConfig {
+            seed: 17,
+            scale: WorldScale::Tiny,
+            rounds: 240,
+            ases,
+            blocks,
+        };
+        World::new(config, script, vec![]).expect("valid config")
+    }
+
+    #[test]
+    fn carried_feed_state_matches_a_cold_state_every_round() {
+        use fbs_netsim::{FeedFaultIntensity, FeedFaultWindow};
+        let window = |feed, rounds, intensity| {
+            FeedFaultWindow::over_rounds("differential", feed, rounds, intensity)
+        };
+        let bgp = |rounds, intensity| window(FeedKind::Bgp, rounds, intensity);
+        let none = FeedFaultIntensity::default();
+        // Clean stretches between BGP corruption (light, then heavy),
+        // truncation, a dark mirror, delays recovered by retries and one
+        // exhausting them, plus a corrupt delegation-file window.
+        let plan = FeedFaultPlan {
+            windows: vec![
+                bgp(
+                    20..60,
+                    FeedFaultIntensity {
+                        corrupt_records: 0.05,
+                        ..none
+                    },
+                ),
+                bgp(
+                    60..70,
+                    FeedFaultIntensity {
+                        corrupt_records: 0.5,
+                        ..none
+                    },
+                ),
+                bgp(
+                    100..112,
+                    FeedFaultIntensity {
+                        truncate: 0.5,
+                        ..none
+                    },
+                ),
+                bgp(130..140, FeedFaultIntensity { drop: 1.0, ..none }),
+                bgp(
+                    160..170,
+                    FeedFaultIntensity {
+                        delay_attempts: 2,
+                        ..none
+                    },
+                ),
+                bgp(
+                    170..175,
+                    FeedFaultIntensity {
+                        delay_attempts: 3,
+                        ..none
+                    },
+                ),
+                window(
+                    FeedKind::Delegations,
+                    48..120,
+                    FeedFaultIntensity {
+                        corrupt_records: 0.3,
+                        ..none
+                    },
+                ),
+            ],
+        };
+        let mut cfg = CampaignConfig::without_baseline();
+        cfg.feed_plan = Some(plan);
+        let campaign = Campaign::new(feed_world(), cfg).expect("valid config");
+        let world = campaign.world();
+        let statics = Statics::build(&campaign).expect("statics");
+        let mut carried = FeedState::cold(&campaign);
+        let (mut repeated, mut changed) = (0, 0);
+        let mut last_dump = String::new();
+        let mut verdicts = [0usize; 3];
+        for r in 0..statics.rounds {
+            let round = Round(r);
+            let got = measure_feeds(world, &statics, carried.as_mut(), round);
+            let mut cold = FeedState::cold(&campaign);
+            let want = measure_feeds(world, &statics, cold.as_mut(), round);
+            assert_eq!(got, want, "round {r}");
+            match &got.0[FeedKind::Bgp.index()] {
+                FeedObs::Accepted { .. } => verdicts[0] += 1,
+                FeedObs::Rejected { .. } => verdicts[1] += 1,
+                _ => verdicts[2] += 1,
+            }
+            let dump = feedfaults::bgp_dump_text(world, round);
+            if r > 0 {
+                if dump == last_dump {
+                    repeated += 1;
+                } else {
+                    changed += 1;
+                }
+            }
+            last_dump = dump;
+        }
+        assert!(
+            repeated > 0 && changed > 0,
+            "{repeated} repeated, {changed} changed"
+        );
+        assert!(verdicts.iter().all(|&n| n > 0), "BGP verdicts {verdicts:?}");
     }
 
     #[test]

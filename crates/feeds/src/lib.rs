@@ -15,7 +15,9 @@
 //!   missing / rejected counts and the current [`fbs_types::FeedStatus`];
 //! * [`loader`] — [`FeedLoader`], a deterministic retry loop over an
 //!   abstract [`FeedSource`] with an explicit backoff *budget* in virtual
-//!   cost units (no wall clock, so replays are bit-identical);
+//!   cost units (no wall clock, so replays are bit-identical). One loader
+//!   serves a whole campaign and remembers each feed's last judged
+//!   delivery, so a byte-identical repeat is judged once;
 //! * [`quarantine`] — the deterministic, sorted quarantine report writer.
 //!
 //! Strict parsing remains the default elsewhere in the workspace; this

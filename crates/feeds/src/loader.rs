@@ -2,12 +2,18 @@
 //!
 //! [`FeedLoader`] drives an abstract [`FeedSource`] (an HTTP mirror in
 //! production, the simulator's feed-fault layer in tests) through a
-//! bounded retry loop, judges each delivery against the lossy tolerance,
-//! and maintains the per-feed [`FeedHealth`] ledger. There is no wall
-//! clock anywhere: backoff is an explicit *budget* of virtual cost units,
-//! so a replayed campaign makes byte-identical decisions.
+//! bounded retry loop and judges each delivery against the lossy
+//! tolerance. There is no wall clock anywhere: backoff is an explicit
+//! *budget* of virtual cost units, so a replayed campaign makes
+//! byte-identical decisions.
+//!
+//! One loader lives for a whole campaign and remembers, per feed, the
+//! bytes and verdict of the last delivery it judged. Ingest is a pure
+//! function of the bytes and the loader's fixed tolerance, so a delivery
+//! byte-identical to that one reuses its verdict instead of being parsed
+//! again — the common case for a BGP dump that no routing event changed
+//! and for the world-static delegation file.
 
-use crate::health::FeedHealth;
 use crate::ingest::{
     ingest_bgp, ingest_delegations, ingest_geo, FeedQuarantine, IngestResult, LossyTolerance,
 };
@@ -88,125 +94,127 @@ where
 }
 
 /// Outcome of one feed load for one round.
-#[derive(Debug, Clone)]
-pub enum FeedOutcome<T> {
+///
+/// `retries` counts the fetch attempts after the first (the budget spent
+/// on this round's delivery).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FeedOutcome {
     /// A delivery arrived and passed the tolerance judgement.
     Accepted {
-        /// The parsed value (partial if records were quarantined).
-        value: T,
+        /// Extra fetch attempts before the delivery arrived.
+        retries: u32,
         /// What was quarantined (possibly empty).
         quarantine: FeedQuarantine,
     },
     /// A delivery arrived but exceeded the tolerance; carry forward.
-    Rejected(FeedQuarantine),
+    Rejected {
+        /// Extra fetch attempts before the delivery arrived.
+        retries: u32,
+        /// What was quarantined.
+        quarantine: FeedQuarantine,
+    },
     /// No delivery at all after the retry budget; carry forward.
-    Absent,
+    Absent {
+        /// Extra fetch attempts spent before giving up.
+        retries: u32,
+    },
 }
 
-impl<T> FeedOutcome<T> {
-    /// The accepted value, if any.
-    pub fn value(self) -> Option<T> {
-        match self {
-            FeedOutcome::Accepted { value, .. } => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Whether a usable delivery arrived.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, FeedOutcome::Accepted { .. })
-    }
-}
-
-/// Drives a [`FeedSource`] with retries, tolerance judgement, and health
-/// ledgers for all three feeds.
+/// The last delivery of one feed the loader judged, with its verdict.
 #[derive(Debug)]
-pub struct FeedLoader<S> {
-    source: S,
+struct Judged {
+    text: String,
+    quarantine: FeedQuarantine,
+    accepted: bool,
+}
+
+/// Drives a [`FeedSource`] with retries and tolerance judgement for all
+/// three feeds, judging a repeated delivery once.
+#[derive(Debug)]
+pub struct FeedLoader {
     policy: RetryPolicy,
     tolerance: LossyTolerance,
-    health: [FeedHealth; 3],
+    /// Per feed ([`FeedKind::index`]), the last delivery judged.
+    memo: [Option<Judged>; 3],
 }
 
-impl<S: FeedSource> FeedLoader<S> {
-    /// Builds a loader over `source` with the given policies.
-    pub fn new(source: S, policy: RetryPolicy, tolerance: LossyTolerance) -> Self {
+impl FeedLoader {
+    /// Builds a loader with the given policies and nothing judged yet.
+    pub fn new(policy: RetryPolicy, tolerance: LossyTolerance) -> Self {
         FeedLoader {
-            source,
             policy,
             tolerance,
-            health: [
-                FeedHealth::new(FeedKind::Bgp),
-                FeedHealth::new(FeedKind::Geo),
-                FeedHealth::new(FeedKind::Delegations),
-            ],
+            memo: [None, None, None],
         }
     }
 
-    /// The health ledger for `kind`.
-    pub fn health(&self, kind: FeedKind) -> &FeedHealth {
-        &self.health[kind.index()]
-    }
-
-    /// Fetches with retries; records retry/rejection bookkeeping.
-    fn fetch_judged<T>(
+    /// Fetches `kind`'s delivery for `round` from `source` with retries
+    /// and judges it.
+    ///
+    /// The verdict equals a fresh `ingest_*` judgement of the delivered
+    /// bytes at the loader's tolerance. A failed attempt leaves the memo
+    /// alone; any judged delivery, accepted or rejected, replaces it.
+    pub fn load(
         &mut self,
+        source: &mut impl FeedSource,
         kind: FeedKind,
         round: Round,
-        ingest: impl Fn(&str, &LossyTolerance) -> IngestResult<T>,
-    ) -> FeedOutcome<T> {
+    ) -> FeedOutcome {
         let attempts = self.policy.attempts_allowed();
         for attempt in 0..attempts {
-            if attempt > 0 {
-                self.health[kind.index()].record_retries(1);
-            }
-            let Some(text) = self.source.fetch(kind, round, attempt) else {
+            let Some(text) = source.fetch(kind, round, attempt) else {
                 continue;
             };
-            let r = ingest(&text, &self.tolerance);
-            if r.accepted {
-                return FeedOutcome::Accepted {
-                    value: r.value,
-                    quarantine: r.quarantine,
-                };
-            }
+            let (quarantine, accepted) = self.judge(kind, text);
             // A delivery over tolerance is not retried: the mirror would
             // serve the same bytes again. Reject and carry forward.
-            self.health[kind.index()].record_rejection();
-            return FeedOutcome::Rejected(r.quarantine);
+            return if accepted {
+                FeedOutcome::Accepted {
+                    retries: attempt,
+                    quarantine,
+                }
+            } else {
+                FeedOutcome::Rejected {
+                    retries: attempt,
+                    quarantine,
+                }
+            };
         }
-        FeedOutcome::Absent
+        FeedOutcome::Absent {
+            retries: attempts - 1,
+        }
     }
 
-    /// Loads the BGP RIB dump for `round`.
-    pub fn load_bgp(&mut self, round: Round) -> FeedOutcome<fbs_bgp::Rib> {
-        self.fetch_judged(FeedKind::Bgp, round, ingest_bgp)
+    /// The verdict on one delivery: the remembered one when the bytes
+    /// repeat the feed's last judged delivery, else a fresh ingest.
+    fn judge(&mut self, kind: FeedKind, text: String) -> (FeedQuarantine, bool) {
+        let memo = &mut self.memo[kind.index()];
+        if let Some(last) = memo.as_ref().filter(|last| last.text == text) {
+            return (last.quarantine.clone(), last.accepted);
+        }
+        let tolerance = &self.tolerance;
+        let (quarantine, accepted) = match kind {
+            FeedKind::Bgp => verdict(ingest_bgp(&text, tolerance)),
+            FeedKind::Geo => verdict(ingest_geo(&text, tolerance)),
+            FeedKind::Delegations => verdict(ingest_delegations(&text, tolerance)),
+        };
+        *memo = Some(Judged {
+            text,
+            quarantine: quarantine.clone(),
+            accepted,
+        });
+        (quarantine, accepted)
     }
+}
 
-    /// Loads the geolocation snapshot for `round`.
-    pub fn load_geo(&mut self, round: Round) -> FeedOutcome<fbs_geodb::GeoSnapshot> {
-        self.fetch_judged(FeedKind::Geo, round, ingest_geo)
-    }
-
-    /// Loads the delegation file for `round`.
-    pub fn load_delegations(
-        &mut self,
-        round: Round,
-    ) -> FeedOutcome<fbs_delegations::DelegationFile> {
-        self.fetch_judged(FeedKind::Delegations, round, ingest_delegations)
-    }
-
-    /// Records the round status the pipeline settled on (after its
-    /// carry-forward decision) in the ledger.
-    pub fn record_status(&mut self, kind: FeedKind, status: fbs_types::FeedStatus) {
-        self.health[kind.index()].record(status);
-    }
+/// An ingest result's verdict, its parsed value dropped.
+fn verdict<T>(result: IngestResult<T>) -> (FeedQuarantine, bool) {
+    (result.quarantine, result.accepted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbs_types::FeedStatus;
 
     #[test]
     fn retry_budget_is_deterministic() {
@@ -234,55 +242,39 @@ mod tests {
         assert!(p.attempts_allowed() >= 63);
     }
 
+    fn loader() -> FeedLoader {
+        FeedLoader::new(RetryPolicy::default(), LossyTolerance::default())
+    }
+
     #[test]
     fn loader_retries_then_accepts() {
         // Fails twice, succeeds on the third attempt.
-        let source = |_k: FeedKind, _r: Round, attempt: u32| {
+        let mut source = |_k: FeedKind, _r: Round, attempt: u32| {
             (attempt == 2).then(|| "10.0.0.0/24|65000\n".to_string())
         };
-        let mut loader = FeedLoader::new(source, RetryPolicy::default(), LossyTolerance::default());
-        let out = loader.load_bgp(Round(0));
-        assert!(out.is_accepted());
-        assert_eq!(loader.health(FeedKind::Bgp).retries, 2);
+        let out = loader().load(&mut source, FeedKind::Bgp, Round(0));
+        assert!(matches!(out, FeedOutcome::Accepted { retries: 2, .. }));
     }
 
     #[test]
     fn loader_gives_up_within_budget() {
-        let source = |_k: FeedKind, _r: Round, _a: u32| None;
-        let mut loader = FeedLoader::new(source, RetryPolicy::default(), LossyTolerance::default());
-        assert!(matches!(loader.load_bgp(Round(0)), FeedOutcome::Absent));
-        assert_eq!(loader.health(FeedKind::Bgp).retries, 2);
+        let mut source = |_k: FeedKind, _r: Round, _a: u32| None;
+        let out = loader().load(&mut source, FeedKind::Bgp, Round(0));
+        assert_eq!(out, FeedOutcome::Absent { retries: 2 });
     }
 
     #[test]
     fn over_tolerance_delivery_is_rejected_not_retried() {
         let mut calls = 0u32;
-        let source = |_k: FeedKind, _r: Round, _a: u32| {
+        let mut source = |_k: FeedKind, _r: Round, _a: u32| {
             calls += 1;
             Some("garbage\nmore garbage\n".to_string())
         };
-        // Scoped so the loader's borrow of `calls` ends before the read.
-        {
-            let mut loader =
-                FeedLoader::new(source, RetryPolicy::default(), LossyTolerance::default());
-            let out = loader.load_bgp(Round(7));
-            assert!(matches!(out, FeedOutcome::Rejected(_)));
-            assert_eq!(loader.health(FeedKind::Bgp).rejected_deliveries, 1);
-        }
+        let out = loader().load(&mut source, FeedKind::Bgp, Round(7));
+        assert!(matches!(out, FeedOutcome::Rejected { retries: 0, .. }));
         assert_eq!(
             calls, 1,
             "rejection must not burn retries on the same bytes"
         );
-    }
-
-    #[test]
-    fn ledger_reflects_recorded_statuses() {
-        let source = |_k: FeedKind, _r: Round, _a: u32| None;
-        let mut loader = FeedLoader::new(source, RetryPolicy::default(), LossyTolerance::default());
-        loader.record_status(FeedKind::Geo, FeedStatus::Fresh);
-        loader.record_status(FeedKind::Geo, FeedStatus::Stale(1));
-        assert_eq!(loader.health(FeedKind::Geo).fresh_rounds, 1);
-        assert_eq!(loader.health(FeedKind::Geo).stale_rounds, 1);
-        assert_eq!(loader.health(FeedKind::Geo).current, FeedStatus::Stale(1));
     }
 }

@@ -8,12 +8,20 @@
 //! 2. **Round-trip** — `parse_lossy ∘ serialize` over an arbitrary *valid*
 //!    structure quarantines nothing, is accepted at the default tolerance,
 //!    and preserves the record count.
+//!
+//! A third pins the loader's memo: over any sequence of deliveries, a
+//! campaign-long [`FeedLoader`] returns exactly the verdict a fresh
+//! `ingest_*` gives the same bytes.
 
 use fbs_delegations::{DelegationFile, DelegationRecord, DelegationStatus};
-use fbs_feeds::{ingest_bgp, ingest_delegations, ingest_geo, FeedQuarantine, LossyTolerance};
+use fbs_feeds::{
+    ingest_bgp, ingest_delegations, ingest_geo, FeedLoader, FeedOutcome, FeedQuarantine,
+    LossyTolerance, RetryPolicy,
+};
 use fbs_geodb::{BlockGeo, GeoRegion, GeoSnapshot, RadiusKm};
-use fbs_types::{Asn, BlockId, CivilDate, MonthId, Oblast, Prefix, ALL_OBLASTS};
+use fbs_types::{Asn, BlockId, CivilDate, FeedKind, MonthId, Oblast, Prefix, Round, ALL_OBLASTS};
 use proptest::collection::vec;
+use proptest::option;
 use proptest::prelude::*;
 
 /// Feed-ish garbage alphabet: digits, separators, newlines, comment
@@ -165,6 +173,130 @@ proptest! {
         assert!(r.quarantine.is_empty(), "{:?}", r.quarantine.records);
         assert_eq!(r.value.records.len(), n);
         assert_eq!(r.value.registry, "ripencc");
+    }
+}
+
+/// Twenty-record deliveries of each format, each also with one record
+/// mangled (accepted with a quarantine at the default tolerance), plus an
+/// over-tolerance and an empty text. Every kind is offered every text.
+fn delivery_pool() -> Vec<String> {
+    let mut rib = fbs_bgp::Rib::new();
+    let geo: Vec<BlockGeo> = (0..20u8)
+        .map(|c| BlockGeo {
+            block: BlockId::from_octets(10, 0, c),
+            asn: Some(Asn(100)),
+            counts: vec![(GeoRegion::Ua(Oblast::Kherson), 50 + c as u16)],
+            radius: RadiusKm::quantize(20.0),
+        })
+        .collect();
+    let date = CivilDate::new(2023, 6, 1);
+    let delegations: Vec<DelegationRecord> = (0..20u8)
+        .map(|c| {
+            let net = std::net::Ipv4Addr::new(10, 0, c, 0);
+            DelegationRecord::ipv4("UA", net, 256, date, DelegationStatus::Allocated)
+        })
+        .collect();
+    for g in &geo {
+        rib.announce(Prefix::from_block(g.block), vec![Asn(1), Asn(100)])
+            .expect("valid route");
+    }
+    let (snap, _) = GeoSnapshot::from_records_lossy(MonthId::new(2023, 6), geo);
+    let mut pool = vec![String::new(), "garbage\nmore garbage\n".to_string()];
+    for text in [
+        fbs_bgp::dump::to_string(&rib),
+        fbs_geodb::text::to_string(&snap),
+        fbs_delegations::serialize_file(&DelegationFile::new("ripencc", date, delegations)),
+    ] {
+        // The 10.0.7.0 record with its field separators swapped.
+        let mangled: Vec<String> = text
+            .lines()
+            .map(|l| {
+                if l.contains("10.0.7.") {
+                    l.replace('|', ";")
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect();
+        let mangled = mangled.join("\n") + "\n";
+        pool.push(text);
+        pool.push(mangled);
+    }
+    pool
+}
+
+/// A fresh ingest verdict: the quarantine and whether it was accepted.
+fn fresh_verdict(kind: FeedKind, text: &str, tolerance: &LossyTolerance) -> (FeedQuarantine, bool) {
+    match kind {
+        FeedKind::Bgp => {
+            let r = ingest_bgp(text, tolerance);
+            (r.quarantine, r.accepted)
+        }
+        FeedKind::Geo => {
+            let r = ingest_geo(text, tolerance);
+            (r.quarantine, r.accepted)
+        }
+        FeedKind::Delegations => {
+            let r = ingest_delegations(text, tolerance);
+            (r.quarantine, r.accepted)
+        }
+    }
+}
+
+#[test]
+fn delivery_pool_draws_every_verdict_for_every_feed() {
+    let pool = delivery_pool();
+    for kind in FeedKind::ALL {
+        let verdicts: Vec<(bool, bool)> = pool
+            .iter()
+            .map(|text| {
+                let (q, accepted) = fresh_verdict(kind, text, &LossyTolerance::default());
+                (accepted, q.is_empty())
+            })
+            .collect();
+        for want in [(true, true), (true, false), (false, false)] {
+            assert!(verdicts.contains(&want), "{kind:?} lacks {want:?}");
+        }
+    }
+}
+
+proptest! {
+    // ---- The loader's memo: a repeat is judged once, identically. ----
+
+    #[test]
+    fn loader_verdicts_equal_fresh_ingest(
+        deliveries in vec((0usize..3, vec(option::of(any::<u8>()), 1..4)), 1..40usize),
+        strict in any::<bool>(),
+    ) {
+        let pool = delivery_pool();
+        let tolerance = if strict { LossyTolerance::zero() } else { LossyTolerance::default() };
+        let policy = RetryPolicy::default();
+        let allowed = policy.attempts_allowed() as usize;
+        let mut loader = FeedLoader::new(policy, tolerance);
+        for (round, (kind, attempts)) in deliveries.iter().enumerate() {
+            let kind = FeedKind::ALL[*kind];
+            // Attempt `i` serves `attempts[i]`: a pool text, or a failed
+            // fetch (`None`, also past the end of the list).
+            let text = |i: u8| &pool[i as usize % pool.len()];
+            let mut source = |_k: FeedKind, _r: Round, attempt: u32| {
+                attempts.get(attempt as usize).copied().flatten().map(|i| text(i).clone())
+            };
+            let got = loader.load(&mut source, kind, Round(round as u32));
+            let want = match attempts.iter().take(allowed).position(Option::is_some) {
+                Some(k) => {
+                    let delivered = text(attempts[k].expect("position found a delivery"));
+                    let (quarantine, accepted) = fresh_verdict(kind, delivered, &tolerance);
+                    let retries = k as u32;
+                    if accepted {
+                        FeedOutcome::Accepted { retries, quarantine }
+                    } else {
+                        FeedOutcome::Rejected { retries, quarantine }
+                    }
+                }
+                None => FeedOutcome::Absent { retries: allowed as u32 - 1 },
+            };
+            prop_assert_eq!(got, want, "delivery {} of {:?}", round, kind);
+        }
     }
 }
 

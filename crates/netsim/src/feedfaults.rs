@@ -15,7 +15,8 @@
 //!   (`None` = the attempt failed outright);
 //! * pristine-text generators ([`bgp_dump_text`], [`geo_feed_text`],
 //!   [`delegations_feed_text`]) deriving each feed's canonical serialized
-//!   form from world truth.
+//!   form from world truth, and [`BgpDumps`], the same BGP dumps as a
+//!   forward stream that re-renders only when the table changed.
 //!
 //! Determinism follows the same discipline as the wire faults: every
 //! decision is a pure hash of `(round, line, fault salt)` under the world
@@ -32,6 +33,7 @@
 use crate::geo;
 use crate::rng::WorldRng;
 use crate::world::World;
+use fbs_bgp::events::Replayer;
 use fbs_delegations::{DelegationFile, DelegationRecord, DelegationStatus};
 use fbs_types::{CivilDate, FeedKind, MonthId, Round};
 use serde::{Deserialize, Serialize};
@@ -292,9 +294,51 @@ fn floor_char_boundary(s: &str, at: usize) -> usize {
 
 /// The pristine BGP RIB dump text for `round`: the world's scripted BGP
 /// event log replayed to the round and serialized canonically.
+///
+/// Replays from round 0 on every call; a caller walking rounds in order
+/// keeps a [`BgpDumps`] stream instead.
 pub fn bgp_dump_text(world: &World, round: Round) -> String {
-    let mut replayer = world.bgp_log().replayer();
-    fbs_bgp::dump::to_string(replayer.advance_to(round))
+    BgpDumps::new(world).at(round).to_owned()
+}
+
+/// The pristine BGP dump stream of one world: a single replay of its
+/// event log, walked forward round by round.
+///
+/// Most rounds apply no event, so the table and its dump are the previous
+/// round's; the stream re-renders only when events were applied since the
+/// last render.
+#[derive(Debug)]
+pub struct BgpDumps {
+    replayer: Replayer,
+    /// The dump of the table as it stood after `rendered` events.
+    text: String,
+    /// Events applied when `text` was rendered; `None` before the first.
+    rendered: Option<usize>,
+}
+
+impl BgpDumps {
+    /// A stream at the start of the world's event log.
+    pub fn new(world: &World) -> Self {
+        BgpDumps {
+            replayer: world.bgp_log().replayer(),
+            text: String::new(),
+            rendered: None,
+        }
+    }
+
+    /// The dump text for `round`, equal to [`bgp_dump_text`]`(world, round)`.
+    ///
+    /// Rounds must be non-decreasing across calls (the replayer cannot
+    /// rewind).
+    pub fn at(&mut self, round: Round) -> &str {
+        self.replayer.advance_to(round);
+        let applied = self.replayer.applied();
+        if self.rendered != Some(applied) {
+            self.text = fbs_bgp::dump::to_string(self.replayer.rib());
+            self.rendered = Some(applied);
+        }
+        &self.text
+    }
 }
 
 /// The pristine geolocation feed text for `month`.
@@ -326,11 +370,12 @@ pub fn delegations_feed_text(world: &World) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::{EventKind, EventTarget, Script, ScriptedEvent};
     use crate::spec::{AsProfile, AsSpec, BlockSpec, WorldConfig, WorldScale};
     use crate::world::World;
     use fbs_types::{Asn, BlockId, Oblast, Prefix};
 
-    fn tiny_world(seed: u64) -> World {
+    fn tiny_world(seed: u64, script: Script) -> World {
         let asn = Asn(77);
         let blocks: Vec<BlockSpec> = (0..4u8)
             .map(|c| BlockSpec {
@@ -360,7 +405,7 @@ mod tests {
             }],
             blocks,
         };
-        World::new(config, crate::script::Script::new(), vec![]).expect("valid config")
+        World::new(config, script, vec![]).expect("valid config")
     }
 
     fn corrupt_window(feed: FeedKind, p: f64) -> FeedFaultPlan {
@@ -620,7 +665,7 @@ mod tests {
 
     #[test]
     fn pristine_texts_parse_cleanly_and_deterministically() {
-        let w = tiny_world(3);
+        let w = tiny_world(3, Script::new());
         let bgp = bgp_dump_text(&w, Round(10));
         assert_eq!(bgp, bgp_dump_text(&w, Round(10)));
         let (rib, quarantined) = fbs_bgp::dump::parse_lossy(&bgp);
@@ -638,5 +683,32 @@ mod tests {
         assert!(quarantined.is_empty(), "{quarantined:?}");
         assert_eq!(file.records.len(), 4);
         assert!(file.records.iter().all(|r| r.status.is_delegated()));
+    }
+
+    #[test]
+    fn dump_stream_matches_the_from_scratch_render_every_round() {
+        // Two BGP outages of the one AS: four table changes (a withdraw
+        // and a re-announce each) between long unchanged stretches.
+        let mut script = Script::new();
+        for (start, end) in [(10, 14), (30, 31)] {
+            script.push(ScriptedEvent {
+                name: "outage".into(),
+                target: EventTarget::As(Asn(77)),
+                kind: EventKind::BgpOutage,
+                start: Round(start).start(),
+                end: Some(Round(end).start()),
+            });
+        }
+        let w = tiny_world(3, script);
+        let mut stream = BgpDumps::new(&w);
+        let mut dumps: Vec<String> = Vec::new();
+        for r in 0..w.rounds() {
+            let want = bgp_dump_text(&w, Round(r));
+            assert_eq!(stream.at(Round(r)), want, "round {r}");
+            if dumps.last() != Some(&want) {
+                dumps.push(want);
+            }
+        }
+        assert_eq!(dumps.len(), 5, "the log changes the table four times");
     }
 }
