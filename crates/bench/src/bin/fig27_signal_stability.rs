@@ -63,7 +63,7 @@ fn main() {
                 if truth.routed {
                     routed += 1.0;
                 }
-                volume += ibr::block_volume(&world, &ibr_cfg, &ibr_rng, round, bi) as f64;
+                volume += ibr::volume_from_truth(&truth, &ibr_cfg, &ibr_rng, round, bi) as f64;
                 if eligible[k] {
                     let stale = 0.2 + 0.8 * world.rng().uniform3(r as u64, bi as u64, 777);
                     let p_probe = world.trin_availability(round, bi) * stale;

@@ -37,8 +37,8 @@ use fbs_feeds::{FeedHealth, FeedLoader, FeedOutcome, FeedQuarantine, TaggedQuara
 use fbs_geodb::GeoSnapshot;
 use fbs_netsim::feedfaults::{self, BgpDumps};
 use fbs_netsim::{
-    faults, geo, ibr, BlockSpec, FaultIntensity, FaultPlan, FeedFaultPlan, IbrConfig, VantageSpec,
-    World, WorldRng,
+    faults, geo, ibr, BlockSpec, BlockTruth, FaultIntensity, FaultPlan, FeedFaultPlan, IbrConfig,
+    VantageSpec, World, WorldRng,
 };
 use fbs_prober::RoundCursor;
 use fbs_regional::Regionality;
@@ -1117,7 +1117,9 @@ const LOST_BLOCK_OBS: BlockObs = BlockObs {
 ///
 /// Every field is a pure function of `(seed, round, block range)` — no
 /// shared state, no scheduling dependence — which is what lets a retried
-/// shard reproduce a first try byte for byte.
+/// shard reproduce a first try byte for byte. The task fills every field
+/// in one pass over the range: each block's truth is evaluated once and
+/// shared by the sweep, every usable vantage and the darknet.
 struct ShardChunk {
     /// Single-vantage scan observations for the range (empty when the
     /// round is skipped or the campaign is multi-vantage).
@@ -1131,12 +1133,14 @@ struct ShardChunk {
 }
 
 /// One block's scan through a fault-modelled path, shared by the
-/// single-vantage sweep and the roster fan-out: the true responsive count
-/// binomially thinned by the delivery rate, capped by ICMP rate limiting,
-/// RTTs distorted by spikes and stretched by the vantage's path.
+/// single-vantage sweep and the roster fan-out: the block's true
+/// responsive count (`truth`, evaluated once per block and round and
+/// shared by every consumer) binomially thinned by the delivery rate,
+/// capped by ICMP rate limiting, RTTs distorted by spikes and stretched by
+/// the vantage's path.
 #[allow(clippy::too_many_arguments)]
 fn scan_block(
-    world: &World,
+    truth: &BlockTruth,
     scan_retries: u32,
     rng: &WorldRng,
     path_rtt_ns: u64,
@@ -1146,7 +1150,6 @@ fn scan_block(
     unknown: bool,
 ) -> BlockObs {
     let r = round.0 as u64;
-    let truth = world.block_truth(round, bi);
     let responsive = intensity.thin_responsive(truth.responsive, scan_retries, rng, r, bi as u64);
     let rtt_ns = truth
         .rtt_ns
@@ -1264,64 +1267,68 @@ fn measure_round_timed(
         return (record, Vec::new());
     }
 
-    // The shard task: measure this shard's slice of every active layer.
-    // A pure function of (slot, range) — all draws coordinate-addressed —
-    // so a retry after an injected panic reproduces the first try, and
-    // any worker interleaving produces the same chunk.
+    // The shard task: measure this shard's slice of every active layer in
+    // one pass, evaluating each block's truth once and handing it to every
+    // consumer. A pure function of (slot, range) — all draws
+    // coordinate-addressed — so a retry after an injected panic reproduces
+    // the first try, and any worker interleaving produces the same chunk.
+    let darknet = statics.ibr.as_ref().filter(|_| ibr_live == Some(true));
     let task = |_slot: u32, range: std::ops::Range<usize>| -> ShardChunk {
-        let blocks = match &single_scan {
-            Some(intensity) => range
-                .clone()
-                .map(|bi| {
-                    scan_block(
-                        world,
+        let cap = |active: bool| if active { range.len() } else { 0 };
+        let mut chunk = ShardChunk {
+            blocks: Vec::with_capacity(cap(single_scan.is_some())),
+            vantages: vantage_scan
+                .iter()
+                .map(|s| Vec::with_capacity(cap(s.is_some())))
+                .collect(),
+            ibr: Vec::with_capacity(cap(darknet.is_some())),
+        };
+        // A supervised round with every layer masked runs the task only
+        // for its ledger: no truth is evaluated.
+        if no_block_work {
+            return chunk;
+        }
+        for bi in range {
+            let truth = world.block_truth(round, bi);
+            let unknown = routed_unknown[bi];
+            if let Some(intensity) = &single_scan {
+                chunk.blocks.push(scan_block(
+                    &truth,
+                    cfg.scan_retries,
+                    &statics.fault_rng,
+                    0,
+                    intensity,
+                    round,
+                    bi,
+                    unknown,
+                ));
+            }
+            for ((vs, scan), out) in statics
+                .vantages
+                .iter()
+                .zip(&vantage_scan)
+                .zip(&mut chunk.vantages)
+            {
+                if let Some(intensity) = scan {
+                    out.push(scan_block(
+                        &truth,
                         cfg.scan_retries,
-                        &statics.fault_rng,
-                        0,
+                        &vs.rng,
+                        vs.spec.path_rtt_ns,
                         intensity,
                         round,
                         bi,
-                        routed_unknown[bi],
-                    )
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        let vantages = statics
-            .vantages
-            .iter()
-            .zip(&vantage_scan)
-            .map(|(vs, scan)| match scan {
-                Some(intensity) => range
-                    .clone()
-                    .map(|bi| {
-                        scan_block(
-                            world,
-                            cfg.scan_retries,
-                            &vs.rng,
-                            vs.spec.path_rtt_ns,
-                            intensity,
-                            round,
-                            bi,
-                            routed_unknown[bi],
-                        )
-                    })
-                    .collect(),
-                None => Vec::new(),
-            })
-            .collect();
-        let volumes = match (&statics.ibr, ibr_live) {
-            (Some(is), Some(true)) => range
-                .clone()
-                .map(|bi| ibr::block_volume(world, &is.config, &is.rng, round, bi))
-                .collect(),
-            _ => Vec::new(),
-        };
-        ShardChunk {
-            blocks,
-            vantages,
-            ibr: volumes,
+                        unknown,
+                    ));
+                }
+            }
+            if let Some(is) = darknet {
+                chunk.ibr.push(ibr::volume_from_truth(
+                    &truth, &is.config, &is.rng, round, bi,
+                ));
+            }
         }
+        chunk
     };
 
     // Run on the pool, then restore roster (slot) order before any merge:
@@ -1816,10 +1823,7 @@ fn apply_round(
                 None => state.non_regional_monthly.entry(month).or_default(),
             };
             tally.regional_blocks += 1;
-            tally.regional_ips += state.pool[bi].max(world.blocks()[bi].geo_population.min(
-                // approximate monthly DB population by decayed spec
-                world.blocks()[bi].geo_population,
-            )) as u64;
+            tally.regional_ips += state.pool[bi].max(world.blocks()[bi].geo_population) as u64;
             if state.fbs_eligible[bi] {
                 tally.fbs_eligible += 1;
             }
@@ -2718,14 +2722,30 @@ mod tests {
     /// A 240-round world of two ASes with eight blocks each, whose routes
     /// change a few times: AS 100 has two scripted BGP outages, AS 200 one.
     fn feed_world() -> World {
+        outage_world(
+            17,
+            &[100, 200],
+            8,
+            &[(100, 30..45), (100, 90..92), (200, 150..200)],
+        )
+    }
+
+    /// A 240-round quiet world: each AS in `asns` owns `per_as` blocks
+    /// under third octet 1, 2, … in turn, and each `(asn, rounds)` in
+    /// `outages` is a scripted BGP outage.
+    fn outage_world(
+        seed: u64,
+        asns: &[u32],
+        per_as: u8,
+        outages: &[(u32, std::ops::Range<u32>)],
+    ) -> World {
         use fbs_netsim::{AsProfile, AsSpec, EventKind, EventTarget, Script, ScriptedEvent};
-        let specs = [(Asn(100), 1u8), (Asn(200), 2u8)];
-        let blocks: Vec<BlockSpec> = specs
-            .iter()
-            .flat_map(|&(owner, octet)| {
-                (0..8u8).map(move |c| BlockSpec {
+        let blocks: Vec<BlockSpec> = (1u8..)
+            .zip(asns)
+            .flat_map(|(octet, &asn)| {
+                (0..per_as).map(move |c| BlockSpec {
                     block: BlockId::from_octets(10, octet, c),
-                    owner,
+                    owner: Asn(asn),
                     home: Oblast::Kherson,
                     base_responders: 120,
                     geo_population: 220,
@@ -2736,16 +2756,16 @@ mod tests {
                 })
             })
             .collect();
-        let ases = specs
+        let ases = asns
             .iter()
-            .map(|&(asn, _)| AsSpec {
-                asn,
-                name: format!("feed-{}", asn.value()),
+            .map(|&asn| AsSpec {
+                asn: Asn(asn),
+                name: format!("as-{asn}"),
                 profile: AsProfile::Regional,
                 hq: Some(Oblast::Kherson),
                 prefixes: blocks
                     .iter()
-                    .filter(|b| b.owner == asn)
+                    .filter(|b| b.owner == Asn(asn))
                     .map(|b| Prefix::from_block(b.block))
                     .collect(),
                 base_rtt_ns: 40_000_000,
@@ -2753,17 +2773,17 @@ mod tests {
             })
             .collect();
         let mut script = Script::new();
-        for (asn, outage) in [(100, 30..45), (100, 90..92), (200, 150..200)] {
+        for (asn, outage) in outages {
             script.push(ScriptedEvent {
                 name: "bgp-outage".into(),
-                target: EventTarget::As(Asn(asn)),
+                target: EventTarget::As(Asn(*asn)),
                 kind: EventKind::BgpOutage,
                 start: Round(outage.start).start(),
                 end: Some(Round(outage.end).start()),
             });
         }
         let config = fbs_netsim::WorldConfig {
-            seed: 17,
+            seed,
             scale: WorldScale::Tiny,
             rounds: 240,
             ases,
@@ -2866,6 +2886,142 @@ mod tests {
             "{repeated} repeated, {changed} changed"
         );
         assert!(verdicts.iter().all(|&n| n > 0), "BGP verdicts {verdicts:?}");
+    }
+
+    /// The shard task evaluates each block's truth once per round and hands
+    /// it to every consumer. Every round, at one and two threads, each
+    /// usable vantage's observation of each block outside a lost shard must
+    /// equal a scan of a freshly evaluated truth, and each AS's darknet
+    /// volume the sum of from-scratch `ibr::block_volume` calls.
+    #[test]
+    fn shared_truth_matches_a_fresh_truth_for_every_consumer() {
+        use fbs_netsim::{
+            FaultWindow, IbrDarkWindow, ShardFaultKind, ShardFaultPlan, ShardFaultWindow,
+        };
+        let none = FaultIntensity::default();
+        // Inherited by the roster entry without a plan of its own: its
+        // replies all drop over rounds 100..140, so it is masked there.
+        let dark_path = FaultPlan {
+            baseline: none,
+            windows: vec![FaultWindow::over_rounds(
+                "dark-path",
+                100..140,
+                FaultIntensity {
+                    reply_loss: 1.0,
+                    ..none
+                },
+            )],
+        };
+        // (masked vantage-rounds, dark darknet rounds, lost shards,
+        // unrouted blocks, counts thinned below the truth)
+        let mut seen = [0usize; 5];
+        for threads in [1, 2] {
+            let mut cfg = CampaignConfig::without_baseline();
+            cfg.threads = threads;
+            cfg.fault_plan = Some(dark_path.clone());
+            cfg.vantages = vec![
+                VantageSpec {
+                    fault_plan: Some(FaultPlan::constant(FaultIntensity {
+                        reply_loss: 0.3,
+                        icmp_reply_budget: 90,
+                        ..none
+                    })),
+                    ..VantageSpec::new("lossy")
+                },
+                VantageSpec {
+                    path_rtt_ns: 15_000_000,
+                    fault_plan: Some(FaultPlan::constant(FaultIntensity {
+                        latency_spike: 0.2,
+                        latency_spike_ns: 80_000_000,
+                        ..none
+                    })),
+                    ..VantageSpec::new("spiky")
+                },
+                VantageSpec::new("inherits"),
+            ];
+            cfg.ibr = Some(IbrConfig::with_dark_windows(vec![IbrDarkWindow {
+                start: 160,
+                end: 180,
+            }]));
+            // Slot 1 panics on every attempt over rounds 190..210: lost.
+            cfg.shard_plan = Some(ShardFaultPlan {
+                windows: vec![ShardFaultWindow::scripted(
+                    "lose-shard",
+                    190..210,
+                    vec![1],
+                    cfg.shard_retries + 1,
+                    ShardFaultKind::Panic,
+                )],
+            });
+            let world = outage_world(23, &[100, 200, 300], 64, &[(200, 30..60)]);
+            let campaign = Campaign::new(world, cfg).expect("valid config");
+            let (world, cfg) = (campaign.world(), &campaign.config);
+            let statics = Statics::build(&campaign).expect("statics");
+            assert!(statics.shard.n_shards() >= 3);
+            let darknet = statics.ibr.as_ref().expect("IBR on");
+            for r in 0..statics.rounds {
+                let round = Round(r);
+                let record = measure_round(world, cfg, &statics, None, round);
+                let outcomes = &record.shards.as_ref().expect("supervised").outcomes;
+                seen[2] += outcomes.iter().filter(|o| !o.completed()).count();
+                let measured = || {
+                    statics
+                        .shard
+                        .ranges()
+                        .iter()
+                        .zip(outcomes)
+                        .filter(|(_, o)| o.completed())
+                        .flat_map(|(range, _)| range.clone())
+                };
+                for (vs, obs) in statics.vantages.iter().zip(&record.vantages) {
+                    let q =
+                        vs.plan
+                            .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
+                    if !vantage_usable(record.online, q) {
+                        assert!(obs.blocks.is_empty(), "round {r}: {}", vs.spec.name);
+                        seen[0] += 1;
+                        continue;
+                    }
+                    let intensity = vs.plan.intensity_at(round, statics.rounds);
+                    for bi in measured() {
+                        let truth = world.block_truth(round, bi);
+                        let want = scan_block(
+                            &truth,
+                            cfg.scan_retries,
+                            &vs.rng,
+                            vs.spec.path_rtt_ns,
+                            &intensity,
+                            round,
+                            bi,
+                            false,
+                        );
+                        assert_eq!(
+                            obs.blocks[bi], want,
+                            "round {r}, {} block {bi}",
+                            vs.spec.name
+                        );
+                        seen[3] += usize::from(!truth.routed);
+                        seen[4] += usize::from(want.responsive < truth.responsive);
+                    }
+                }
+                let ibr_obs = record.ibr.as_ref().expect("IBR on");
+                assert_eq!(ibr_obs.dark, darknet.config.dark_at(round), "round {r}");
+                if ibr_obs.dark {
+                    seen[1] += 1;
+                    continue;
+                }
+                let mut want = vec![0u64; statics.as_list.len()];
+                for bi in measured() {
+                    want[statics.block_as[bi]] +=
+                        ibr::block_volume(world, &darknet.config, &darknet.rng, round, bi);
+                }
+                assert_eq!(ibr_obs.volumes, want, "round {r}");
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "masked, dark, lost, unrouted, thinned: {seen:?}"
+        );
     }
 
     #[test]

@@ -13,11 +13,16 @@
 //! * [`IbrConfig`] — the serde-loadable knob set: emission rate per
 //!   responder, backscatter share, and scheduled *dark-darknet* windows
 //!   (the collector itself failing — the passive path's own outage mode);
-//! * [`block_volume`] — the deterministic per-block emitter. Volume is
-//!   driven by [`World::block_truth`]'s responsive count, so diurnal
-//!   cycles, power blackouts, scripted war events and BGP withdrawals all
-//!   modulate the radiation exactly as they modulate reachability — and an
-//!   unrouted block radiates nothing (its packets cannot leave).
+//! * [`volume_from_truth`] — the deterministic per-block emitter. Volume
+//!   is driven by the responsive count of the block's
+//!   [`World::block_truth`], so diurnal cycles, power blackouts, scripted
+//!   war events and BGP withdrawals all modulate the radiation exactly as
+//!   they modulate reachability — and an unrouted block radiates nothing
+//!   (its packets cannot leave). It takes a truth already computed: the
+//!   campaign's shard task evaluates each block's truth once per round and
+//!   hands the same value to every vantage's scan and to the darknet.
+//!   [`block_volume`] is the from-scratch form that evaluates the truth
+//!   itself.
 //!
 //! Determinism: every noise draw comes from the world RNG's **`"ibr"`
 //! domain**, disjoint from `"faults"`, `"feeds"`, `"vantage-faults"` and
@@ -25,7 +30,7 @@
 //! draws — IBR-disabled campaigns stay bit-identical.
 
 use crate::rng::WorldRng;
-use crate::world::World;
+use crate::world::{BlockTruth, World};
 use fbs_types::Round;
 use serde::{Deserialize, Serialize};
 
@@ -138,14 +143,8 @@ pub fn ibr_domain(world_rng: WorldRng) -> WorldRng {
 }
 
 /// The unsolicited packet volume one block radiates toward the darknet at
-/// `round` — deterministic in `(seed, round, block)`.
-///
-/// Shape: `responsive × rate × gain`, where `responsive` is the world's
-/// ground-truth live count (already carrying diurnal seasonality, power
-/// modulation and scripted events), `gain` is a stable per-block factor
-/// (networks differ in infection density), plus sub-Poisson jitter and an
-/// occasional backscatter burst. An unrouted block contributes zero: its
-/// packets cannot reach the collector.
+/// `round`, evaluating its truth from scratch — deterministic in
+/// `(seed, round, block)`. See [`volume_from_truth`].
 pub fn block_volume(
     world: &World,
     cfg: &IbrConfig,
@@ -153,7 +152,26 @@ pub fn block_volume(
     round: Round,
     bi: usize,
 ) -> u64 {
-    let truth = world.block_truth(round, bi);
+    volume_from_truth(&world.block_truth(round, bi), cfg, rng, round, bi)
+}
+
+/// The unsolicited packet volume block `bi` radiates toward the darknet at
+/// `round`, given its ground truth `truth` (`world.block_truth(round, bi)`)
+/// — deterministic in `(seed, round, block)`.
+///
+/// Shape: `responsive × rate × gain`, where `responsive` is the world's
+/// ground-truth live count (already carrying diurnal seasonality, power
+/// modulation and scripted events), `gain` is a stable per-block factor
+/// (networks differ in infection density), plus sub-Poisson jitter and an
+/// occasional backscatter burst. An unrouted block contributes zero: its
+/// packets cannot reach the collector.
+pub fn volume_from_truth(
+    truth: &BlockTruth,
+    cfg: &IbrConfig,
+    rng: &WorldRng,
+    round: Round,
+    bi: usize,
+) -> u64 {
     if !truth.routed || truth.responsive == 0 {
         return 0;
     }
