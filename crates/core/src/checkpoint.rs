@@ -6,11 +6,14 @@
 //!   One record per campaign round, appended *after* the round has been
 //!   applied to the in-memory pipeline, holding everything the measurement
 //!   path produced: the vantage's online flag, the round's
-//!   [`RoundQuality`] verdict, and the per-block observations (responsive
-//!   count, RTT, routed flag). Values derived deterministically from the
-//!   world — trinocular availability, probe-panel staleness, eligibility —
-//!   are *not* journaled; replay recomputes them, which keeps records
-//!   small and resume bit-identical.
+//!   [`RoundQuality`] verdict, the feed deliveries, and the per-block
+//!   observations ([`BlockSection`]: responsive count, routed and
+//!   routed-known flags in one varint per block). RTT is kept only for
+//!   blocks of `CampaignConfig::rtt_tracked` ASes, the only blocks whose
+//!   RTT anything reads; every other block journals none. Values derived
+//!   deterministically from the world — trinocular availability,
+//!   probe-panel staleness, eligibility — are *not* journaled; replay
+//!   recomputes them, which keeps records small and resume bit-identical.
 //! * `state.snap` — an atomic snapshot of the full
 //!   [`PipelineState`](crate::pipeline) written every
 //!   [`CheckpointPolicy::snapshot_every`] rounds, so resuming replays at
@@ -32,14 +35,14 @@
 //! Both files carry one schema version, and every campaign writes the same
 //! one: the union layout [`UNION_STATE_VERSION`], in which every section of
 //! the older layouts is present and the optional layers (darknet, shard
-//! supervision) sit behind presence flags. Versions 2–5 are read-only:
+//! supervision) sit behind presence flags. Versions 2–6 are read-only:
 //! their decoders stay so checkpoint directories written by older builds
 //! still resume, but nothing writes them.
 
 use crate::pipeline::PipelineState;
 use fbs_feeds::FeedQuarantine;
 use fbs_journal::{quarantine_snapshot, read_snapshot, write_snapshot, Journal, JournalRecovery};
-use fbs_types::codec::{ByteReader, ByteWriter, Persist};
+use fbs_types::codec::{decode_varint, ByteReader, ByteWriter, Persist};
 use fbs_types::{FbsError, Result, Round, RoundQuality};
 use std::path::{Path, PathBuf};
 
@@ -58,8 +61,14 @@ use std::path::{Path, PathBuf};
 /// records, per-round shard summaries in the snapshot); 6 — the union of
 /// all of them: the version-5 layout with the shard section behind a
 /// presence flag, written by every campaign whatever its roster, passive
-/// signal or shard plan.
-pub const UNION_STATE_VERSION: u32 = 6;
+/// signal or shard plan; 7 — the version-6 layout with every block list
+/// a varint [`BlockSection`]. The version-7 snapshot payload is the
+/// version-6 one.
+pub const UNION_STATE_VERSION: u32 = 7;
+
+/// The fixed-width union schema version (read-only): the version-7
+/// layout with every block observation at a fixed 14 bytes.
+pub const FIXED_WIDTH_STATE_VERSION: u32 = 6;
 
 /// The multi-vantage schema version (read-only): records carry the
 /// vantage roster in place of the single-vantage block section. The name
@@ -98,9 +107,13 @@ pub struct CheckpointPolicy {
 impl Default for CheckpointPolicy {
     fn default() -> Self {
         // One snapshot per simulated week (84 two-hour rounds): recovery
-        // replays at most a week of journal, and snapshot I/O stays well
-        // under one percent of round processing. See EXPERIMENTS.md for
-        // the cadence trade-off.
+        // replays at most a week of journal. Snapshots are not free: on
+        // campaignbench's `small-durable` (seed 42, 2-vCPU host) each of
+        // the 24 snapshots of a 2,016-round campaign adds about 10 ms to
+        // its round, 7–8% of the round loop, and at 1.2% of the rounds
+        // they set its p99 round time. The payload grows with the
+        // campaign, from 1.79 MB at round 84 to 4.38 MB at round 2,016.
+        // See EXPERIMENTS.md for the cadence trade-off.
         CheckpointPolicy {
             snapshot_every: 84,
             fsync: true,
@@ -110,10 +123,10 @@ impl Default for CheckpointPolicy {
 
 /// What one round's measurement produced — the journal record payload.
 ///
-/// Offline or unusable rounds carry an empty `blocks` vector: the skip is
+/// Offline or unusable rounds carry an empty `blocks` section: the skip is
 /// itself the observation.
 ///
-/// In multi-vantage campaigns `vantages` holds one [`VantageObs`] per
+/// In multi-vantage campaigns `vantages` holds one [`VantageRound`] per
 /// roster entry (in roster order), `blocks` stays empty (the fused view is
 /// recomputed deterministically in `apply_round`, never journaled), and
 /// the top-level `quality` is the *fused* round quality — the best among
@@ -129,7 +142,7 @@ pub(crate) struct RoundRecord {
     pub quality: RoundQuality,
     /// Per-block observations, indexed like `World::blocks`; empty when
     /// the round was skipped, and always empty in multi-vantage records.
-    pub blocks: Vec<BlockObs>,
+    pub blocks: BlockSection,
     /// Feed-delivery observations in [`fbs_types::FeedKind::ALL`] order.
     /// Empty when the feed layer is disabled (`feed_plan: None`), exactly
     /// three entries when it is on. Feeds are fetched even on rounds the
@@ -138,7 +151,7 @@ pub(crate) struct RoundRecord {
     pub feeds: Vec<FeedObs>,
     /// Per-vantage observations in roster order; empty in single-vantage
     /// campaigns.
-    pub vantages: Vec<VantageObs>,
+    pub vantages: Vec<VantageRound>,
     /// The darknet collector's view of the round: per-AS background
     /// radiation, or the collector's own darkness. `None` when the passive
     /// signal is disabled.
@@ -274,7 +287,7 @@ impl Persist for IbrObs {
 
 /// One vantage point's view of one round in a multi-vantage campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct VantageObs {
+pub(crate) struct VantageRound {
     /// Whether the vantage was online this round.
     pub online: bool,
     /// The vantage's own fault-plan quality verdict for the round.
@@ -282,7 +295,45 @@ pub(crate) struct VantageObs {
     /// The vantage's per-block observations; empty when the vantage was
     /// offline or its round was [`RoundQuality::Unusable`] (it is masked
     /// out of the quorum, so it measures nothing).
+    pub blocks: BlockSection,
+}
+
+impl Persist for VantageRound {
+    fn persist(&self, w: &mut ByteWriter) {
+        w.put_bool(self.online);
+        self.quality.persist(w);
+        self.blocks.persist(w);
+    }
+    fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(VantageRound {
+            online: r.get_bool()?,
+            quality: RoundQuality::restore(r)?,
+            blocks: BlockSection::restore(r)?,
+        })
+    }
+}
+
+/// A [`VantageRound`] in the read-only fixed-width layouts (versions 3–6):
+/// the same fields, with the blocks at 14 bytes each. Decoded, then
+/// converted; only the test oracle still writes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct VantageObs {
+    /// Whether the vantage was online this round.
+    pub online: bool,
+    /// The vantage's own fault-plan quality verdict for the round.
+    pub quality: RoundQuality,
+    /// The vantage's per-block observations.
     pub blocks: Vec<BlockObs>,
+}
+
+impl From<VantageObs> for VantageRound {
+    fn from(v: VantageObs) -> Self {
+        VantageRound {
+            online: v.online,
+            quality: v.quality,
+            blocks: BlockSection(v.blocks),
+        }
+    }
 }
 
 impl Persist for VantageObs {
@@ -301,11 +352,16 @@ impl Persist for VantageObs {
 }
 
 /// One block's measured values after the faulty measurement path.
+///
+/// Its `Persist` impl is the read-only fixed-width layout of versions 2–6;
+/// version 7 writes blocks as a [`BlockSection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockObs {
     /// Responding addresses that survived loss/thinning.
     pub responsive: u32,
-    /// Observed round-trip time, nanoseconds (spikes included).
+    /// Observed round-trip time, nanoseconds (spikes included); `0` when
+    /// the measurement kept none, which it does for every block outside
+    /// the RTT-tracked ASes.
     pub rtt_ns: u64,
     /// Whether the block was BGP-routed.
     pub routed: bool,
@@ -332,6 +388,120 @@ impl Persist for BlockObs {
             routed_known: r.get_bool()?,
         })
     }
+}
+
+impl BlockObs {
+    /// Head bit: the block's BGP routing state.
+    const ROUTED: u64 = 1;
+    /// Head bit: this round's BGP feed delivered the routing state.
+    const ROUTED_KNOWN: u64 = 1 << 1;
+    /// Head bit: a varint RTT follows the head.
+    const HAS_RTT: u64 = 1 << 2;
+    /// The responsive count sits above the three flag bits.
+    const RESPONSIVE_SHIFT: u32 = 3;
+
+    /// The block's head varint in a [`BlockSection`]:
+    /// `responsive << 3 | has_rtt << 2 | routed_known << 1 | routed`.
+    fn head(&self) -> u64 {
+        let mut head = u64::from(self.responsive) << Self::RESPONSIVE_SHIFT;
+        if self.rtt_ns != 0 {
+            head |= Self::HAS_RTT;
+        }
+        if self.routed_known {
+            head |= Self::ROUTED_KNOWN;
+        }
+        if self.routed {
+            head |= Self::ROUTED;
+        }
+        head
+    }
+}
+
+/// A round's block observations in the version-7 layout, indexed like
+/// `World::blocks`.
+///
+/// Wire: a varint block count, then per block one varint head (see
+/// [`BlockObs::head`]) and, only when its `has_rtt` bit is set, a varint
+/// RTT. A block carries an RTT exactly when its `rtt_ns` is non-zero, so
+/// the section round-trips every observation, and each section decodes on
+/// its own: nothing is a delta against another record.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct BlockSection(pub Vec<BlockObs>);
+
+impl std::ops::Deref for BlockSection {
+    type Target = [BlockObs];
+    fn deref(&self) -> &[BlockObs] {
+        &self.0
+    }
+}
+
+impl Persist for BlockSection {
+    fn persist(&self, w: &mut ByteWriter) {
+        w.put_varint(self.0.len() as u64);
+        for obs in &self.0 {
+            w.put_varint(obs.head());
+            if obs.rtt_ns != 0 {
+                w.put_varint(obs.rtt_ns);
+            }
+        }
+    }
+    fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
+        r.get_section(decode_blocks).map(BlockSection)
+    }
+}
+
+/// Decodes a [`BlockSection`] in one pass over `bytes`, returning the
+/// observations and the bytes they took.
+fn decode_blocks(bytes: &[u8]) -> Result<(Vec<BlockObs>, usize)> {
+    let damage = |reason: String| FbsError::Io { reason };
+    let (count, mut pos) = decode_varint(bytes)?;
+    // Every block takes at least its head byte, so a count the rest of the
+    // record cannot hold is damage, caught before anything is allocated.
+    if count > (bytes.len() - pos) as u64 {
+        return Err(damage(format!(
+            "block section claims {count} blocks in {} bytes",
+            bytes.len() - pos
+        )));
+    }
+    let mut blocks = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let (head, n) = decode_varint(&bytes[pos..])?;
+        pos += n;
+        let responsive = u32::try_from(head >> BlockObs::RESPONSIVE_SHIFT).map_err(|_| {
+            damage(format!(
+                "responsive count {} exceeds u32",
+                head >> BlockObs::RESPONSIVE_SHIFT
+            ))
+        })?;
+        let rtt_ns = if head & BlockObs::HAS_RTT != 0 {
+            let (rtt_ns, n) = decode_varint(&bytes[pos..])?;
+            pos += n;
+            if rtt_ns == 0 {
+                return Err(damage("block flags an RTT of zero".to_string()));
+            }
+            rtt_ns
+        } else {
+            0
+        };
+        blocks.push(BlockObs {
+            responsive,
+            rtt_ns,
+            routed: head & BlockObs::ROUTED != 0,
+            routed_known: head & BlockObs::ROUTED_KNOWN != 0,
+        });
+    }
+    Ok((blocks, pos))
+}
+
+/// Reads a read-only fixed-width block list (versions 2 and 4–6).
+fn fixed_width_blocks(r: &mut ByteReader<'_>) -> Result<BlockSection> {
+    Vec::<BlockObs>::restore(r).map(BlockSection)
+}
+
+/// Reads a read-only fixed-width vantage roster (versions 3–6).
+fn fixed_width_vantages(r: &mut ByteReader<'_>) -> Result<Vec<VantageRound>> {
+    let vantages = Vec::<VantageObs>::restore(r)?;
+    Ok(vantages.into_iter().map(VantageRound::from).collect())
 }
 
 /// What one round's delivery attempt(s) for one feed produced.
@@ -434,7 +604,7 @@ impl Persist for RoundRecord {
                 round: Round::restore(r)?,
                 online: r.get_bool()?,
                 quality: RoundQuality::restore(r)?,
-                blocks: Vec::<BlockObs>::restore(r)?,
+                blocks: fixed_width_blocks(r)?,
                 feeds: Vec::<FeedObs>::restore(r)?,
                 vantages: Vec::new(),
                 ibr: None,
@@ -445,7 +615,7 @@ impl Persist for RoundRecord {
                 let online = r.get_bool()?;
                 let quality = RoundQuality::restore(r)?;
                 let feeds = Vec::<FeedObs>::restore(r)?;
-                let vantages = Vec::<VantageObs>::restore(r)?;
+                let vantages = fixed_width_vantages(r)?;
                 if vantages.is_empty() {
                     return Err(FbsError::Io {
                         reason: format!(
@@ -457,7 +627,7 @@ impl Persist for RoundRecord {
                     round,
                     online,
                     quality,
-                    blocks: Vec::new(),
+                    blocks: BlockSection::default(),
                     feeds,
                     vantages,
                     ibr: None,
@@ -468,26 +638,36 @@ impl Persist for RoundRecord {
                 round: Round::restore(r)?,
                 online: r.get_bool()?,
                 quality: RoundQuality::restore(r)?,
-                blocks: Vec::<BlockObs>::restore(r)?,
+                blocks: fixed_width_blocks(r)?,
                 feeds: Vec::<FeedObs>::restore(r)?,
-                vantages: Vec::<VantageObs>::restore(r)?,
+                vantages: fixed_width_vantages(r)?,
                 ibr: Some(IbrObs::restore(r)?),
                 shards: None,
             }),
-            SHARD_STATE_VERSION | UNION_STATE_VERSION => {
+            SHARD_STATE_VERSION | FIXED_WIDTH_STATE_VERSION | UNION_STATE_VERSION => {
                 let round = Round::restore(r)?;
                 let online = r.get_bool()?;
                 let quality = RoundQuality::restore(r)?;
-                let blocks = Vec::<BlockObs>::restore(r)?;
+                // Only the block lists changed encoding at version 7.
+                let varint = version == UNION_STATE_VERSION;
+                let blocks = if varint {
+                    BlockSection::restore(r)?
+                } else {
+                    fixed_width_blocks(r)?
+                };
                 let feeds = Vec::<FeedObs>::restore(r)?;
-                let vantages = Vec::<VantageObs>::restore(r)?;
+                let vantages = if varint {
+                    Vec::<VantageRound>::restore(r)?
+                } else {
+                    fixed_width_vantages(r)?
+                };
                 let ibr = if r.get_bool()? {
                     Some(IbrObs::restore(r)?)
                 } else {
                     None
                 };
                 // Version 5 always carries the shard section; the union
-                // layout flags it.
+                // layouts flag it.
                 let shards = if version == SHARD_STATE_VERSION || r.get_bool()? {
                     let shards = ShardObs::restore(r)?;
                     if shards.outcomes.is_empty() {
@@ -557,27 +737,45 @@ impl RoundRecord {
         }
     }
 
-    /// The pre-union record writer, kept as the test oracle for the
-    /// read-only layouts: encodes the record as [`Self::legacy_version`].
-    pub(crate) fn encode_legacy(&self) -> Vec<u8> {
-        let version = self.legacy_version();
+    /// The retired record writers, kept as the test oracle for the
+    /// read-only layouts: encodes the record as `version`, which must be
+    /// [`FIXED_WIDTH_STATE_VERSION`] (any record) or this record's
+    /// [`Self::legacy_version`]. Blocks go out through the frozen
+    /// fixed-width [`BlockObs`] and [`VantageObs`] encoders.
+    pub(crate) fn encode_read_only(&self, version: u32) -> Vec<u8> {
+        assert!(
+            version == FIXED_WIDTH_STATE_VERSION || version == self.legacy_version(),
+            "no read-only v{version} layout for this record"
+        );
         let mut w = ByteWriter::new();
         w.put_u32(version);
         self.round.persist(&mut w);
         w.put_bool(self.online);
         self.quality.persist(&mut w);
         if version != STATE_VERSION {
-            self.blocks.persist(&mut w);
+            self.blocks.0.persist(&mut w);
         }
         self.feeds.persist(&mut w);
         if version != LEGACY_STATE_VERSION {
-            self.vantages.persist(&mut w);
+            let vantages: Vec<VantageObs> = self
+                .vantages
+                .iter()
+                .map(|v| VantageObs {
+                    online: v.online,
+                    quality: v.quality,
+                    blocks: v.blocks.0.clone(),
+                })
+                .collect();
+            vantages.persist(&mut w);
         }
-        if version == SHARD_STATE_VERSION {
+        if version >= SHARD_STATE_VERSION {
             w.put_bool(self.ibr.is_some());
         }
         if let Some(ibr) = &self.ibr {
             ibr.persist(&mut w);
+        }
+        if version == FIXED_WIDTH_STATE_VERSION {
+            w.put_bool(self.shards.is_some());
         }
         if let Some(shards) = &self.shards {
             shards.persist(&mut w);
@@ -732,15 +930,25 @@ mod tests {
     use proptest::prelude::*;
 
     /// Every schema version the decoders accept, oldest first.
-    const ACCEPTED: [u32; 5] = [
+    const ACCEPTED: [u32; 6] = [
         LEGACY_STATE_VERSION,
         STATE_VERSION,
         IBR_STATE_VERSION,
         SHARD_STATE_VERSION,
+        FIXED_WIDTH_STATE_VERSION,
         UNION_STATE_VERSION,
     ];
 
-    /// Record shapes covering every section in both writers: the golden
+    /// The read-only schema versions, oldest first.
+    const READ_ONLY: [u32; 5] = [
+        LEGACY_STATE_VERSION,
+        STATE_VERSION,
+        IBR_STATE_VERSION,
+        SHARD_STATE_VERSION,
+        FIXED_WIDTH_STATE_VERSION,
+    ];
+
+    /// Record shapes covering every section in every writer: the golden
     /// fixture record of each version, a skipped round, and the
     /// single-vantage variants of the passive (dark collector) and
     /// supervised (no darknet) layouts.
@@ -752,7 +960,7 @@ mod tests {
             round: Round(7),
             online: false,
             quality: RoundQuality::Unusable,
-            blocks: Vec::new(),
+            blocks: BlockSection::default(),
             ..single.clone()
         });
         shapes.push(RoundRecord {
@@ -770,16 +978,19 @@ mod tests {
     }
 
     #[test]
-    fn every_record_shape_round_trips_through_both_writers() {
+    fn every_record_shape_round_trips_through_every_writer() {
         for record in record_shapes() {
             // Every campaign mode writes the union layout…
             let union = record.encode();
             assert_eq!(union[0] as u32, UNION_STATE_VERSION);
             assert_eq!(RoundRecord::decode(&union).unwrap(), record);
-            // …and still decodes what the pre-union writer wrote for it.
-            let legacy = record.encode_legacy();
-            assert_eq!(legacy[0] as u32, record.legacy_version());
-            assert_eq!(RoundRecord::decode(&legacy).unwrap(), record);
+            // …and still decodes what the fixed-width union writer and the
+            // pre-union writer wrote for it.
+            for version in [FIXED_WIDTH_STATE_VERSION, record.legacy_version()] {
+                let old = record.encode_read_only(version);
+                assert_eq!(old[0] as u32, version);
+                assert_eq!(RoundRecord::decode(&old).unwrap(), record, "v{version}");
+            }
         }
     }
 
@@ -787,11 +998,11 @@ mod tests {
     fn structural_damage_is_rejected() {
         // A version-3 record must carry a roster; an empty one is damage.
         let bare = RoundRecord {
-            blocks: Vec::new(),
+            blocks: BlockSection::default(),
             feeds: Vec::new(),
             ..wire_fixture_record(LEGACY_STATE_VERSION)
         };
-        let mut bytes = bare.encode_legacy();
+        let mut bytes = bare.encode_read_only(LEGACY_STATE_VERSION);
         bytes[0] = STATE_VERSION as u8;
         assert!(RoundRecord::decode(&bytes).is_err());
         // A dark darknet observation claiming volumes is damage.
@@ -807,7 +1018,9 @@ mod tests {
             }),
             ..bare
         };
-        assert!(RoundRecord::decode(&hollow.encode_legacy()).is_err());
+        for version in [hollow.legacy_version(), FIXED_WIDTH_STATE_VERSION] {
+            assert!(RoundRecord::decode(&hollow.encode_read_only(version)).is_err());
+        }
         assert!(RoundRecord::decode(&hollow.encode()).is_err());
         // An unknown shard outcome tag is damage.
         let mut w = ByteWriter::new();
@@ -824,7 +1037,7 @@ mod tests {
             round: Round(0),
             online: true,
             quality: RoundQuality::Ok,
-            blocks: Vec::new(),
+            blocks: BlockSection::default(),
             feeds: Vec::new(),
             vantages: Vec::new(),
             ibr: None,
@@ -847,7 +1060,7 @@ mod tests {
     fn round_record_version_probe_is_exhaustive() {
         // Foreign tags fail *at the probe*, carrying the tag in the error
         // so an operator can see which schema stranded the journal.
-        for foreign in [0u32, 1, 7, u32::MAX] {
+        for foreign in [0u32, 1, 8, u32::MAX] {
             let mut w = ByteWriter::new();
             w.put_u32(foreign);
             let err = RoundRecord::decode(&w.into_bytes()).unwrap_err();
@@ -902,7 +1115,7 @@ mod tests {
         }
         // A structurally valid snapshot at any other version is
         // quarantined, and the diagnostics name the foreign schema.
-        for v in [0u32, 1, 7, u32::MAX] {
+        for v in [0u32, 1, 8, u32::MAX] {
             let dir = base.join(format!("reject-{v}"));
             std::fs::create_dir_all(&dir).unwrap();
             write_snapshot(dir.join(SNAPSHOT_FILE), v, b"payload").unwrap();
@@ -939,22 +1152,22 @@ mod tests {
             )],
         );
         let vantages = vec![
-            VantageObs {
+            VantageRound {
                 online: true,
                 quality: RoundQuality::Ok,
-                blocks: vec![obs(30, 41_000_000), obs(0, 0)],
+                blocks: BlockSection(vec![obs(30, 41_000_000), obs(0, 0)]),
             },
-            VantageObs {
+            VantageRound {
                 online: false,
                 quality: RoundQuality::Unusable,
-                blocks: Vec::new(),
+                blocks: BlockSection::default(),
             },
         ];
         let mut record = RoundRecord {
             round: Round(42),
             online: true,
             quality: RoundQuality::Degraded,
-            blocks: vec![obs(118, 40_120_000), obs(0, 0)],
+            blocks: BlockSection(vec![obs(118, 40_120_000), obs(0, 0)]),
             feeds: vec![
                 FeedObs::Accepted {
                     retries: 1,
@@ -991,14 +1204,14 @@ mod tests {
         match version {
             LEGACY_STATE_VERSION => {}
             STATE_VERSION => {
-                record.blocks = Vec::new();
+                record.blocks = BlockSection::default();
                 record.vantages = vantages;
             }
             IBR_STATE_VERSION => {
                 record.vantages = vantages;
                 record.ibr = Some(ibr);
             }
-            SHARD_STATE_VERSION | UNION_STATE_VERSION => {
+            SHARD_STATE_VERSION | FIXED_WIDTH_STATE_VERSION | UNION_STATE_VERSION => {
                 record.vantages = vantages;
                 record.ibr = Some(ibr);
                 record.shards = Some(shards);
@@ -1023,15 +1236,29 @@ mod tests {
         })
     }
 
+    /// A pipeline state in the snapshot layout of `version`: the union
+    /// payload from version 6 on (version 7 kept version 6's), the
+    /// pre-union writer's below.
+    fn persist_state_as(state: &PipelineState, version: u32) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        if version >= FIXED_WIDTH_STATE_VERSION {
+            state.persist_into(&mut w);
+        } else {
+            assert_eq!(state.legacy_version(), version, "v{version} snapshot");
+            state.persist_legacy(&mut w);
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn golden_wire_fixtures_round_trip_byte_for_byte() {
         // `FBS_WRITE_WIRE_FIXTURES=1 cargo test -p fbs-core` regenerates
-        // the union-layout blobs; the read-only v2–v5 blobs were written by
-        // the pre-union writers and are never regenerated. A plain run pins
-        // the bytes exactly: the union encoder must reproduce v6 and the
-        // pre-union writer, kept as the oracle, must reproduce v2–v5, so
-        // an encoder change that touches a frozen layout fails here even
-        // if encode/decode still agree with each other.
+        // the union-layout blobs; the read-only v2–v6 blobs were written by
+        // the retired writers and are never regenerated. A plain run pins
+        // the bytes exactly: the union encoder must reproduce v7 and the
+        // retired writers, kept as the oracle, must reproduce v2–v6, so an
+        // encoder change that touches a frozen layout fails here even if
+        // encode/decode still agree with each other.
         let write = std::env::var("FBS_WRITE_WIRE_FIXTURES").is_ok();
         for version in ACCEPTED {
             let record = wire_fixture_record(version);
@@ -1039,7 +1266,7 @@ mod tests {
             let encoded = if union {
                 record.encode()
             } else {
-                record.encode_legacy()
+                record.encode_read_only(version)
             };
             assert_eq!(u32::from(encoded[0]), version, "v{version} layout drifted");
             let vdir = wire_dir().join(format!("v{version}"));
@@ -1074,19 +1301,18 @@ mod tests {
             // to the same bytes.
             let golden_state = golden(version, "pipeline_state.bin");
             let state = PipelineState::decode(&golden_state, version).unwrap();
-            let mut w = ByteWriter::new();
-            if union {
-                state.persist_into(&mut w);
-            } else {
-                assert_eq!(state.legacy_version(), version);
-                state.persist_legacy(&mut w);
-            }
             assert_eq!(
-                w.into_bytes(),
+                persist_state_as(&state, version),
                 golden_state,
                 "v{version} golden snapshot payload drifted from the encoder"
             );
         }
+        // Version 7 changed only the journal record: its snapshot payload
+        // is the version-6 one, byte for byte.
+        assert_eq!(
+            golden(UNION_STATE_VERSION, "pipeline_state.bin"),
+            golden(FIXED_WIDTH_STATE_VERSION, "pipeline_state.bin")
+        );
     }
 
     #[test]
@@ -1128,9 +1354,9 @@ mod tests {
     /// A tiny campaign in the mode that wrote `version` before the union
     /// layout: no roster (v2, with the feed layer on), a roster (v3), the
     /// passive signal (v4), and everything under shard supervision (v5,
-    /// and the union golden). The v2–v5 `pipeline_state.bin` goldens are
-    /// the round-24 snapshots of these campaigns, written by the
-    /// pre-union writers.
+    /// and the union goldens v6 and v7). The `pipeline_state.bin` goldens
+    /// are the round-24 snapshots of these campaigns, the v2–v6 ones
+    /// written by the retired writers.
     fn compat_campaign(version: u32) -> crate::pipeline::Campaign {
         use fbs_netsim::*;
         use fbs_types::{Asn, BlockId, Oblast, Prefix};
@@ -1231,26 +1457,21 @@ mod tests {
 
     #[test]
     fn read_only_checkpoints_resume_byte_identically() {
-        for version in [
-            LEGACY_STATE_VERSION,
-            STATE_VERSION,
-            IBR_STATE_VERSION,
-            SHARD_STATE_VERSION,
-        ] {
+        for version in READ_ONLY {
             let campaign = compat_campaign(version);
             let baseline = format!("{:?}", campaign.run().unwrap());
             let dir = scratch_dir("compat");
             run_and_kill(&campaign, &dir, 30);
 
             // Rewrite the journal and the round-24 snapshot into the
-            // read-only layout, as a pre-union build would have left them.
+            // read-only layout, as an older build would have left them.
             let wal = dir.join(JOURNAL_FILE);
             let (_, records, _) = Journal::open(&wal).unwrap();
             let mut journal = Journal::create(&wal).unwrap();
             for raw in &records {
-                let legacy = RoundRecord::decode(raw).unwrap().encode_legacy();
-                assert_eq!(legacy[..4], version.to_le_bytes(), "v{version} journal");
-                journal.append(&legacy).unwrap();
+                let old = RoundRecord::decode(raw).unwrap().encode_read_only(version);
+                assert_eq!(old[..4], version.to_le_bytes(), "v{version} journal");
+                journal.append(&old).unwrap();
             }
             journal.sync().unwrap();
             drop(journal);
@@ -1258,10 +1479,7 @@ mod tests {
             let (union, payload) = read_snapshot(&snap).unwrap().unwrap();
             assert_eq!(union, UNION_STATE_VERSION);
             let state = PipelineState::decode(&payload, union).unwrap();
-            assert_eq!(state.legacy_version(), version, "v{version} snapshot");
-            let mut w = ByteWriter::new();
-            state.persist_legacy(&mut w);
-            write_snapshot(&snap, version, &w.into_bytes()).unwrap();
+            write_snapshot(&snap, version, &persist_state_as(&state, version)).unwrap();
 
             let (resumed, diag) = campaign
                 .resume_with(&dir, compat_policy())
@@ -1313,6 +1531,79 @@ mod tests {
         }
     }
 
+    /// Where a version-7 record's block section starts: after the
+    /// version, the round, the online flag and the quality tag.
+    const V7_BLOCKS_AT: usize = 4 + 4 + 1 + 1;
+
+    /// A version-7 record whose block section is `section`, with the
+    /// golden record's header in front and nothing behind.
+    fn v7_with_section(section: &[u8]) -> Vec<u8> {
+        let mut bytes = golden(UNION_STATE_VERSION, "round_record.bin")[..V7_BLOCKS_AT].to_vec();
+        bytes.extend_from_slice(section);
+        bytes
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_varint(v);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn block_section_damage_is_an_error() {
+        let head = |responsive: u64, flags: u64| responsive << BlockObs::RESPONSIVE_SHIFT | flags;
+        let one = varint(1);
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            // A head varint whose continuation bit runs off the section.
+            ("varint runs off", [one.clone(), vec![0x80]].concat()),
+            // An RTT flagged, then cut mid-varint.
+            (
+                "rtt runs off",
+                [
+                    one.clone(),
+                    varint(head(9, BlockObs::HAS_RTT)),
+                    vec![0xff, 0xff],
+                ]
+                .concat(),
+            ),
+            // Eleven bytes: longer than any u64 encoding.
+            (
+                "11-byte varint",
+                [one.clone(), vec![0xff; 10], vec![0x01]].concat(),
+            ),
+            // A responsive count one past u32::MAX.
+            (
+                "responsive above u32",
+                [one.clone(), varint(head(u64::from(u32::MAX) + 1, 0))].concat(),
+            ),
+            // A flagged RTT of zero has no canonical writer.
+            (
+                "zero rtt",
+                [one.clone(), varint(head(9, BlockObs::HAS_RTT)), varint(0)].concat(),
+            ),
+            // Counts the section cannot hold: one byte short, and the
+            // largest count a varint carries (allocating for it would abort
+            // the test, so the bound must bite before `with_capacity`).
+            ("count one short", [varint(3), vec![0x08, 0x08]].concat()),
+            (
+                "count u64::MAX",
+                [varint(u64::MAX), vec![0x08; 64]].concat(),
+            ),
+        ];
+        for (what, section) in cases {
+            assert!(decode_blocks(&section).is_err(), "{what}: section decoded");
+            let record = v7_with_section(&section);
+            assert!(
+                RoundRecord::decode(&record).is_err(),
+                "{what}: record decoded"
+            );
+            decode_everything(&record);
+        }
+        // The undamaged neighbour of the last cases decodes.
+        let (blocks, used) = decode_blocks(&[varint(2), vec![0x08, 0x08]].concat()).unwrap();
+        assert_eq!((blocks.len(), used), (2, 3));
+    }
+
     proptest! {
         #[test]
         fn decoders_are_total_on_arbitrary_bytes(
@@ -1324,6 +1615,34 @@ mod tests {
             let mut tagged = ACCEPTED[pick % ACCEPTED.len()].to_le_bytes().to_vec();
             tagged.extend_from_slice(&bytes);
             decode_everything(&tagged);
+            // Behind the v7 golden header the block section decodes them.
+            decode_everything(&v7_with_section(&bytes));
+        }
+
+        #[test]
+        fn block_sections_round_trip(
+            blocks in prop::collection::vec(
+                (any::<u32>(), prop_oneof![Just(0u64), any::<u64>()], any::<bool>(), any::<bool>()),
+                0..64usize,
+            ),
+        ) {
+            let section = BlockSection(
+                blocks
+                    .into_iter()
+                    .map(|(responsive, rtt_ns, routed, routed_known)| BlockObs {
+                        responsive,
+                        rtt_ns,
+                        routed,
+                        routed_known,
+                    })
+                    .collect(),
+            );
+            let mut w = ByteWriter::new();
+            section.persist(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            prop_assert_eq!(BlockSection::restore(&mut r).unwrap(), section);
+            prop_assert!(r.is_exhausted());
         }
     }
 

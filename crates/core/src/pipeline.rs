@@ -20,9 +20,9 @@
 //! drivers over it.
 
 use crate::checkpoint::{
-    BlockObs, CheckpointPolicy, CheckpointStore, FeedObs, IbrObs, ResumeDiagnostics, RoundRecord,
-    ShardOutcomeObs, VantageObs, IBR_STATE_VERSION, SHARD_STATE_VERSION, STATE_VERSION,
-    UNION_STATE_VERSION,
+    BlockObs, BlockSection, CheckpointPolicy, CheckpointStore, FeedObs, IbrObs, ResumeDiagnostics,
+    RoundRecord, ShardOutcomeObs, VantageRound, FIXED_WIDTH_STATE_VERSION, IBR_STATE_VERSION,
+    SHARD_STATE_VERSION, STATE_VERSION, UNION_STATE_VERSION,
 };
 use crate::classify::{
     campaign_months, classify_world, classify_world_with_snapshots, ClassificationOutcome,
@@ -324,6 +324,9 @@ pub(crate) struct Statics {
     tracked_block: Vec<Option<EntityId>>,
     tracked_as: Vec<Option<EntityId>>,
     rtt_tracked: Vec<Option<Asn>>,
+    /// Whether each block's AS is RTT-tracked: the only blocks whose RTT
+    /// the measurement keeps, because the only ones whose RTT is read.
+    rtt_block: Vec<bool>,
     months: Vec<MonthId>,
     rounds: u32,
     n_blocks: usize,
@@ -559,6 +562,10 @@ impl Statics {
             .iter()
             .map(|a| cfg.rtt_tracked.contains(a).then_some(*a))
             .collect();
+        let rtt_block: Vec<bool> = block_as
+            .iter()
+            .map(|&ai| rtt_tracked[ai].is_some())
+            .collect();
 
         // The shard executor. `FBS_THREADS` overrides the configured
         // worker count at runtime; thread count affects scheduling only,
@@ -588,6 +595,7 @@ impl Statics {
             tracked_block,
             tracked_as,
             rtt_tracked,
+            rtt_block,
             months,
             rounds,
             n_blocks,
@@ -676,7 +684,7 @@ impl PipelineState {
     /// sections, each behind a presence flag.
     pub(crate) fn persist_into(&self, w: &mut ByteWriter) {
         // The version travels in the snapshot header, not the payload.
-        // fbs-schema: writes(6)
+        // fbs-schema: writes(7)
         self.cursor.persist(w);
         self.current_month.persist(w);
         self.pool.persist(w);
@@ -786,7 +794,10 @@ impl PipelineState {
                 )));
             }
         }
-        if version == SHARD_STATE_VERSION || version == UNION_STATE_VERSION {
+        if version == SHARD_STATE_VERSION
+            || version == FIXED_WIDTH_STATE_VERSION
+            || version == UNION_STATE_VERSION
+        {
             state.vantage_ledgers = Vec::<VantageLedger>::restore(r)?;
             state.disagreement = DisagreementSummary::restore(r)?;
             if r.get_bool()? {
@@ -803,8 +814,8 @@ impl PipelineState {
                     )));
                 }
             }
-            // Version 5 always carries the shard section; the union layout
-            // flags it.
+            // Version 5 always carries the shard section; the union layouts
+            // flag it.
             state.shard_supervised = version == SHARD_STATE_VERSION || r.get_bool()?;
             if state.shard_supervised {
                 state.shard_rounds = Vec::<ShardRoundSummary>::restore(r)?;
@@ -1138,6 +1149,11 @@ struct ShardChunk {
 /// shared by every consumer) binomially thinned by the delivery rate,
 /// capped by ICMP rate limiting, RTTs distorted by spikes and stretched by
 /// the vantage's path.
+///
+/// The RTT is kept only when `keep_rtt` (the block's AS is RTT-tracked,
+/// `Statics::rtt_block`); every other block reports `0`, so live apply and
+/// replay see the same record. Every draw is coordinate-addressed, so
+/// skipping the spike draw moves no other.
 #[allow(clippy::too_many_arguments)]
 fn scan_block(
     truth: &BlockTruth,
@@ -1148,13 +1164,18 @@ fn scan_block(
     round: Round,
     bi: usize,
     unknown: bool,
+    keep_rtt: bool,
 ) -> BlockObs {
     let r = round.0 as u64;
     let responsive = intensity.thin_responsive(truth.responsive, scan_retries, rng, r, bi as u64);
-    let rtt_ns = truth
-        .rtt_ns
-        .saturating_add(path_rtt_ns)
-        .saturating_add(intensity.extra_rtt_ns(rng, r, bi as u64));
+    let rtt_ns = if keep_rtt {
+        truth
+            .rtt_ns
+            .saturating_add(path_rtt_ns)
+            .saturating_add(intensity.extra_rtt_ns(rng, r, bi as u64))
+    } else {
+        0
+    };
     BlockObs {
         responsive,
         rtt_ns,
@@ -1248,14 +1269,14 @@ fn measure_round_timed(
             round,
             online,
             quality,
-            blocks: Vec::new(),
+            blocks: BlockSection::default(),
             feeds,
             vantages: vantage_quality
                 .iter()
-                .map(|q| VantageObs {
+                .map(|q| VantageRound {
                     online,
                     quality: *q,
-                    blocks: Vec::new(),
+                    blocks: BlockSection::default(),
                 })
                 .collect(),
             ibr: ibr_live.map(|_| IbrObs {
@@ -1291,6 +1312,7 @@ fn measure_round_timed(
         for bi in range {
             let truth = world.block_truth(round, bi);
             let unknown = routed_unknown[bi];
+            let keep_rtt = statics.rtt_block[bi];
             if let Some(intensity) = &single_scan {
                 chunk.blocks.push(scan_block(
                     &truth,
@@ -1301,6 +1323,7 @@ fn measure_round_timed(
                     round,
                     bi,
                     unknown,
+                    keep_rtt,
                 ));
             }
             for ((vs, scan), out) in statics
@@ -1319,6 +1342,7 @@ fn measure_round_timed(
                         round,
                         bi,
                         unknown,
+                        keep_rtt,
                     ));
                 }
             }
@@ -1401,13 +1425,13 @@ fn measure_round_timed(
         };
     }
 
-    let vantages: Vec<VantageObs> = vantage_quality
+    let vantages: Vec<VantageRound> = vantage_quality
         .iter()
         .zip(vblocks)
-        .map(|(q, blocks)| VantageObs {
+        .map(|(q, blocks)| VantageRound {
             online,
             quality: *q,
-            blocks,
+            blocks: BlockSection(blocks),
         })
         .collect();
     let ibr = ibr_live.map(|live| {
@@ -1428,7 +1452,7 @@ fn measure_round_timed(
         round,
         online,
         quality,
-        blocks,
+        blocks: BlockSection(blocks),
         feeds,
         vantages,
         ibr,
@@ -2913,12 +2937,15 @@ mod tests {
             )],
         };
         // (masked vantage-rounds, dark darknet rounds, lost shards,
-        // unrouted blocks, counts thinned below the truth)
-        let mut seen = [0usize; 5];
+        // unrouted blocks, counts thinned below the truth, blocks that kept
+        // an RTT)
+        let mut seen = [0usize; 6];
         for threads in [1, 2] {
             let mut cfg = CampaignConfig::without_baseline();
             cfg.threads = threads;
             cfg.fault_plan = Some(dark_path.clone());
+            // One of the three ASes keeps its RTT; the others journal none.
+            cfg.rtt_tracked = vec![Asn(200)];
             cfg.vantages = vec![
                 VantageSpec {
                     fault_plan: Some(FaultPlan::constant(FaultIntensity {
@@ -2994,6 +3021,7 @@ mod tests {
                             round,
                             bi,
                             false,
+                            statics.rtt_block[bi],
                         );
                         assert_eq!(
                             obs.blocks[bi], want,
@@ -3002,6 +3030,7 @@ mod tests {
                         );
                         seen[3] += usize::from(!truth.routed);
                         seen[4] += usize::from(want.responsive < truth.responsive);
+                        seen[5] += usize::from(want.rtt_ns != 0);
                     }
                 }
                 let ibr_obs = record.ibr.as_ref().expect("IBR on");
@@ -3020,8 +3049,113 @@ mod tests {
         }
         assert!(
             seen.iter().all(|&n| n > 0),
-            "masked, dark, lost, unrouted, thinned: {seen:?}"
+            "masked, dark, lost, unrouted, thinned, rtt kept: {seen:?}"
         );
+    }
+
+    #[test]
+    fn journal_keeps_rtt_only_for_rtt_tracked_blocks() {
+        use fbs_netsim::FaultWindow;
+        let none = FaultIntensity::default();
+        let mut cfg = CampaignConfig::without_baseline();
+        cfg.rtt_tracked = vec![Asn(200)];
+        cfg.fault_plan = Some(FaultPlan {
+            baseline: none,
+            windows: vec![FaultWindow::over_rounds(
+                "dark-path",
+                40..60,
+                FaultIntensity {
+                    reply_loss: 1.0,
+                    ..none
+                },
+            )],
+        });
+        cfg.vantages = vec![
+            VantageSpec {
+                fault_plan: Some(FaultPlan::constant(FaultIntensity {
+                    reply_loss: 0.3,
+                    ..none
+                })),
+                ..VantageSpec::new("lossy")
+            },
+            VantageSpec {
+                path_rtt_ns: 15_000_000,
+                fault_plan: Some(FaultPlan::constant(FaultIntensity {
+                    latency_spike: 0.2,
+                    latency_spike_ns: 80_000_000,
+                    ..none
+                })),
+                ..VantageSpec::new("spiky")
+            },
+            VantageSpec::new("inherits"),
+        ];
+        let world = outage_world(29, &[100, 200, 300], 16, &[(200, 30..50)]);
+        let campaign = Campaign::new(world, cfg).expect("valid config");
+        let statics = Statics::build(&campaign).expect("statics");
+        let dir = std::env::temp_dir().join(format!("fbs-rtt-mask-{}", std::process::id()));
+        let policy = CheckpointPolicy {
+            snapshot_every: 0,
+            fsync: false,
+        };
+        campaign.run_checkpointed(&dir, policy).expect("run");
+        let (_, records, _) =
+            fbs_journal::Journal::open(dir.join(crate::checkpoint::JOURNAL_FILE)).expect("wal");
+        let _ = std::fs::remove_dir_all(&dir);
+        // (blocks journaled, blocks that carried an RTT)
+        let mut seen = [0usize; 2];
+        for raw in &records {
+            let record = RoundRecord::decode(raw).expect("record");
+            assert!(record.blocks.is_empty(), "roster records carry no sweep");
+            for vantage in &record.vantages {
+                for (bi, obs) in vantage.blocks.iter().enumerate() {
+                    seen[0] += 1;
+                    if obs.rtt_ns != 0 {
+                        seen[1] += 1;
+                        assert!(
+                            statics.rtt_block[bi],
+                            "round {}: block {bi} of an untracked AS carries an RTT",
+                            record.round.0
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(records.len() as u32, statics.rounds);
+        assert!(
+            seen[1] > 0 && seen[1] < seen[0],
+            "journaled, with RTT: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn small_single_vantage_records_average_under_3_5_bytes_per_block() {
+        let scenario = fbs_scenarios::ukraine_with_rounds(WorldScale::Small, 42, 48);
+        let campaign = Campaign::new(scenario.into_world().unwrap(), CampaignConfig::default())
+            .expect("valid config");
+        let (world, cfg) = (campaign.world(), &campaign.config);
+        let statics = Statics::build(&campaign).expect("statics");
+        // (blocks, version-7 bytes, version-6 bytes) over the scanned rounds
+        let mut sum = [0usize; 3];
+        for r in 0..statics.rounds {
+            let record = measure_round(world, cfg, &statics, None, Round(r));
+            if record.blocks.is_empty() {
+                continue;
+            }
+            sum[0] += record.blocks.len();
+            sum[1] += record.encode().len();
+            sum[2] += record
+                .encode_read_only(crate::checkpoint::FIXED_WIDTH_STATE_VERSION)
+                .len();
+        }
+        assert!(sum[0] > 0, "no scanned round");
+        let per_block = |bytes: usize| bytes as f64 / sum[0] as f64;
+        assert!(
+            per_block(sum[1]) <= 3.5,
+            "{:.2} B per block, v6 {:.2}",
+            per_block(sum[1]),
+            per_block(sum[2])
+        );
+        assert!(per_block(sum[2]) >= 14.0);
     }
 
     #[test]

@@ -47,7 +47,8 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireOp {
     /// A codec primitive: `w.put_u32(self.responsive)` →
-    /// `codec: "u32", expr: "self.responsive"`.
+    /// `codec: "u32", expr: "self.responsive"`. `put_varint` is the
+    /// LEB128 `varint` codec, a primitive like any fixed-width one.
     Prim { codec: String, expr: String },
     /// A nested `persist` call: `self.round.persist(w)` →
     /// `expr: "self.round"`.
@@ -1132,12 +1133,11 @@ pub fn parse_lock(text: &str) -> Result<WireSchema, String> {
                 expr: rest,
                 ops: Vec::new(),
             },
-            codec @ ("u8" | "u16" | "u32" | "u64" | "i64" | "f64" | "bool" | "str" | "raw") => {
-                WireOp::Prim {
-                    codec: codec.to_string(),
-                    expr: rest,
-                }
-            }
+            codec @ ("u8" | "u16" | "u32" | "u64" | "i64" | "f64" | "bool" | "str" | "raw"
+            | "varint") => WireOp::Prim {
+                codec: codec.to_string(),
+                expr: rest,
+            },
             other => return Err(err(&format!("unknown op `{other}`"))),
         };
         let is_container = matches!(op, WireOp::Opt { .. } | WireOp::Rep { .. });

@@ -388,6 +388,28 @@ fn frozen_version_edit_accepts_a_matching_lock() {
 }
 
 #[test]
+fn frozen_version_edit_fires_when_a_frozen_varint_goes_fixed_width() {
+    // line 9: the lock froze each element of `Counts` as a varint; the
+    // source now writes it as a `u64`.
+    let got = lint_locked_fixture(
+        "frozen-version-edit",
+        "varint-positive",
+        "crates/geodb/src/fixture.rs",
+    );
+    assert_eq!(got, [("frozen-version-edit".to_string(), 9)]);
+}
+
+#[test]
+fn frozen_version_edit_accepts_a_matching_varint_lock() {
+    let got = lint_locked_fixture(
+        "frozen-version-edit",
+        "varint-negative",
+        "crates/geodb/src/fixture.rs",
+    );
+    assert!(got.is_empty(), "negative fixture fired: {got:?}");
+}
+
+#[test]
 fn schema_lock_drift_fires_on_a_new_type_and_a_new_write_tag() {
     // line 28: `Extra` is absent from the frozen baseline; line 48:
     // `Record` now writes v3, a tag the baseline lacks. Both are additive

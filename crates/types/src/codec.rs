@@ -13,6 +13,11 @@
 //! [`ByteWriter`] and rebuild itself from a [`ByteReader`]. Generic impls
 //! cover the usual composites (options, vectors, maps, tuples), so most
 //! implementations are a field-by-field list in declaration order.
+//!
+//! Fixed-width fields are the default. Sections dominated by small counts
+//! use LEB128 varints instead ([`ByteWriter::put_varint`],
+//! [`decode_varint`]); [`ByteReader::get_section`] hands such a section
+//! the unread bytes as one slice, so it decodes in a single pass.
 
 use crate::error::{FbsError, Result};
 use std::collections::BTreeMap;
@@ -89,6 +94,55 @@ impl ByteWriter {
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Appends an unsigned LEB128 varint: seven bits per byte, low bits
+    /// first, the high bit set on every byte but the last.
+    #[inline]
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+}
+
+/// The longest LEB128 encoding of a `u64`: ten bytes of seven bits.
+pub const VARINT_MAX_LEN: usize = 10;
+
+/// Decodes one unsigned LEB128 varint from the front of `bytes`, returning
+/// the value and how many bytes it took.
+///
+/// Rejects a varint that runs off the end of `bytes`, one longer than
+/// [`VARINT_MAX_LEN`] or overflowing 64 bits, and an overlong encoding (a
+/// final zero byte after the first), so every value has exactly one
+/// encoding and decode-then-encode reproduces the input.
+#[inline]
+pub fn decode_varint(bytes: &[u8]) -> Result<(u64, usize)> {
+    let mut v = 0u64;
+    for (i, &b) in bytes.iter().take(VARINT_MAX_LEN).enumerate() {
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            if i == VARINT_MAX_LEN - 1 && b > 1 {
+                return Err(FbsError::Io {
+                    reason: "varint overflows 64 bits".to_string(),
+                });
+            }
+            if i > 0 && b == 0 {
+                return Err(FbsError::Io {
+                    reason: format!("overlong {}-byte varint", i + 1),
+                });
+            }
+            return Ok((v, i + 1));
+        }
+    }
+    Err(FbsError::Io {
+        reason: if bytes.len() < VARINT_MAX_LEN {
+            format!("varint runs off the end of its {} bytes", bytes.len())
+        } else {
+            format!("varint longer than {VARINT_MAX_LEN} bytes")
+        },
+    })
 }
 
 /// Cursor over encoded bytes; every read checks bounds.
@@ -189,6 +243,19 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|e| FbsError::Io {
             reason: format!("invalid utf-8 in string field: {e}"),
         })
+    }
+
+    /// Decodes a section straight from the unread bytes: `decode` gets them
+    /// as one slice and returns the value and how many bytes it consumed,
+    /// and the reader moves past those bytes. A section decoded this way
+    /// walks its bytes in one pass instead of one reader call per field.
+    pub fn get_section<T>(
+        &mut self,
+        decode: impl FnOnce(&'a [u8]) -> Result<(T, usize)>,
+    ) -> Result<T> {
+        let (value, used) = decode(&self.buf[self.pos..])?;
+        self.take(used)?;
+        Ok(value)
     }
 
     /// Reads a `u64` length prefix, bounds-checked against the remaining
@@ -500,6 +567,59 @@ mod tests {
         assert!(Oblast::restore(&mut r).is_err());
         let mut r = ByteReader::new(&[3]);
         assert!(RoundQuality::restore(&mut r).is_err());
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width() {
+        let mut values = vec![0u64, 1, 0x7f, 0x80, 300, u64::from(u32::MAX), u64::MAX];
+        values.extend((0..64).map(|bit| 1u64 << bit));
+        values.extend((1..64).map(|bit| (1u64 << bit) - 1));
+        for v in values {
+            let mut w = ByteWriter::new();
+            w.put_varint(v);
+            let bytes = w.into_bytes();
+            let width = (64 - v.leading_zeros() as usize).max(1).div_ceil(7);
+            assert_eq!(bytes.len(), width, "{v}");
+            assert_eq!(decode_varint(&bytes).unwrap(), (v, width), "{v}");
+        }
+    }
+
+    #[test]
+    fn damaged_varints_are_errors() {
+        // Runs off the end: every proper prefix of a multi-byte varint.
+        let mut w = ByteWriter::new();
+        w.put_varint(u64::MAX);
+        let max = w.into_bytes();
+        assert_eq!(max.len(), VARINT_MAX_LEN);
+        for cut in 0..max.len() {
+            assert!(decode_varint(&max[..cut]).is_err(), "cut at {cut}");
+        }
+        // Eleven bytes, and a tenth byte carrying more than the 64th bit.
+        let eleven = [0xffu8; 10]
+            .iter()
+            .chain(&[0x01])
+            .copied()
+            .collect::<Vec<_>>();
+        assert!(decode_varint(&eleven).is_err());
+        let mut overflow = max.clone();
+        overflow[VARINT_MAX_LEN - 1] = 0x02;
+        assert!(decode_varint(&overflow).is_err());
+        // Overlong: a value padded with a zero continuation byte.
+        assert!(decode_varint(&[0x81, 0x00]).is_err());
+        assert_eq!(decode_varint(&[0x00]).unwrap(), (0, 1));
+    }
+
+    #[test]
+    fn sections_consume_what_they_report() {
+        let bytes = [3u8, 7, 8, 9];
+        let mut r = ByteReader::new(&bytes);
+        let sum: u32 = r
+            .get_section(|b| Ok((b[..2].iter().map(|&x| u32::from(x)).sum(), 2)))
+            .unwrap();
+        assert_eq!(sum, 10);
+        assert_eq!(r.get_u8().unwrap(), 8);
+        // A section cannot claim more bytes than remain.
+        assert!(r.get_section(|_| Ok(((), 2))).is_err());
     }
 
     #[test]

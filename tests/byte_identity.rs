@@ -245,9 +245,9 @@ fn single_vantage_roster_matches_the_legacy_pipeline() {
 }
 
 #[test]
-fn every_campaign_mode_checkpoints_as_version_6() {
+fn every_campaign_mode_checkpoints_as_version_7() {
     // One union layout whatever the roster, passive signal or shard plan:
-    // the snapshot header and every journal record carry version 6.
+    // the snapshot header and every journal record carry version 7.
     for tag in ["legacy", "roster", "passive", "shards", "all"] {
         let mut cfg = CampaignConfig::without_baseline();
         cfg.tracked.clear();
@@ -269,12 +269,12 @@ fn every_campaign_mode_checkpoints_as_version_6() {
         let (version, _) = ukraine_fbs::journal::read_snapshot(dir.join(SNAPSHOT_FILE))
             .expect("readable snapshot")
             .expect("snapshot written");
-        assert_eq!(version, 6, "{tag} snapshot");
+        assert_eq!(version, 7, "{tag} snapshot");
         let (_, records, _) =
             ukraine_fbs::journal::Journal::open(dir.join(JOURNAL_FILE)).expect("journal");
         assert_eq!(records.len() as u32, ROUNDS);
         for record in &records {
-            assert_eq!(record[..4], 6u32.to_le_bytes(), "{tag} journal record");
+            assert_eq!(record[..4], 7u32.to_le_bytes(), "{tag} journal record");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
