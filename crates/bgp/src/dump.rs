@@ -9,11 +9,16 @@
 //! machine-generated round-trips must be perfect. [`parse_lossy`] is the
 //! feed-resilience path: it never fails, instead quarantining each
 //! malformed record with its line context so the feed layer can judge the
-//! dump against tolerance thresholds.
+//! dump against tolerance thresholds. Both read lines through one grammar,
+//! which [`check_route_line`] exposes for judging a line without keeping
+//! its route.
 
 use crate::rib::Rib;
 use fbs_types::{Asn, FbsError, Prefix, QuarantinedRecord, Result};
-use std::fmt::Write as _;
+
+/// Bytes reserved per route when [`to_string`] sizes its output: a /24
+/// and a three-hop path of five-digit ASNs, with separators.
+const ROUTE_BYTES: usize = 32;
 
 /// Serializes a RIB to the line format, prefixes in address order.
 ///
@@ -22,42 +27,84 @@ use std::fmt::Write as _;
 /// detect truncated deliveries — absent bytes leave no malformed lines
 /// for the lossy parser to quarantine, so only a declared count makes a
 /// short dump distinguishable from a genuinely small one.
+///
+/// Numbers are written digit by digit into one pre-sized string; the
+/// bytes equal `Display`'s for the prefix and the ASNs.
 pub fn to_string(rib: &Rib) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# routes: {}", rib.num_routes());
+    let mut out = String::with_capacity(ROUTE_BYTES * (rib.num_routes() + 1));
+    out.push_str("# routes: ");
+    push_decimal(&mut out, rib.num_routes() as u64);
+    out.push('\n');
     for (prefix, entry) in rib.iter() {
-        let _ = write!(out, "{prefix}|");
+        for (i, octet) in prefix.network().octets().into_iter().enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            push_decimal(&mut out, octet.into());
+        }
+        out.push('/');
+        push_decimal(&mut out, prefix.len().into());
+        out.push('|');
         for (i, asn) in entry.path.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}", asn.value());
+            push_decimal(&mut out, asn.value().into());
         }
         out.push('\n');
     }
     out
 }
 
-/// Splits one non-blank, non-comment dump line into its route. Errors
-/// carry `(reason, offending input)` without line context — the strict and
-/// lossy wrappers add the `line N:` prefix.
-fn parse_route_line(line: &str) -> std::result::Result<(Prefix, Vec<Asn>), (String, String)> {
-    let (prefix, path) = line
-        .split_once('|')
-        .ok_or_else(|| ("missing '|'".to_string(), line.to_string()))?;
-    let prefix: Prefix = prefix
-        .parse()
-        .map_err(|_| ("bad prefix".to_string(), line.to_string()))?;
-    let mut asns = Vec::with_capacity(4);
-    for a in path.split(',') {
-        let asn = a
-            .trim()
-            .parse::<u32>()
-            .map(Asn)
-            .map_err(|_| ("bad ASN".to_string(), a.to_string()))?;
-        asns.push(asn);
+/// Appends `v` in decimal, without leading zeros.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    Ok((prefix, asns))
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
+/// The route-line grammar: checks one non-blank, non-comment dump line
+/// and returns its prefix, handing each path ASN to `asn` in order. An
+/// error carries `(reason, offending input)` without line context — the
+/// whole line, or the bad ASN token; callers add the `line N:` prefix.
+fn route_line(
+    line: &str,
+    mut asn: impl FnMut(Asn),
+) -> std::result::Result<Prefix, (&'static str, &str)> {
+    let (prefix, path) = line.split_once('|').ok_or(("missing '|'", line))?;
+    let prefix: Prefix = prefix.parse().map_err(|_| ("bad prefix", line))?;
+    for a in path.split(',') {
+        let value = a.trim().parse::<u32>().map_err(|_| ("bad ASN", a))?;
+        asn(Asn(value));
+    }
+    Ok(prefix)
+}
+
+/// Checks one non-blank, non-comment dump line against the route-line
+/// grammar without collecting its path: the route's prefix, or the reason
+/// [`parse_lossy`] would quarantine the line with.
+///
+/// A well-formed line always has a non-empty path, so the table would
+/// accept it unless an earlier line announced the same prefix.
+pub fn check_route_line(line: &str) -> std::result::Result<Prefix, &'static str> {
+    route_line(line, |_| {}).map_err(|(reason, _)| reason)
+}
+
+/// Splits one route line into its prefix and AS path.
+fn parse_route_line(line: &str) -> std::result::Result<(Prefix, Vec<Asn>), (&'static str, &str)> {
+    let mut path = Vec::with_capacity(4);
+    let prefix = route_line(line, |asn| path.push(asn))?;
+    Ok((prefix, path))
 }
 
 /// Parses a dump produced by [`to_string`] back into a RIB.
@@ -73,7 +120,7 @@ pub fn from_str(s: &str) -> Result<Rib> {
             continue;
         }
         let (prefix, path) = parse_route_line(line).map_err(|(reason, input)| {
-            FbsError::parse(format!("line {}: {reason}", lineno + 1), &input)
+            FbsError::parse(format!("line {}: {reason}", lineno + 1), input)
         })?;
         if rib.route_exact(prefix).is_some() {
             return Err(FbsError::parse(

@@ -1,10 +1,11 @@
 //! Property tests: the prefix trie against a naive model, RIB accounting
-//! invariants, and dump round-trips.
+//! invariants, dump round-trips, and the dump renderer against `Display`.
 
 use fbs_bgp::{dump, PrefixTrie, Rib};
 use fbs_types::{Asn, Prefix};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -110,5 +111,72 @@ proptest! {
         let parsed = dump::from_str(&text).unwrap();
         prop_assert_eq!(parsed.num_routes(), rib.num_routes());
         prop_assert_eq!(dump::to_string(&parsed), text);
+    }
+}
+
+/// The dump as `write!` renders it through `Display`: the reference the
+/// direct formatter in [`dump::to_string`] must match byte for byte.
+fn display_dump(rib: &Rib) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "# routes: {}", rib.num_routes());
+    for (prefix, entry) in rib.iter() {
+        let _ = write!(out, "{prefix}|");
+        for (i, asn) in entry.path.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}", asn.value());
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Any prefix, with `/0` and `/32` drawn often.
+fn arb_edge_prefix() -> impl Strategy<Value = Prefix> {
+    (any::<u32>(), prop_oneof![Just(0u8), Just(32u8), 0u8..=32])
+        .prop_map(|(raw, len)| Prefix::new(Ipv4Addr::from(raw), len))
+}
+
+/// Any ASN, with 0 and `u32::MAX` drawn often.
+fn arb_edge_asn() -> impl Strategy<Value = Asn> {
+    prop_oneof![Just(0u32), Just(u32::MAX), 0u32..100_000, any::<u32>()].prop_map(Asn)
+}
+
+#[test]
+fn direct_render_matches_display_on_edge_routes() {
+    let mut rib = Rib::new();
+    for (prefix, path) in [
+        ("0.0.0.0/0", vec![Asn(0)]),
+        ("255.255.255.255/32", vec![Asn(u32::MAX)]),
+        ("10.0.0.0/8", vec![Asn(0), Asn(9), Asn(10), Asn(u32::MAX)]),
+        (
+            "100.64.100.0/24",
+            vec![Asn(99), Asn(100), Asn(1_000_000_000)],
+        ),
+    ] {
+        rib.announce(prefix.parse().unwrap(), path).unwrap();
+    }
+    let text = dump::to_string(&rib);
+    assert_eq!(text, display_dump(&rib));
+    assert!(text.contains("0.0.0.0/0|0\n"), "{text}");
+    assert!(text.contains("255.255.255.255/32|4294967295\n"), "{text}");
+    assert_eq!(dump::to_string(&Rib::new()), "# routes: 0\n");
+}
+
+proptest! {
+    /// The direct formatter writes exactly `Display`'s bytes.
+    #[test]
+    fn direct_render_matches_display(
+        routes in proptest::collection::vec(
+            (arb_edge_prefix(), proptest::collection::vec(arb_edge_asn(), 1..5)),
+            0..40,
+        ),
+    ) {
+        let mut rib = Rib::new();
+        for (prefix, path) in routes {
+            rib.announce(prefix, path).unwrap();
+        }
+        prop_assert_eq!(dump::to_string(&rib), display_dump(&rib));
     }
 }

@@ -8,7 +8,7 @@
 //! pipeline carries forward the last good delivery instead.
 
 use fbs_types::codec::{ByteReader, ByteWriter, Persist};
-use fbs_types::{FeedKind, QuarantinedRecord, Round};
+use fbs_types::{FeedKind, Prefix, QuarantinedRecord, Round};
 use serde::{Deserialize, Serialize};
 
 /// Acceptance thresholds for a lossy delivery.
@@ -170,7 +170,8 @@ impl Persist for FeedQuarantine {
 /// Outcome of ingesting one delivered feed text.
 #[derive(Debug, Clone)]
 pub struct IngestResult<T> {
-    /// The parsed value (partial under quarantine; meaningless if rejected).
+    /// The parsed value (partial under quarantine; meaningless if
+    /// rejected). BGP dumps are judged without a table, so theirs is `()`.
     pub value: T,
     /// What was quarantined, and how much.
     pub quarantine: FeedQuarantine,
@@ -259,14 +260,60 @@ fn check_completeness(quarantine: &mut FeedQuarantine, text: &str, kind: FeedKin
     }
 }
 
-/// Ingests a BGP RIB dump: lossy parse plus tolerance judgement.
-pub fn ingest_bgp(text: &str, tolerance: &LossyTolerance) -> IngestResult<fbs_bgp::Rib> {
-    let (rib, records) = fbs_bgp::dump::parse_lossy(text);
-    let mut quarantine = FeedQuarantine::measure(text, rib.num_routes(), records);
+/// Ingests a BGP RIB dump: one pass over its lines plus the tolerance
+/// judgement, without building the routing table.
+///
+/// The verdict is the one [`fbs_bgp::dump::parse_lossy`] measured by
+/// [`FeedQuarantine::measure`] would give: each content line is checked
+/// by the dump's route-line grammar, and a well-formed line whose prefix
+/// an earlier line already announced is quarantined as a duplicate, as
+/// the table's first-announcement-wins lookup finds it. The campaign
+/// keeps only the verdict (the journal's `routed` bits carry the routing
+/// truth), so no table is returned.
+pub fn ingest_bgp(text: &str, tolerance: &LossyTolerance) -> IngestResult<()> {
+    let mut records = Vec::new();
+    let mut routes: Vec<(Prefix, u32, &str)> = Vec::new();
+    let mut content_bytes = 0;
+    let mut quarantined_bytes = 0;
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let lineno = (lineno + 1) as u32;
+        content_bytes += line.len();
+        match fbs_bgp::dump::check_route_line(line) {
+            Ok(prefix) => routes.push((prefix, lineno, line)),
+            Err(reason) => {
+                quarantined_bytes += line.len();
+                records.push(QuarantinedRecord::new(lineno, reason, line));
+            }
+        }
+    }
+    // Sorted by (prefix, line), every route after the first of its
+    // prefix repeats an announcement.
+    routes.sort_unstable_by_key(|&(prefix, lineno, _)| (prefix, lineno));
+    let malformed = records.len();
+    for pair in routes.windows(2) {
+        let (next, lineno, line) = pair[1];
+        if next == pair[0].0 {
+            quarantined_bytes += line.len();
+            records.push(QuarantinedRecord::new(lineno, "duplicate prefix", line));
+        }
+    }
+    let duplicates = records.len() - malformed;
+    // Back into line order, the order a lossy parse files records in.
+    records.sort_by_key(|r| r.line);
+    let mut quarantine = FeedQuarantine {
+        records,
+        accepted_records: routes.len() - duplicates,
+        content_bytes,
+        quarantined_bytes,
+    };
     check_completeness(&mut quarantine, text, FeedKind::Bgp);
     let accepted = quarantine.within(tolerance);
     IngestResult {
-        value: rib,
+        value: (),
         quarantine,
         accepted,
     }
@@ -313,7 +360,7 @@ mod tests {
         );
         assert!(r.accepted);
         assert!(r.quarantine.is_empty());
-        assert_eq!(r.value.num_routes(), 2);
+        assert_eq!(r.quarantine.accepted_records, 2);
         assert_eq!(r.quarantine.record_rate(), 0.0);
         assert_eq!(r.quarantine.byte_rate(), 0.0);
     }
@@ -338,7 +385,7 @@ mod tests {
         }
         let r = ingest_bgp(&heavy, &LossyTolerance::default());
         assert!(!r.accepted);
-        assert_eq!(r.value.num_routes(), 10);
+        assert_eq!(r.quarantine.accepted_records, 10);
         assert!((r.quarantine.record_rate() - 0.5).abs() < 1e-12);
     }
 

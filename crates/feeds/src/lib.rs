@@ -5,12 +5,15 @@
 //! snapshots, and RIR delegation files. Three years of wartime collection
 //! means gaps, partial exports, and registry lag — so ingest must degrade
 //! per feed rather than fail the round. This crate layers that discipline
-//! on top of the format crates' `parse_lossy` paths:
+//! on top of the format crates' lossy paths: geo snapshots and delegation
+//! files go through their `parse_lossy`, and BGP dumps are judged in one
+//! pass over their lines with fbs-bgp's route-line grammar, without
+//! building a RIB:
 //!
-//! * [`ingest`] — tolerance judgement: parse a delivered text lossily,
-//!   quantify what was quarantined ([`FeedQuarantine`]), and accept or
-//!   reject the delivery against record- and byte-level thresholds
-//!   ([`LossyTolerance`]);
+//! * [`ingest`] — tolerance judgement: parse or check a delivered text
+//!   lossily, quantify what was quarantined ([`FeedQuarantine`]), and
+//!   accept or reject the delivery against record- and byte-level
+//!   thresholds ([`LossyTolerance`]);
 //! * [`health`] — the per-feed [`FeedHealth`] ledger: fresh / stale /
 //!   missing / rejected counts and the current [`fbs_types::FeedStatus`];
 //! * [`loader`] — [`FeedLoader`], a deterministic retry loop over an

@@ -2,10 +2,14 @@
 //! `fixtures/feed-corruption/` and asserts the lossy ingest path gives
 //! every file the judgement its name promises (see the corpus README):
 //! `quarantine_*` is accepted with a non-empty quarantine, `reject_*` is
-//! rejected. Runs in CI so every new corpus entry is exercised.
+//! rejected, and every quarantine keeps the property tests' accounting.
+//! Runs in CI so every new corpus entry is exercised.
 
 use fbs_feeds::{ingest_bgp, ingest_delegations, ingest_geo, FeedQuarantine, LossyTolerance};
 use std::path::PathBuf;
+
+mod accounting;
+use accounting::check_accounting;
 
 fn corpus_dir(format: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,8 +41,9 @@ fn fixtures(format: &str) -> Vec<(String, String)> {
 }
 
 /// Asserts one fixture's judgement matches its filename prefix, plus the
-/// cross-checks every corpus entry must satisfy: strict parsing fails
-/// whenever a real line was quarantined, and ingest is deterministic.
+/// cross-checks every corpus entry must satisfy: the quarantine accounting
+/// holds, strict parsing fails whenever a real line was quarantined, and
+/// ingest is deterministic.
 fn check<F>(format: &str, ingest: F, strict_fails: impl Fn(&str) -> bool)
 where
     F: Fn(&str) -> (bool, FeedQuarantine),
@@ -59,6 +64,7 @@ where
         } else {
             panic!("{format}/{name}: fixture name must start with quarantine_ or reject_");
         }
+        check_accounting(&quarantine, &text);
         // Any quarantined content line (line 0 is the synthetic
         // completeness entry) must also fail the strict parser.
         if quarantine.records.iter().any(|r| r.line > 0) {

@@ -11,7 +11,9 @@
 //!
 //! A third pins the loader's memo: over any sequence of deliveries, a
 //! campaign-long [`FeedLoader`] returns exactly the verdict a fresh
-//! `ingest_*` gives the same bytes.
+//! `ingest_*` gives the same bytes. A fourth pins the one-pass BGP judge:
+//! on arbitrary text and on damaged canonical dumps, `ingest_bgp` returns
+//! the quarantine and verdict of a lossy parse into a routing table.
 
 use fbs_delegations::{DelegationFile, DelegationRecord, DelegationStatus};
 use fbs_feeds::{
@@ -19,10 +21,17 @@ use fbs_feeds::{
     LossyTolerance, RetryPolicy,
 };
 use fbs_geodb::{BlockGeo, GeoRegion, GeoSnapshot, RadiusKm};
-use fbs_types::{Asn, BlockId, CivilDate, FeedKind, MonthId, Oblast, Prefix, Round, ALL_OBLASTS};
+use fbs_types::{
+    Asn, BlockId, CivilDate, FeedKind, MonthId, Oblast, Prefix, QuarantinedRecord, Round,
+    ALL_OBLASTS,
+};
 use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
+
+mod accounting;
+use accounting::check_accounting;
 
 /// Feed-ish garbage alphabet: digits, separators, newlines, comment
 /// markers — the characters that steer the parsers' state machines.
@@ -35,26 +44,35 @@ fn garble(bytes: &[u8]) -> String {
         .collect()
 }
 
-/// The invariants every quarantine summary must satisfy, no matter how
-/// hostile the input.
-fn check_accounting(q: &FeedQuarantine, text: &str) {
-    let lines = text.lines().count();
-    assert!(
-        q.total_records() <= lines.max(q.total_records()),
-        "more records than lines"
-    );
-    // A structural (line-0) entry weighs the whole payload; otherwise the
-    // quarantined lines are a subset of the content.
-    assert!(
-        q.quarantined_bytes <= q.content_bytes,
-        "quarantined {} of {} content bytes",
-        q.quarantined_bytes,
-        q.content_bytes
-    );
-    assert!(q.record_rate() >= 0.0 && q.record_rate() <= 1.0);
-    assert!(q.byte_rate() >= 0.0 && q.byte_rate() <= 1.0);
-    for r in &q.records {
-        assert!(!r.reason.is_empty(), "quarantine entries carry a reason");
+/// The totality properties' checks on one BGP text.
+fn bgp_total(text: &str) {
+    let r = ingest_bgp(text, &LossyTolerance::default());
+    check_accounting(&r.quarantine, text);
+    if r.accepted {
+        assert!(r.quarantine.within(&LossyTolerance::default()));
+    }
+}
+
+/// The totality properties' checks on one geo text.
+fn geo_total(text: &str) {
+    let r = ingest_geo(text, &LossyTolerance::default());
+    check_accounting(&r.quarantine, text);
+}
+
+/// The totality properties' checks on one delegation text.
+fn delegations_total(text: &str) {
+    let r = ingest_delegations(text, &LossyTolerance::default());
+    check_accounting(&r.quarantine, text);
+}
+
+/// Texts with no content line, which random bytes almost never produce:
+/// each format must still account for them.
+#[test]
+fn ingest_is_total_on_contentless_texts() {
+    for text in ["", "#\n", "# blocks: 3\n", "# routes: 2\n"] {
+        bgp_total(text);
+        geo_total(text);
+        delegations_total(text);
     }
 }
 
@@ -64,27 +82,21 @@ proptest! {
     #[test]
     fn bgp_ingest_is_total(raw in vec(any::<u8>(), 0..600usize)) {
         for text in [String::from_utf8_lossy(&raw).into_owned(), garble(&raw)] {
-            let r = ingest_bgp(&text, &LossyTolerance::default());
-            check_accounting(&r.quarantine, &text);
-            if r.accepted {
-                assert!(r.quarantine.within(&LossyTolerance::default()));
-            }
+            bgp_total(&text);
         }
     }
 
     #[test]
     fn geo_ingest_is_total(raw in vec(any::<u8>(), 0..600usize)) {
         for text in [String::from_utf8_lossy(&raw).into_owned(), garble(&raw)] {
-            let r = ingest_geo(&text, &LossyTolerance::default());
-            check_accounting(&r.quarantine, &text);
+            geo_total(&text);
         }
     }
 
     #[test]
     fn delegations_ingest_is_total(raw in vec(any::<u8>(), 0..600usize)) {
         for text in [String::from_utf8_lossy(&raw).into_owned(), garble(&raw)] {
-            let r = ingest_delegations(&text, &LossyTolerance::default());
-            check_accounting(&r.quarantine, &text);
+            delegations_total(&text);
         }
     }
 
@@ -103,7 +115,7 @@ proptest! {
         let r = ingest_bgp(&text, &LossyTolerance::zero());
         assert!(r.accepted, "pristine dump rejected: {:?}", r.quarantine.records);
         assert!(r.quarantine.is_empty(), "{:?}", r.quarantine.records);
-        assert_eq!(r.value.num_routes(), rib.num_routes());
+        assert_eq!(r.quarantine.accepted_records, rib.num_routes());
     }
 
     #[test]
@@ -305,4 +317,163 @@ proptest! {
 fn oblast_table_is_nonempty() {
     assert!(!ALL_OBLASTS.is_empty());
     assert!(Oblast::from_index(0).is_some());
+}
+
+// ---- The one-pass BGP judge against a lossy parse into a table. ----
+
+/// The judgement a BGP delivery got from a full lossy parse: the routes
+/// land in a table, the quarantine is measured line by line, and a dump
+/// declaring more routes than the parser saw gains the structural
+/// incompleteness record.
+fn reference_bgp(text: &str, tolerance: &LossyTolerance) -> (FeedQuarantine, bool) {
+    let (rib, records) = fbs_bgp::dump::parse_lossy(text);
+    let mut q = FeedQuarantine::measure(text, rib.num_routes(), records);
+    let declared = text
+        .lines()
+        .map(str::trim)
+        .find_map(|l| l.strip_prefix("# routes:"))
+        .and_then(|n| n.trim().parse::<usize>().ok());
+    let seen = q.total_records();
+    if let Some(declared) = declared.filter(|&d| d > seen) {
+        q.records.push(QuarantinedRecord::new(
+            0,
+            format!("incomplete delivery: header declares {declared} records, parser saw {seen}"),
+            "",
+        ));
+        q.quarantined_bytes = q.content_bytes;
+    }
+    let accepted = q.within(tolerance);
+    (q, accepted)
+}
+
+/// Asserts `ingest_bgp` judges `text` exactly as the reference does.
+fn assert_judged_like_the_reference(text: &str) {
+    let tolerance = LossyTolerance::default();
+    let r = ingest_bgp(text, &tolerance);
+    let (quarantine, accepted) = reference_bgp(text, &tolerance);
+    assert_eq!(r.quarantine, quarantine, "quarantine of {text:?}");
+    assert_eq!(r.accepted, accepted, "verdict on {text:?}");
+}
+
+/// Route-line soup: digits and the dump's separators, so garbled lines
+/// often get as far as the prefix or the path.
+const ROUTE_CHARSET: &[u8] = b"0123456789./|,  #x\n\n\r";
+
+/// One route of an arbitrary table: any prefix length, a 1–3 hop path.
+fn arb_route() -> impl Strategy<Value = (Prefix, Vec<Asn>)> {
+    (any::<u32>(), 0u8..=32, vec(0u32..70_000, 1..4)).prop_map(|(raw, len, path)| {
+        (
+            Prefix::new(Ipv4Addr::from(raw), len),
+            path.into_iter().map(Asn).collect(),
+        )
+    })
+}
+
+/// `line`'s route rewritten with host bits set, so it parses to the same
+/// prefix as `line` (`10.0.0.1/24` for `10.0.0.0/24`); `None` for a
+/// line that is not a route or a /32, which has no host bits.
+fn with_host_bits(line: &str, salt: u32) -> Option<String> {
+    let (prefix, path) = line.split_once('|')?;
+    let prefix: Prefix = prefix.parse().ok()?;
+    let host_mask = u32::MAX.checked_shr(prefix.len().into()).unwrap_or(0);
+    let host = (salt | 1) & host_mask;
+    (host != 0).then(|| {
+        let addr = Ipv4Addr::from(prefix.raw() | host);
+        format!("{addr}/{}|{path}", prefix.len())
+    })
+}
+
+/// A canonical dump of `routes` with edit `ops[i]` applied to its line
+/// `i` (the `# routes:` header is line 0): kept, corrupted, duplicated,
+/// truncated, dropped, followed by a host-bit alias, preceded by a blank
+/// or comment line, or given a wrong count.
+fn damaged_dump(routes: &[(Prefix, Vec<Asn>)], ops: &[(u8, u32)], crlf: bool) -> String {
+    let mut rib = fbs_bgp::Rib::new();
+    for (prefix, path) in routes {
+        rib.announce(*prefix, path.clone()).expect("non-empty path");
+    }
+    let dump = fbs_bgp::dump::to_string(&rib);
+    let mut out: Vec<String> = Vec::new();
+    for (i, line) in dump.lines().enumerate() {
+        let (op, salt) = ops.get(i).copied().unwrap_or((0, 0));
+        let cut = salt as usize % (line.len() + 1);
+        match op {
+            1 => {
+                let junk = ROUTE_CHARSET[salt as usize % ROUTE_CHARSET.len()] as char;
+                let at = cut.min(line.len().saturating_sub(1));
+                let mut bad = line.to_string();
+                bad.replace_range(at..(at + 1).min(line.len()), &junk.to_string());
+                out.push(bad);
+            }
+            2 => out.extend([line.to_string(), line.to_string()]),
+            3 => out.push(line[..cut].to_string()),
+            4 => {}
+            5 => {
+                out.push(line.to_string());
+                out.extend(with_host_bits(line, salt));
+            }
+            6 => out.extend([String::new(), line.to_string()]),
+            7 => out.extend(["# collector rrc00".to_string(), line.to_string()]),
+            8 if i == 0 => {
+                let n = rib.num_routes() + salt as usize % 5;
+                out.push(format!("# routes: {}", n.saturating_sub(2)));
+            }
+            _ => out.push(line.to_string()),
+        }
+    }
+    let eol = if crlf { "\r\n" } else { "\n" };
+    out.join(eol) + eol
+}
+
+#[test]
+fn one_pass_bgp_judge_matches_the_reference_on_edge_cases() {
+    for text in [
+        "",
+        "\n\n",
+        "# routes: 2\n",
+        "# routes: 0\n10.0.0.0/24|1\n",
+        "# routes: 9\n10.0.0.0/24|1\n10.0.1.0/24|2\n",
+        "# routes: x\n10.0.0.0/24|1\n",
+        "# routes: 1\n# routes: 7\n10.0.0.0/24|1\n",
+        // A host-bit prefix canonicalizes onto the earlier line's.
+        "10.0.0.0/24|1\n10.0.0.1/24|2\n",
+        "10.0.0.1/24|2\n10.0.0.0/24|1\n10.0.0.255/24|3\n",
+        // The same prefix three times, around a distinct one.
+        "10.0.0.0/24|1\n10.0.1.0/24|1\n10.0.0.0/24|1\n10.0.0.0/24|2\n",
+        "# routes: 2\r\n10.0.0.0/24|1\r\n\r\n# c\r\n10.0.1.0/24|2\r\n",
+        "  10.0.0.0/24|1  \n\t10.0.0.0/24|1\n",
+        "0.0.0.0/0|0\n255.255.255.255/32|4294967295\n0.0.0.0/0|1\n",
+        "10.0.0.0/24\n10.0.0.0/24|\n10.0.0.0/24|1,,2\n10.0.0.0/33|1\n10.0.0.0/24|-1\n",
+        "10.0.0.0/24|4294967296\n10.0.0/24|1\nx|1\n|\n10.0.0.0/24|1|2\n",
+        "10.0.0.0/24|1, 2 ,3\n10.0.0.0/24|é\n",
+    ] {
+        assert_judged_like_the_reference(text);
+    }
+    let long = format!("10.0.0.0/24|1\n{}\n10.0.0.0/24|2\n", "9".repeat(4096));
+    assert_judged_like_the_reference(&long);
+}
+
+proptest! {
+    #[test]
+    fn one_pass_bgp_judge_matches_the_reference_on_arbitrary_text(
+        raw in vec(any::<u8>(), 0..600usize),
+    ) {
+        let soup: String = raw
+            .iter()
+            .map(|b| ROUTE_CHARSET[*b as usize % ROUTE_CHARSET.len()] as char)
+            .collect();
+        for text in [String::from_utf8_lossy(&raw).into_owned(), garble(&raw), soup] {
+            assert_judged_like_the_reference(&text);
+        }
+    }
+
+    #[test]
+    fn one_pass_bgp_judge_matches_the_reference_on_damaged_dumps(
+        routes in vec(arb_route(), 0..30usize),
+        ops in vec((0u8..12, any::<u32>()), 0..32usize),
+        crlf in any::<bool>(),
+    ) {
+        let text = damaged_dump(&routes, &ops, crlf);
+        assert_judged_like_the_reference(&text);
+    }
 }

@@ -221,7 +221,9 @@ pub fn parse_lossy(s: &str) -> (GeoSnapshot, Vec<QuarantinedRecord>) {
         }
     }
     if !header_tried {
-        quarantine.push(QuarantinedRecord::new(1, "missing geo header", ""));
+        // Synthetic entry (line 0): no content line exists to blame, so the
+        // tolerance judgement weighs it as the whole payload.
+        quarantine.push(QuarantinedRecord::new(0, "missing geo header", ""));
     }
     // Blocks are unique by construction here, so the lossy constructor
     // quarantines nothing further.
@@ -332,6 +334,18 @@ mod tests {
         let (snap, quarantine) = parse_lossy("10.0.0.0/24|1|50|Kyiv:1\n");
         assert_eq!(snap.num_blocks(), 0);
         assert!(quarantine.iter().any(|q| q.reason.contains("header")));
+    }
+
+    #[test]
+    fn header_missing_from_a_contentless_delivery_is_filed_at_line_0() {
+        // A comment-only text has no line to blame: the record is
+        // synthetic, like the other formats' structural records.
+        for text in ["", "#\n", "# blocks: 3\n"] {
+            let (_, quarantine) = parse_lossy(text);
+            assert_eq!(quarantine.len(), 1, "{text:?}");
+            assert_eq!(quarantine[0].line, 0, "{text:?}");
+            assert_eq!(quarantine[0].reason, "missing geo header");
+        }
     }
 
     #[test]

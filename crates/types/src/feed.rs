@@ -131,12 +131,14 @@ impl fmt::Display for FeedStatus {
 }
 
 /// One malformed record a lossy parser set aside instead of failing the
-/// whole feed. `line` is 1-based; `input` is the offending line, truncated
-/// to [`QuarantinedRecord::MAX_INPUT`] bytes so a corrupt feed cannot bloat
-/// the report.
+/// whole feed. `line` is 1-based, or 0 for a structural record of the
+/// whole delivery (a missing header, too few records); `input` is the
+/// offending line, truncated to [`QuarantinedRecord::MAX_INPUT`] bytes so
+/// a corrupt feed cannot bloat the report.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct QuarantinedRecord {
-    /// 1-based line number within the feed text.
+    /// 1-based line number within the feed text; 0 for a structural
+    /// record that no one line carries.
     pub line: u32,
     /// Why the record was rejected (parser error message).
     pub reason: String,
