@@ -18,7 +18,9 @@
 //!   [`PipelineState`](crate::pipeline) written every
 //!   [`CheckpointPolicy::snapshot_every`] rounds, so resuming replays at
 //!   most one snapshot interval of journal records instead of the whole
-//!   campaign.
+//!   campaign. The state is encoded on the round; a writer thread
+//!   checksums, writes and renames it into place while the next rounds
+//!   run, one write at a time.
 //!
 //! Resume decodes the snapshot first, then streams the journal once: every
 //! frame is still CRC-checked and every record decoded and checked for
@@ -45,6 +47,7 @@ use fbs_journal::{quarantine_snapshot, read_snapshot, write_snapshot, Journal, J
 use fbs_types::codec::{decode_varint, ByteReader, ByteWriter, Persist};
 use fbs_types::{FbsError, Result, Round, RoundQuality};
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 /// The union schema version, the only one any campaign writes, for both
 /// the journal record payloads and the snapshot payload. Bumped on any
@@ -107,13 +110,12 @@ pub struct CheckpointPolicy {
 impl Default for CheckpointPolicy {
     fn default() -> Self {
         // One snapshot per simulated week (84 two-hour rounds): recovery
-        // replays at most a week of journal. Snapshots are not free: on
-        // campaignbench's `small-durable` (seed 42, 2-vCPU host) each of
-        // the 24 snapshots of a 2,016-round campaign adds about 10 ms to
-        // its round, 7–8% of the round loop, and at 1.2% of the rounds
-        // they set its p99 round time. The payload grows with the
-        // campaign, from 1.79 MB at round 84 to 4.38 MB at round 2,016.
-        // See EXPERIMENTS.md for the cadence trade-off.
+        // replays at most a week of journal. The round that takes a
+        // snapshot still pays for encoding it; the checksum, write and
+        // fsyncs run on the writer thread. The encode grows with the
+        // payload, from 1.79 MB at round 84 to 4.38 MB at round 2,016 of
+        // campaignbench's `small-durable`. See EXPERIMENTS.md for the
+        // cadence trade-off and the measured per-snapshot cost.
         CheckpointPolicy {
             snapshot_every: 84,
             fsync: true,
@@ -803,14 +805,40 @@ pub struct ResumeDiagnostics {
     pub snapshot_foreign_version: Option<u32>,
 }
 
+/// A snapshot write running on the writer thread. Joining it yields the
+/// write's result and hands the payload buffer back for the next encode.
+type SnapshotWriter = JoinHandle<(Result<()>, Vec<u8>)>;
+
 /// The open checkpoint directory a running campaign appends to.
+///
+/// Snapshots are encoded on the round, then checksummed, written, fsynced
+/// and renamed into place on a writer thread, so the round does not wait
+/// for the disk. At most one write is in flight: the next snapshot,
+/// [`CheckpointStore::join_writer`] and `Drop` each wait for it. A failed
+/// write is returned by whichever of the first two comes first.
 pub(crate) struct CheckpointStore {
     journal: Journal,
     snapshot_path: PathBuf,
     policy: CheckpointPolicy,
+    /// The snapshot encode buffer, reused by every snapshot; it travels to
+    /// the writer thread and back with each write.
+    buffer: Vec<u8>,
+    /// The snapshot write in flight, if any.
+    writer: Option<SnapshotWriter>,
 }
 
 impl CheckpointStore {
+    /// A store over an open journal, with no snapshot written yet.
+    fn new(journal: Journal, snapshot_path: PathBuf, policy: CheckpointPolicy) -> Self {
+        CheckpointStore {
+            journal,
+            snapshot_path,
+            policy,
+            buffer: Vec::new(),
+            writer: None,
+        }
+    }
+
     /// Starts a fresh checkpoint directory, truncating any prior journal
     /// and removing any prior snapshot.
     pub fn fresh(dir: &Path, policy: CheckpointPolicy) -> Result<Self> {
@@ -819,11 +847,8 @@ impl CheckpointStore {
         if snapshot_path.exists() {
             std::fs::remove_file(&snapshot_path)?;
         }
-        Ok(CheckpointStore {
-            journal: Journal::create(dir.join(JOURNAL_FILE))?,
-            snapshot_path,
-            policy,
-        })
+        let journal = Journal::create(dir.join(JOURNAL_FILE))?;
+        Ok(CheckpointStore::new(journal, snapshot_path, policy))
     }
 
     /// Reads and validates the snapshot of the checkpoint directory `dir`,
@@ -878,11 +903,11 @@ impl CheckpointStore {
         std::fs::create_dir_all(dir)?;
         let (journal, recovery) = Journal::open_with(dir.join(JOURNAL_FILE), visit)?;
         diagnostics.journal = recovery;
-        Ok(CheckpointStore {
+        Ok(CheckpointStore::new(
             journal,
-            snapshot_path: dir.join(SNAPSHOT_FILE),
+            dir.join(SNAPSHOT_FILE),
             policy,
-        })
+        ))
     }
 
     /// Appends one round record, fsyncing per policy.
@@ -917,10 +942,67 @@ impl CheckpointStore {
     }
 
     /// Unconditionally snapshots the current state in the union layout.
+    ///
+    /// First waits for the previous snapshot's write and returns its error,
+    /// if it failed. Then encodes `state` into the reused buffer, whose
+    /// capacity is at least the previous payload's length, and hands the
+    /// bytes to a writer thread that runs [`write_snapshot`]: checksum,
+    /// temp file, fsync, rename, directory fsync. The caller has already
+    /// journaled the round, so the snapshot never gets ahead of the
+    /// journal; a crash mid-write leaves the previous snapshot in place.
     pub fn write_snapshot_now(&mut self, state: &PipelineState) -> Result<()> {
-        let mut w = ByteWriter::new();
+        self.join_writer()?;
+        let mut w = ByteWriter::reusing(std::mem::take(&mut self.buffer));
         state.persist_into(&mut w);
-        write_snapshot(&self.snapshot_path, UNION_STATE_VERSION, &w.into_bytes())
+        let payload = w.into_bytes();
+        let path = self.snapshot_path.clone();
+        let writer = std::thread::Builder::new()
+            .name("fbs-snapshot".to_string())
+            .spawn(move || {
+                let result = write_snapshot(&path, UNION_STATE_VERSION, &payload).map_err(|e| {
+                    let reason = match e {
+                        FbsError::Io { reason } => reason,
+                        other => other.to_string(),
+                    };
+                    FbsError::Io {
+                        reason: format!("writing snapshot {}: {reason}", path.display()),
+                    }
+                });
+                (result, payload)
+            })
+            .map_err(|e| FbsError::Io {
+                reason: format!(
+                    "cannot start the writer of snapshot {}: {e}",
+                    self.snapshot_path.display()
+                ),
+            })?;
+        self.writer = Some(writer);
+        Ok(())
+    }
+
+    /// Waits for the snapshot write in flight, if any, takes its buffer
+    /// back and returns its result.
+    pub fn join_writer(&mut self) -> Result<()> {
+        let Some(writer) = self.writer.take() else {
+            return Ok(());
+        };
+        let (result, buffer) = writer.join().map_err(|_| FbsError::Io {
+            reason: format!(
+                "the writer of snapshot {} panicked",
+                self.snapshot_path.display()
+            ),
+        })?;
+        self.buffer = buffer;
+        result
+    }
+}
+
+impl Drop for CheckpointStore {
+    /// Waits for the snapshot write in flight, so a runner dropped
+    /// mid-campaign leaves its last snapshot in place, not a temp file.
+    /// Nobody is left to hear a failure, and the journal still covers it.
+    fn drop(&mut self) {
+        let _ = self.join_writer();
     }
 }
 
@@ -1497,6 +1579,40 @@ mod tests {
             assert_eq!(format!("{again:?}"), baseline);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_reused_snapshot_buffer_leaks_no_stale_bytes() {
+        // One store snapshots every round: first a state 24 rounds into the
+        // campaign, then the campaign's shorter initial state, through the
+        // same buffer.
+        let campaign = compat_campaign(UNION_STATE_VERSION);
+        let statics = crate::pipeline::Statics::build(&campaign).unwrap();
+        let short = crate::pipeline::initial_state(campaign.world(), campaign.config(), &statics);
+        let golden_long = golden(UNION_STATE_VERSION, "pipeline_state.bin");
+        let long = PipelineState::decode(&golden_long, UNION_STATE_VERSION).unwrap();
+        let expected = persist_state_as(&short, UNION_STATE_VERSION);
+        assert!(expected.len() < golden_long.len());
+
+        let dir = scratch_dir("reuse");
+        let policy = CheckpointPolicy {
+            snapshot_every: 1,
+            fsync: false,
+        };
+        let mut store = CheckpointStore::fresh(&dir, policy).unwrap();
+        store.maybe_snapshot(1, &long).unwrap();
+        store.maybe_snapshot(2, &short).unwrap();
+        store.join_writer().unwrap();
+        // The buffer came back from both writes without shrinking.
+        assert!(store.buffer.capacity() >= golden_long.len());
+        drop(store);
+
+        // The second write landed last, and carries nothing of the first.
+        let (version, payload) = read_snapshot(dir.join(SNAPSHOT_FILE)).unwrap().unwrap();
+        assert_eq!(version, UNION_STATE_VERSION);
+        assert_eq!(payload, expected);
+        assert!(!dir.join(format!("{SNAPSHOT_FILE}.tmp")).exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // --- Decoder totality -------------------------------------------------

@@ -81,6 +81,8 @@ pub struct CampaignConfig {
     /// parallelism. Output bytes are identical at any thread count —
     /// shards are keyed by block coordinates, not by scheduling — so this
     /// knob trades wall time only. `0` is rejected by [`validate`][Self::validate].
+    /// It bounds the shard workers only: a checkpointed campaign also runs
+    /// at most one snapshot writer thread, whatever this is set to.
     #[serde(default = "default_threads")]
     pub threads: usize,
     /// Optional scripted shard-fault schedule (panic / stall / jitter)

@@ -390,7 +390,7 @@ pub(crate) struct VantageStatic {
 }
 
 impl Statics {
-    fn build(campaign: &Campaign) -> fbs_types::Result<Self> {
+    pub(crate) fn build(campaign: &Campaign) -> fbs_types::Result<Self> {
         let world = &campaign.world;
         let cfg = &campaign.config;
         let rounds = world.rounds();
@@ -1018,7 +1018,11 @@ fn decode_state(
     Ok(state)
 }
 
-fn initial_state(world: &World, cfg: &CampaignConfig, statics: &Statics) -> PipelineState {
+pub(crate) fn initial_state(
+    world: &World,
+    cfg: &CampaignConfig,
+    statics: &Statics,
+) -> PipelineState {
     let n_blocks = statics.n_blocks;
     let n_as = statics.as_list.len();
     let blocks = world.blocks();
@@ -2322,7 +2326,8 @@ fn apply_shards(
 /// [`Campaign::runner_checkpointed`] (journaling) or
 /// [`Campaign::runner_resumed`] (restored from disk). Dropping the runner
 /// mid-campaign is safe: with a checkpoint store attached, every completed
-/// round is already durable.
+/// round is already durable, and the drop waits for a snapshot write
+/// still in flight.
 pub struct CampaignRunner<'a> {
     campaign: &'a Campaign,
     statics: Statics,
@@ -2342,6 +2347,11 @@ impl CampaignRunner<'_> {
     /// Measures and applies the next round, journaling it when a
     /// checkpoint store is attached. Returns `false` once the campaign is
     /// complete.
+    ///
+    /// A round that takes a snapshot hands its write to the store's writer
+    /// thread and returns; if that write fails, the error comes back from
+    /// the `step_round` that takes the next snapshot, or from
+    /// [`CampaignRunner::finish`].
     pub fn step_round(&mut self) -> fbs_types::Result<bool> {
         let Some(round) = self.state.cursor.current() else {
             return Ok(false);
@@ -2391,14 +2401,18 @@ impl CampaignRunner<'_> {
         &self.diagnostics
     }
 
-    /// Collects events and assembles the report. Fails if rounds remain.
-    pub fn finish(self) -> fbs_types::Result<CampaignReport> {
+    /// Collects events and assembles the report. Fails if rounds remain,
+    /// or if the last snapshot write failed.
+    pub fn finish(mut self) -> fbs_types::Result<CampaignReport> {
         if !self.state.cursor.is_done() {
             return Err(FbsError::config(format!(
                 "campaign unfinished: {} of {} rounds completed",
                 self.state.cursor.completed(),
                 self.state.cursor.total()
             )));
+        }
+        if let Some(store) = self.store.as_mut() {
+            store.join_writer()?;
         }
         let statics = self.statics;
         let mut state = self.state;

@@ -34,6 +34,15 @@ impl ByteWriter {
         ByteWriter { buf: Vec::new() }
     }
 
+    /// Creates an empty writer over `buf`'s allocation: the bytes are
+    /// cleared, the capacity kept, so a caller encoding payloads of about
+    /// the same size again and again grows one buffer instead of a fresh
+    /// one each time.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        ByteWriter { buf }
+    }
+
     /// Consumes the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

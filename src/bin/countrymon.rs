@@ -15,6 +15,7 @@ use std::process::ExitCode;
 use ukraine_fbs::netsim::WorldTransport;
 use ukraine_fbs::prelude::*;
 use ukraine_fbs::prober::{ScanConfig, Scanner, TargetSet};
+use ukraine_fbs::types::ROUNDS_PER_DAY;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +99,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--days" => {
                 args.days = value("--days")?
                     .parse()
-                    .map_err(|_| "days must be an unsigned integer".to_string())?
+                    .map_err(|_| "days must be an unsigned integer".to_string())?;
+                let campaign_days = Round::campaign_total().div_ceil(ROUNDS_PER_DAY);
+                if args.days > campaign_days {
+                    return Err(format!(
+                        "--days {} is past the campaign's {campaign_days} days",
+                        args.days
+                    ));
+                }
             }
             "--round" => {
                 args.round = value("--round")?
@@ -117,35 +125,40 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-fn build_scenario(args: &Args) -> scenarios::Scenario {
+/// What a command reports when it fails: one line, printed after
+/// `error: `, and exit status 1.
+type CmdResult<T = ()> = Result<T, String>;
+
+fn build_scenario(args: &Args) -> CmdResult<scenarios::Scenario> {
     if let Some(path) = &args.scenario {
         let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read scenario {path}: {e}"));
+            .map_err(|e| format!("cannot read scenario {path}: {e}"))?;
         return scenarios::Scenario::from_json(&text)
-            .unwrap_or_else(|e| panic!("cannot parse scenario {path}: {e}"));
+            .map_err(|e| format!("cannot parse scenario {path}: {e}"));
     }
+    // `parse_args` bounds `days` by the campaign, so this cannot overflow.
     let rounds = if args.days == 0 {
         Round::campaign_total()
     } else {
-        (args.days * 12).min(Round::campaign_total())
+        (args.days * ROUNDS_PER_DAY).min(Round::campaign_total())
     };
     let scenario = scenarios::ukraine_with_rounds(args.scale, args.seed, rounds);
     if let Some(path) = &args.save_scenario {
         std::fs::write(path, scenario.to_json())
-            .unwrap_or_else(|e| panic!("cannot write scenario {path}: {e}"));
+            .map_err(|e| format!("cannot write scenario {path}: {e}"))?;
         eprintln!("scenario written to {path}");
     }
-    scenario
+    Ok(scenario)
 }
 
-fn build_world(args: &Args) -> ukraine_fbs::netsim::World {
-    build_scenario(args)
+fn build_world(args: &Args) -> CmdResult<ukraine_fbs::netsim::World> {
+    build_scenario(args)?
         .into_world()
-        .expect("scenario is valid")
+        .map_err(|e| format!("invalid scenario: {e}"))
 }
 
-fn cmd_scan(args: &Args) {
-    let world = build_world(args);
+fn cmd_scan(args: &Args) -> CmdResult {
+    let world = build_world(args)?;
     let targets = TargetSet::from_blocks(world.blocks().iter().map(|b| b.block).collect());
     let round = Round(args.round.min(world.rounds().saturating_sub(1)));
     eprintln!(
@@ -176,17 +189,21 @@ fn cmd_scan(args: &Args) {
         stats.duration_ns as f64 / 60e9,
         started.elapsed()
     );
+    Ok(())
 }
 
-fn cmd_campaign(args: &Args) {
-    let world = build_world(args);
+fn cmd_campaign(args: &Args) -> CmdResult {
+    let world = build_world(args)?;
     eprintln!(
         "running campaign: {} blocks x {} rounds ...",
         world.blocks().len(),
         world.rounds()
     );
-    let campaign = Campaign::new(world, CampaignConfig::default()).expect("valid config");
-    let report = campaign.run().expect("campaign run");
+    let campaign = Campaign::new(world, CampaignConfig::default())
+        .map_err(|e| format!("invalid campaign: {e}"))?;
+    let report = campaign
+        .run()
+        .map_err(|e| format!("campaign failed: {e}"))?;
     println!(
         "{} outage events across {} of {} ASes; {} rounds missing (vantage offline)",
         report.total_as_outages(),
@@ -214,25 +231,26 @@ fn cmd_campaign(args: &Args) {
     }
     if let Some(dir) = &args.export {
         let dir = std::path::Path::new(dir);
-        ukraine_fbs::core::export_all(&report, dir).expect("dataset export");
+        ukraine_fbs::core::export_all(&report, dir)
+            .map_err(|e| format!("cannot export the dataset to {}: {e}", dir.display()))?;
         println!("\ndataset written to {}", dir.display());
     }
+    Ok(())
 }
 
-fn cmd_classify(args: &Args) {
-    let world = build_world(args);
-    let campaign = Campaign::new(world, CampaignConfig::without_baseline()).expect("valid config");
+fn cmd_classify(args: &Args) -> CmdResult {
+    let world = build_world(args)?;
+    let campaign = Campaign::new(world, CampaignConfig::without_baseline())
+        .map_err(|e| format!("invalid campaign: {e}"))?;
     let outcome = campaign.classify_only();
     use ukraine_fbs::regional::Regionality;
     match &args.oblast {
         Some(name) => {
-            let Some(oblast) = Oblast::parse_name(name) else {
-                eprintln!("unknown oblast {name:?}");
-                return;
-            };
+            let oblast =
+                Oblast::parse_name(name).ok_or_else(|| format!("unknown oblast {name:?}"))?;
             let Some(rc) = outcome.regions.get(&oblast) else {
                 println!("{oblast}: no presence recorded");
-                return;
+                return Ok(());
             };
             println!("{oblast}:");
             for class in [
@@ -265,10 +283,11 @@ fn cmd_classify(args: &Args) {
             }
         }
     }
+    Ok(())
 }
 
-fn cmd_timeline(args: &Args) {
-    let scenario = build_scenario(args);
+fn cmd_timeline(args: &Args) -> CmdResult {
+    let scenario = build_scenario(args)?;
     let mut shown = 0;
     for e in scenario.script.events() {
         if let Some(needle) = &args.grep {
@@ -293,6 +312,7 @@ fn cmd_timeline(args: &Args) {
         "\n{shown} events shown ({} total in the script)",
         scenario.script.events().len()
     );
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -311,7 +331,7 @@ fn main() -> ExitCode {
             };
         }
     };
-    match args.command.as_str() {
+    let result = match args.command.as_str() {
         "scan" => cmd_scan(&args),
         "campaign" => cmd_campaign(&args),
         "classify" => cmd_classify(&args),
@@ -321,8 +341,14 @@ fn main() -> ExitCode {
             eprint!("{USAGE}");
             return ExitCode::FAILURE;
         }
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -361,6 +387,75 @@ mod tests {
         assert!(parse_args(&argv("scan --seed banana")).is_err());
         assert!(parse_args(&argv("scan --what")).is_err());
         assert!(parse_args(&argv("scan --seed")).is_err());
+    }
+
+    /// A scratch path unique to this test process.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("countrymon-{name}-{}", std::process::id()))
+    }
+
+    #[test]
+    fn days_past_the_campaign_are_rejected() {
+        // 357,913,942 days would wrap `days * 12` around to 8 rounds.
+        assert!(parse_args(&argv("campaign --days 357913942")).is_err());
+        let last = Round::campaign_total().div_ceil(ROUNDS_PER_DAY);
+        let full = parse_args(&argv(&format!("campaign --days {last}"))).unwrap();
+        assert_eq!(full.days, last);
+        assert!(parse_args(&argv(&format!("campaign --days {}", last + 1))).is_err());
+    }
+
+    #[test]
+    fn a_missing_or_malformed_scenario_file_is_an_error() {
+        let args = parse_args(&argv("timeline --scenario /nonexistent/scenario.json")).unwrap();
+        let err = cmd_timeline(&args).unwrap_err();
+        assert!(err.starts_with("cannot read scenario"), "{err}");
+        let path = scratch("not-json");
+        std::fs::write(&path, "not json").unwrap();
+        let args = parse_args(&argv(&format!("timeline --scenario {}", path.display()))).unwrap();
+        let err = cmd_timeline(&args).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(err.starts_with("cannot parse scenario"), "{err}");
+    }
+
+    #[test]
+    fn an_invalid_scenario_is_an_error() {
+        let mut scenario = scenarios::ukraine_with_rounds(WorldScale::Tiny, 1, 24);
+        let twin = scenario.config.ases[0].clone();
+        scenario.config.ases.push(twin);
+        let path = scratch("invalid");
+        std::fs::write(&path, scenario.to_json()).unwrap();
+        let args = parse_args(&argv(&format!("classify --scenario {}", path.display()))).unwrap();
+        let err = cmd_classify(&args).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(err.starts_with("invalid scenario"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_scenario_save_is_an_error() {
+        let line = "timeline --scale tiny --days 1 --save-scenario /nonexistent/scenario.json";
+        let err = cmd_timeline(&parse_args(&argv(line)).unwrap()).unwrap_err();
+        assert!(err.starts_with("cannot write scenario"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_export_is_an_error() {
+        // A regular file sits where the export directory's parent should be.
+        let blocker = scratch("export-blocker");
+        std::fs::write(&blocker, "").unwrap();
+        let out = blocker.join("dataset");
+        let line = format!("campaign --scale tiny --days 2 --export {}", out.display());
+        let err = cmd_campaign(&parse_args(&argv(&line)).unwrap()).unwrap_err();
+        let _ = std::fs::remove_file(&blocker);
+        assert!(err.starts_with("cannot export the dataset"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_oblast_is_an_error() {
+        let args = parse_args(&argv("classify --scale tiny --days 30 --oblast Atlantis")).unwrap();
+        assert_eq!(
+            cmd_classify(&args),
+            Err("unknown oblast \"Atlantis\"".to_string())
+        );
     }
 
     #[test]

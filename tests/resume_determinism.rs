@@ -427,6 +427,101 @@ fn journal_behind_snapshot_is_healed_by_rescanning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Where a snapshot write assembles the file before renaming it into
+/// place.
+fn snapshot_tmp(dir: &Path) -> std::path::PathBuf {
+    dir.join(format!("{SNAPSHOT_FILE}.tmp"))
+}
+
+#[test]
+fn crash_mid_snapshot_write_falls_back_to_the_previous_snapshot() {
+    let campaign = chaos_campaign();
+    let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
+
+    let dir = fresh_dir("midwrite");
+    run_and_kill(&campaign, &dir, 300);
+    // The crash tore the next snapshot's write: a truncated temp file of
+    // garbage sits next to the round-252 snapshot.
+    let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("round-252 snapshot");
+    let torn = [&snapshot[..snapshot.len() / 3], b"\xde\xad garbage"].concat();
+    std::fs::write(snapshot_tmp(&dir), torn).expect("plant the torn write");
+
+    let (resumed, diag) = campaign
+        .resume_with(&dir, policy())
+        .expect("resume after a torn snapshot write");
+    assert_eq!(
+        format!("{resumed:?}"),
+        baseline,
+        "a torn snapshot write changed the report"
+    );
+    assert!(diag.snapshot_loaded, "{diag:?}");
+    assert!(diag.snapshot_quarantined.is_none(), "{diag:?}");
+    assert_eq!(diag.replayed_rounds, 300 - 252);
+    assert!(!snapshot_tmp(&dir).exists(), "a temp file outlived finish");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Steps a checkpointed run whose snapshot temp path is blocked by a
+/// directory until the first error, which must name the snapshot; returns
+/// the rounds completed when it came (`None` if `finish` returned it).
+fn first_snapshot_error(campaign: &Campaign, dir: &Path, policy: CheckpointPolicy) -> Option<u32> {
+    let mut runner = campaign
+        .runner_checkpointed(dir, policy)
+        .expect("checkpoint dir");
+    std::fs::create_dir(snapshot_tmp(dir)).expect("block the temp path");
+    let (at, err) = loop {
+        match runner.step_round() {
+            Ok(true) => {}
+            Ok(false) => {
+                let finished = runner.finish();
+                break (
+                    None,
+                    finished.expect_err("a blocked snapshot write was lost"),
+                );
+            }
+            Err(err) => break (Some(runner.completed_rounds()), err),
+        }
+    };
+    assert!(matches!(err, FbsError::Io { .. }), "{err}");
+    let snapshot = dir.join(SNAPSHOT_FILE).display().to_string();
+    assert!(err.to_string().contains(&snapshot), "{err}");
+    at
+}
+
+#[test]
+fn a_failed_snapshot_write_surfaces_at_the_next_boundary_or_finish() {
+    let campaign = chaos_campaign();
+    let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
+
+    // Snapshot 84's write fails on the writer thread: the round that
+    // handed it off returned `Ok`, and the next boundary reports it.
+    let next = fresh_dir("blocked-next");
+    assert_eq!(first_snapshot_error(&campaign, &next, policy()), Some(168));
+    // With no later boundary, `finish` reports it.
+    let last = fresh_dir("blocked-last");
+    let once = CheckpointPolicy {
+        snapshot_every: 588,
+        ..policy()
+    };
+    assert_eq!(first_snapshot_error(&campaign, &last, once), None);
+
+    // The journal covers every round the failed runs completed.
+    for (dir, journaled) in [(&next, 168u32), (&last, ROUNDS)] {
+        std::fs::remove_dir(snapshot_tmp(dir)).expect("remove the blocker");
+        let (resumed, diag) = campaign
+            .resume_with(dir, policy())
+            .expect("resume after a failed snapshot write");
+        assert_eq!(
+            format!("{resumed:?}"),
+            baseline,
+            "a failed snapshot write changed the report"
+        );
+        assert!(!diag.snapshot_loaded, "{diag:?}");
+        assert_eq!(diag.replayed_rounds, journaled);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// The payloads of the intact journal at `path`.
 fn read_journal(path: &Path) -> Vec<Vec<u8>> {
     let (_, records, recovery) = Journal::open(path).expect("readable journal");
