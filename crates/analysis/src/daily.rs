@@ -46,9 +46,9 @@ impl DailyHours {
         }
     }
 
-    /// Total hours.
+    /// Total hours (`+0.0` when empty).
     pub fn total(&self) -> f64 {
-        self.hours.values().sum()
+        positive_sum(self.hours.values())
     }
 
     /// Iterates `(date, hours)` in calendar order.
@@ -100,9 +100,9 @@ impl MonthlyHours {
         self.hours.iter().map(|(m, h)| (*m, *h))
     }
 
-    /// Total hours.
+    /// Total hours (`+0.0` when empty).
     pub fn total(&self) -> f64 {
-        self.hours.values().sum()
+        positive_sum(self.hours.values())
     }
 
     /// The month with the most hours, if any.
@@ -112,6 +112,13 @@ impl MonthlyHours {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(m, h)| (*m, *h))
     }
+}
+
+/// Sums hours from `+0.0`: `Iterator::sum` over `f64` starts at `-0.0`,
+/// so an empty matrix would total `-0.0` and print as `-0`.
+fn positive_sum<'a>(hours: impl Iterator<Item = &'a f64>) -> f64 {
+    // fbs-lint: allow(float-reduction-order) sequential sum over a BTreeMap's values in key (calendar) order
+    hours.fold(0.0, |total, h| total + h)
 }
 
 #[cfg(test)]
@@ -178,5 +185,8 @@ mod tests {
         assert_eq!(d.total(), 0.0);
         assert_eq!(d.monthly().peak(), None);
         assert_eq!(d.iter().count(), 0);
+        // `-0.0 == 0.0`, so the sign needs its own check.
+        assert!(d.total().is_sign_positive());
+        assert!(d.monthly().total().is_sign_positive());
     }
 }

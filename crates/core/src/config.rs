@@ -59,9 +59,10 @@ pub struct CampaignConfig {
     /// Deterministic fetch retry/backoff budget per feed per round.
     #[serde(default)]
     pub feed_retry: RetryPolicy,
-    /// The vantage roster. Empty (the default) runs the paper's implicit
-    /// single vantage: the legacy measurement path, byte-identical
-    /// output. Non-empty — even with one entry — switches the campaign
+    /// The vantage roster. Empty (the default) scans through the paper's
+    /// single vantage as an implicit one-vantage roster: the campaign-wide
+    /// `fault_plan` on the plain `"faults"` RNG stream, no path latency,
+    /// no ledger. Non-empty — even with one entry — switches the campaign
     /// into *vantage mode*: every listed vantage
     /// scans independently (its own fault plan, path latency and RNG
     /// domain), and detection consumes the per-block quorum fusion of

@@ -4,7 +4,10 @@
 //!
 //! * [`measure_round`] — the *measurement* half: everything that touches
 //!   the (faulty) wire. Its output is a [`RoundRecord`], the unit that
-//!   goes into the write-ahead journal.
+//!   goes into the write-ahead journal. Every campaign measures through
+//!   one per-vantage loop: the configured roster, or for an empty roster
+//!   one implicit vantage that journals what the paper's single vantage
+//!   always did.
 //! * [`apply_round`] — the *accumulation* half: month rollover,
 //!   eligibility refresh, detector feeds, trinocular belief updates and
 //!   monthly tallies, driven purely by a [`RoundRecord`] plus the world's
@@ -183,19 +186,9 @@ impl Campaign {
         dir: &Path,
         policy: CheckpointPolicy,
     ) -> fbs_types::Result<CampaignRunner<'_>> {
-        let statics = Statics::build(self)?;
-        let state = initial_state(&self.world, &self.config, &statics);
-        let store = CheckpointStore::fresh(dir, policy)?;
-        let shard_wall_ns = vec![0u64; statics.shard.n_shards()];
-        Ok(CampaignRunner {
-            campaign: self,
-            feeds: FeedState::cold(self),
-            statics,
-            state,
-            store: Some(store),
-            diagnostics: ResumeDiagnostics::default(),
-            shard_wall_ns,
-        })
+        let mut runner = self.runner()?;
+        runner.store = Some(CheckpointStore::fresh(dir, policy)?);
+        Ok(runner)
     }
 
     /// An incremental runner restored from an existing checkpoint
@@ -315,8 +308,6 @@ impl Campaign {
 /// Everything the loop derives once from world + config and never mutates.
 pub(crate) struct Statics {
     classification: ClassificationOutcome,
-    fault_plan: FaultPlan,
-    fault_rng: WorldRng,
     as_list: Vec<Asn>,
     block_as: Vec<usize>,
     /// Which oblast (if any) counts each block as regional.
@@ -337,9 +328,15 @@ pub(crate) struct Statics {
     geo_texts: Vec<String>,
     /// Pristine delegated-extended feed text (world-static).
     delegations_text: String,
-    /// The resolved vantage roster (empty in single-vantage campaigns):
-    /// each entry carries its effective fault plan and its own RNG domain.
+    /// The scanning vantages, never empty: the resolved roster, or the
+    /// implicit vantage of an empty roster. Each entry carries its
+    /// effective fault plan and its own RNG domain.
     vantages: Vec<VantageStatic>,
+    /// Whether `vantages` holds the implicit vantage of an empty roster.
+    /// It stays as invisible as the paper's single vantage: it journals as
+    /// the record's `blocks` section, its own verdict is the round's
+    /// quality, and it keeps no ledger.
+    implicit_vantage: bool,
     /// The passive background-radiation layer (`None` when IBR is off):
     /// the validated config plus the disjoint `"ibr"` RNG domain, so the
     /// darknet never perturbs the wire or feed draws.
@@ -379,13 +376,15 @@ impl FeedState {
     }
 }
 
-/// One roster entry with its per-vantage derivations resolved once.
+/// One scanning vantage — a roster entry, or the implicit vantage of an
+/// empty roster — with its per-vantage derivations resolved once.
 pub(crate) struct VantageStatic {
     spec: VantageSpec,
     /// The vantage's effective fault plan: its own, else the campaign-wide
     /// plan, else a clean path.
     plan: FaultPlan,
-    /// The vantage's independent fault-RNG domain (keyed by name).
+    /// The vantage's independent fault-RNG domain (keyed by name; the
+    /// plain `"faults"` domain for the implicit vantage).
     rng: WorldRng,
 }
 
@@ -463,34 +462,35 @@ impl Statics {
             }
         };
 
-        // Fault schedule (oracle-path mirror of `FaultyTransport`).
-        let fault_plan = cfg.fault_plan.clone().unwrap_or_else(FaultPlan::none);
-        fault_plan.validate()?;
-        let fault_rng = faults::fault_domain(world.rng());
-
-        // Vantage roster: each entry resolves its effective fault plan
+        // Vantages: each roster entry resolves its effective fault plan
         // (vantage-specific, else campaign-wide, else clean) and draws
         // from its own name-keyed RNG domain, so adding or removing one
-        // vantage never perturbs another's measurements.
-        let vantages: Vec<VantageStatic> = cfg
-            .vantages
-            .iter()
-            .map(|spec| -> fbs_types::Result<VantageStatic> {
-                spec.validate()?;
-                let plan = spec
-                    .fault_plan
-                    .clone()
-                    .or_else(|| cfg.fault_plan.clone())
-                    .unwrap_or_else(FaultPlan::none);
-                plan.validate()?;
-                let rng = spec.fault_domain(&world.rng());
-                Ok(VantageStatic {
+        // vantage never perturbs another's measurements. An empty roster
+        // scans through one implicit vantage: the campaign-wide plan on
+        // the plain `"faults"` stream (the oracle-path mirror of
+        // `FaultyTransport`), with no path latency.
+        let campaign_plan = || cfg.fault_plan.clone().unwrap_or_else(FaultPlan::none);
+        let implicit_vantage = cfg.vantages.is_empty();
+        let vantages: Vec<VantageStatic> = if implicit_vantage {
+            vec![VantageStatic {
+                spec: VantageSpec::new("implicit"),
+                plan: campaign_plan(),
+                rng: faults::fault_domain(world.rng()),
+            }]
+        } else {
+            cfg.vantages
+                .iter()
+                .map(|spec| VantageStatic {
                     spec: spec.clone(),
-                    plan,
-                    rng,
+                    plan: spec.fault_plan.clone().unwrap_or_else(campaign_plan),
+                    rng: spec.fault_domain(&world.rng()),
                 })
-            })
-            .collect::<fbs_types::Result<_>>()?;
+                .collect()
+        };
+        for vs in &vantages {
+            vs.spec.validate()?;
+            vs.plan.validate()?;
+        }
 
         // Passive background radiation: validated once, drawing from its
         // own RNG domain — campaigns without IBR never touch it and stay
@@ -587,8 +587,6 @@ impl Statics {
         let months = classification.months.clone();
         Ok(Statics {
             classification,
-            fault_plan,
-            fault_rng,
             as_list,
             block_as,
             block_regional_oblast,
@@ -604,9 +602,20 @@ impl Statics {
             geo_texts,
             delegations_text,
             vantages,
+            implicit_vantage,
             ibr,
             shard,
         })
+    }
+
+    /// The configured roster: empty when the campaign scans through the
+    /// implicit vantage.
+    fn roster(&self) -> &[VantageStatic] {
+        if self.implicit_vantage {
+            &[]
+        } else {
+            &self.vantages
+        }
     }
 }
 
@@ -652,7 +661,7 @@ pub(crate) struct PipelineState {
     /// feed loses a block's record.
     last_routed: Vec<bool>,
     feed_quarantines: Vec<TaggedQuarantine>,
-    // Multi-vantage state (empty / zeroed in single-vantage campaigns).
+    // Multi-vantage state (empty / zeroed when the roster is empty).
     /// One ledger per roster entry, in roster order.
     vantage_ledgers: Vec<VantageLedger>,
     /// Running disagreement counters.
@@ -875,13 +884,13 @@ impl PipelineState {
                 "feed-ledger length",
             ),
             (
-                self.vantage_ledgers.len() == statics.vantages.len(),
+                self.vantage_ledgers.len() == statics.roster().len(),
                 "vantage roster size",
             ),
             (
                 self.vantage_ledgers
                     .iter()
-                    .zip(&statics.vantages)
+                    .zip(statics.roster())
                     .all(|(l, v)| l.name == v.spec.name),
                 "vantage roster names",
             ),
@@ -1099,7 +1108,7 @@ pub(crate) fn initial_state(
         last_routed: vec![false; n_blocks],
         feed_quarantines: Vec::new(),
         vantage_ledgers: statics
-            .vantages
+            .roster()
             .iter()
             .enumerate()
             .map(|(i, v)| VantageLedger::new(VantageId(i as u16), v.spec.name.clone()))
@@ -1134,25 +1143,22 @@ const LOST_BLOCK_OBS: BlockObs = BlockObs {
 /// shared state, no scheduling dependence — which is what lets a retried
 /// shard reproduce a first try byte for byte. The task fills every field
 /// in one pass over the range: each block's truth is evaluated once and
-/// shared by the sweep, every usable vantage and the darknet.
+/// shared by every usable vantage and the darknet.
 struct ShardChunk {
-    /// Single-vantage scan observations for the range (empty when the
-    /// round is skipped or the campaign is multi-vantage).
-    blocks: Vec<BlockObs>,
-    /// Per-roster-entry observations for the range, indexed like
-    /// `statics.vantages`; a masked vantage's inner vector is empty.
+    /// Per-vantage observations for the range, indexed like
+    /// `statics.vantages` (the implicit vantage of an empty roster
+    /// included); a masked vantage's inner vector is empty.
     vantages: Vec<Vec<BlockObs>>,
     /// Per-block darknet volume for the range (empty when the IBR layer
     /// is off or the collector is dark this round).
     ibr: Vec<u64>,
 }
 
-/// One block's scan through a fault-modelled path, shared by the
-/// single-vantage sweep and the roster fan-out: the block's true
-/// responsive count (`truth`, evaluated once per block and round and
-/// shared by every consumer) binomially thinned by the delivery rate,
-/// capped by ICMP rate limiting, RTTs distorted by spikes and stretched by
-/// the vantage's path.
+/// One block's scan through a vantage's fault-modelled path, the implicit
+/// vantage's and each roster entry's alike: the block's true responsive
+/// count (`truth`, evaluated once per block and round and shared by every
+/// consumer) binomially thinned by the delivery rate, capped by ICMP rate
+/// limiting, RTTs distorted by spikes and stretched by the vantage's path.
 ///
 /// The RTT is kept only when `keep_rtt` (the block's AS is RTT-tracked,
 /// `Statics::rtt_block`); every other block reports `0`, so live apply and
@@ -1191,11 +1197,10 @@ fn scan_block(
 /// Produces the journal record for `round`: the measurement half of the
 /// loop, and the only part that consults the faulty wire path.
 ///
-/// All per-block work — the single-vantage sweep, the multi-vantage
-/// roster fan-out, the darknet volume sums — runs through the campaign's
-/// shard executor: deterministic AS-aligned shards on the bounded worker
-/// pool, each supervised (panic-isolated, deadline-bounded,
-/// deterministically retried). Results are restored to roster (slot)
+/// All per-block work — the per-vantage scans and the darknet volume
+/// sums — runs through the campaign's shard executor: deterministic
+/// AS-aligned shards on the bounded worker pool, each supervised
+/// (panic-isolated, deadline-bounded, deterministically retried). Results are restored to roster (slot)
 /// order before the merge, so the journal bytes are identical at any
 /// thread count. When a shard exhausts its retries the round degrades
 /// gracefully: its blocks are journaled as missing placeholders, the
@@ -1232,65 +1237,30 @@ fn measure_round_timed(
     let ibr_live = statics.ibr.as_ref().map(|is| !is.config.dark_at(round));
 
     // Resolve what per-block work the round carries — once, outside the
-    // pool. Single-vantage: one scan unless the round is skipped outright.
-    // Multi-vantage: one scan per usable roster entry (a masked vantage
-    // measures nothing: offline, or catastrophic loss on its path).
-    let mut single_scan: Option<FaultIntensity> = None;
+    // pool: one scan per usable vantage (a masked vantage measures
+    // nothing: offline, or catastrophic loss on its path).
     let mut vantage_quality: Vec<RoundQuality> = Vec::new();
     let mut vantage_scan: Vec<Option<FaultIntensity>> = Vec::new();
-    let mut quality;
-    if statics.vantages.is_empty() {
-        quality =
-            statics
-                .fault_plan
-                .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
-        if online && quality != RoundQuality::Unusable {
-            single_scan = Some(statics.fault_plan.intensity_at(round, statics.rounds));
-        }
-    } else {
-        for vs in &statics.vantages {
-            let q = vs
-                .plan
-                .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
-            vantage_quality.push(q);
-            vantage_scan.push(
-                vantage_usable(online, q).then(|| vs.plan.intensity_at(round, statics.rounds)),
-            );
-        }
-        // The round's headline quality is the fused verdict: one clean
-        // vantage keeps the round usable while another sits behind 100%
-        // loss.
-        quality = fuse_round_quality(vantage_quality.iter().map(|q| (online, *q)));
+    for vs in &statics.vantages {
+        let q = vs
+            .plan
+            .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
+        vantage_quality.push(q);
+        vantage_scan
+            .push(vantage_usable(online, q).then(|| vs.plan.intensity_at(round, statics.rounds)));
     }
+    // The round's headline quality: the implicit vantage's own verdict
+    // (kept on offline rounds too, where the fused verdict reads
+    // `Unusable`), or the roster's fused one — one clean vantage keeps the
+    // round usable while another sits behind 100% loss.
+    let mut quality = if statics.implicit_vantage {
+        vantage_quality[0]
+    } else {
+        fuse_round_quality(vantage_quality.iter().map(|q| (online, *q)))
+    };
 
     let supervised = statics.shard.supervised();
-    let no_block_work =
-        single_scan.is_none() && vantage_scan.iter().all(Option::is_none) && ibr_live != Some(true);
-    if no_block_work && !supervised {
-        // Nothing for the pool to do and no supervision ledger to feed:
-        // the skip is itself the observation.
-        let record = RoundRecord {
-            round,
-            online,
-            quality,
-            blocks: BlockSection::default(),
-            feeds,
-            vantages: vantage_quality
-                .iter()
-                .map(|q| VantageRound {
-                    online,
-                    quality: *q,
-                    blocks: BlockSection::default(),
-                })
-                .collect(),
-            ibr: ibr_live.map(|_| IbrObs {
-                dark: true,
-                volumes: Vec::new(),
-            }),
-            shards: None,
-        };
-        return (record, Vec::new());
-    }
+    let no_block_work = vantage_scan.iter().all(Option::is_none) && ibr_live != Some(true);
 
     // The shard task: measure this shard's slice of every active layer in
     // one pass, evaluating each block's truth once and handing it to every
@@ -1301,7 +1271,6 @@ fn measure_round_timed(
     let task = |_slot: u32, range: std::ops::Range<usize>| -> ShardChunk {
         let cap = |active: bool| if active { range.len() } else { 0 };
         let mut chunk = ShardChunk {
-            blocks: Vec::with_capacity(cap(single_scan.is_some())),
             vantages: vantage_scan
                 .iter()
                 .map(|s| Vec::with_capacity(cap(s.is_some())))
@@ -1317,19 +1286,6 @@ fn measure_round_timed(
             let truth = world.block_truth(round, bi);
             let unknown = routed_unknown[bi];
             let keep_rtt = statics.rtt_block[bi];
-            if let Some(intensity) = &single_scan {
-                chunk.blocks.push(scan_block(
-                    &truth,
-                    cfg.scan_retries,
-                    &statics.fault_rng,
-                    0,
-                    intensity,
-                    round,
-                    bi,
-                    unknown,
-                    keep_rtt,
-                ));
-            }
             for ((vs, scan), out) in statics
                 .vantages
                 .iter()
@@ -1361,18 +1317,18 @@ fn measure_round_timed(
 
     // Run on the pool, then restore roster (slot) order before any merge:
     // the executor delivers in arrival order, which must never reach a
-    // sink.
-    let ordered = shard::roster_order(statics.shard.shard_execute(round, &task));
+    // sink. With nothing for the pool to do and no supervision ledger to
+    // feed, the pool is skipped: the skip is itself the observation.
+    let ordered = if no_block_work && !supervised {
+        Vec::new()
+    } else {
+        shard::roster_order(statics.shard.shard_execute(round, &task))
+    };
 
     // The roster-ordered deterministic reduce: splice completed chunks
     // into campaign-wide vectors, fill lost shards with placeholders.
     let mut wall = Vec::with_capacity(ordered.len());
     let mut lost_shards = 0usize;
-    let mut blocks = Vec::with_capacity(if single_scan.is_some() {
-        statics.n_blocks
-    } else {
-        0
-    });
     let mut vblocks: Vec<Vec<BlockObs>> = vantage_scan
         .iter()
         .map(|s| {
@@ -1393,7 +1349,6 @@ fn measure_round_timed(
         debug_assert_eq!(s.outcome.completed(), s.output.is_some());
         match &s.output {
             Some(chunk) => {
-                blocks.extend_from_slice(&chunk.blocks);
                 for (acc, part) in vblocks.iter_mut().zip(&chunk.vantages) {
                     acc.extend_from_slice(part);
                 }
@@ -1403,9 +1358,6 @@ fn measure_round_timed(
             }
             None => {
                 lost_shards += 1;
-                if single_scan.is_some() {
-                    blocks.extend(range.clone().map(|_| LOST_BLOCK_OBS));
-                }
                 for (acc, scan) in vblocks.iter_mut().zip(&vantage_scan) {
                     if scan.is_some() {
                         acc.extend(range.clone().map(|_| LOST_BLOCK_OBS));
@@ -1429,7 +1381,7 @@ fn measure_round_timed(
         };
     }
 
-    let vantages: Vec<VantageRound> = vantage_quality
+    let mut vantages: Vec<VantageRound> = vantage_quality
         .iter()
         .zip(vblocks)
         .map(|(q, blocks)| VantageRound {
@@ -1438,6 +1390,12 @@ fn measure_round_timed(
             blocks: BlockSection(blocks),
         })
         .collect();
+    // The implicit vantage journals as the record's `blocks` section.
+    let blocks = if statics.implicit_vantage {
+        vantages.pop().map(|v| v.blocks).unwrap_or_default()
+    } else {
+        BlockSection::default()
+    };
     let ibr = ibr_live.map(|live| {
         if live {
             IbrObs {
@@ -1456,7 +1414,7 @@ fn measure_round_timed(
         round,
         online,
         quality,
-        blocks: BlockSection(blocks),
+        blocks,
         feeds,
         vantages,
         ibr,
@@ -1889,13 +1847,13 @@ fn apply_round(
     // Vantage-mode shape check, then per-vantage ledger update — on
     // *every* round, masked or not: the ledger is where a vantage
     // blackout stays visible after fusion has already routed around it.
-    if record.vantages.len() != statics.vantages.len() {
+    if record.vantages.len() != statics.roster().len() {
         return Err(FbsError::corrupt_journal(
             format!(
                 "round {} record carries {} vantage observations, roster has {}",
                 r,
                 record.vantages.len(),
-                statics.vantages.len()
+                statics.roster().len()
             ),
             state.cursor.completed() as u64,
         ));
@@ -1947,9 +1905,10 @@ fn apply_round(
         state.cursor.advance();
         return Ok(());
     }
-    // The sweep's input: the single vantage's observations directly, or
-    // the quorum-fused view of the roster's votes. Detection downstream
-    // is unchanged either way — fusion is resolved *before* detection.
+    // The sweep's input: the implicit vantage's observations (the record's
+    // `blocks` section) directly, or the quorum-fused view of the roster's
+    // votes. Detection downstream is unchanged either way — fusion is
+    // resolved *before* detection.
     let fused: Vec<BlockObs>;
     let blocks: &[BlockObs] = if record.vantages.is_empty() {
         if record.blocks.len() != n_blocks {

@@ -68,9 +68,9 @@ impl VantageSpec {
     }
 
     /// The vantage's independent fault-RNG domain, derived from the world
-    /// RNG and keyed by the vantage name. The legacy single-vantage
-    /// pipeline uses the plain `"faults"` domain; these are disjoint from
-    /// it and from each other.
+    /// RNG and keyed by the vantage name. The implicit vantage of an empty
+    /// roster uses the plain `"faults"` domain; these are disjoint from it
+    /// and from each other.
     pub fn fault_domain(&self, world_rng: &WorldRng) -> WorldRng {
         // fbs-lint: allow(rng-domain-collision) name-keyed subdomain under the registered "vantage-faults" root; roster names are unique by construction
         world_rng.domain("vantage-faults").domain(&self.name)

@@ -16,7 +16,7 @@
 //!   toward reachable: with evidence split, fabricating an outage is the
 //!   worse error. With one usable vantage this degenerates to exactly the
 //!   single-vantage rule (`responsive > 0`), which is what keeps an N=1
-//!   roster bit-identical to the legacy pipeline.
+//!   roster bit-identical to an empty roster's implicit vantage.
 //! * **Reach classification** — `reachable-from-some-but-not-all`
 //!   separates *routing damage* (some paths still deliver) from
 //!   *host-down* (no path delivers), the distinction a single vantage
@@ -104,7 +104,7 @@ impl FusedBlock {
 /// Properties the proptests pin:
 ///
 /// * **N=1 identity** — one usable vantage: reachable iff it saw a
-///   responder, exactly the legacy single-vantage rule.
+///   responder, exactly the single-vantage rule.
 /// * **Monotone** — adding a reachable vote never flips the verdict from
 ///   reachable to unreachable (`2(up+1) ≥ usable+1` follows from
 ///   `2·up ≥ usable`).

@@ -7,8 +7,7 @@ use std::fmt;
 ///
 /// Newtype over `u16` so a vantage index cannot be confused with a block
 /// index or a round number in fan-out code. `VantageId(0)` is the first
-/// roster entry; the legacy single-vantage pipeline has no roster and
-/// therefore no ids at all.
+/// roster entry; the implicit vantage of an empty roster has no id.
 ///
 /// ```
 /// use fbs_types::VantageId;

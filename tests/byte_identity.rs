@@ -11,12 +11,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ukraine_fbs::core::checkpoint::{JOURNAL_FILE, SNAPSHOT_FILE};
 use ukraine_fbs::core::dataset::{availability_csv, availability_rows, outage_csv, outage_rows};
 use ukraine_fbs::core::CheckpointPolicy;
+use ukraine_fbs::journal;
 use ukraine_fbs::netsim::{
-    AsProfile, AsSpec, BlockSpec, IbrConfig, Script, ShardFaultPlan, VantageSpec, World,
-    WorldConfig, WorldScale,
+    AsProfile, AsSpec, BlockSpec, FaultIntensity, FaultPlan, FaultWindow, FeedFaultIntensity,
+    FeedFaultPlan, FeedFaultWindow, IbrConfig, IbrDarkWindow, Script, ShardFaultKind,
+    ShardFaultPlan, ShardFaultWindow, VantageSpec, World, WorldConfig, WorldScale,
 };
 use ukraine_fbs::prelude::*;
-use ukraine_fbs::types::{Oblast, Prefix};
+use ukraine_fbs::types::{FeedKind, Oblast, Prefix};
 
 const ROUNDS: u32 = 240; // 20 days at 12 rounds/day
 
@@ -369,4 +371,134 @@ fn two_exports_write_identical_files() {
     }
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// Length and CRC-32 of every file [`faulted_single_vantage_campaign_writes_pinned_bytes`]
+/// writes: the journal, the last snapshot, then the exports in name order.
+/// Recorded when an empty roster still ran a measurement path of its own,
+/// so these pin that the implicit vantage journals, snapshots and exports
+/// exactly what that path did.
+const FAULTED_SINGLE_VANTAGE_BYTES: [(&str, u64, u32); 7] = [
+    ("rounds.wal", 617_576, 0xbf65_f95a),
+    ("state.snap", 857_266, 0x430c_947a),
+    ("block_availability.csv", 1_006, 0x8382_d0d1),
+    ("block_availability.json", 4_885, 0xf67e_e2de),
+    ("ibr_signal.csv", 31_032, 0x73a1_b1b1),
+    ("outages.csv", 340, 0x7d19_f844),
+    ("outages.json", 812, 0xba1c_2960),
+];
+
+#[test]
+fn faulted_single_vantage_campaign_writes_pinned_bytes() {
+    // An empty-roster campaign under every fault family at once: wire
+    // faults from the campaign-wide plan (baseline reply loss with latency
+    // spikes, an ICMP-budget window and a blackout), a corrupted and then
+    // a dark BGP feed, a dark darknet and a lost shard. The tiny Ukraine
+    // scenario adds its own offline vantage rounds. The implicit vantage
+    // must draw from the plain `"faults"` stream, journal the plan's own
+    // verdict as the round quality, and leave no vantage ledger behind.
+    let none = FaultIntensity::default();
+    let feed_none = FeedFaultIntensity::default();
+    for threads in [1usize, 2] {
+        let mut cfg = CampaignConfig::default();
+        cfg.threads = threads;
+        cfg.fault_plan = Some(FaultPlan {
+            baseline: FaultIntensity {
+                reply_loss: 0.05,
+                latency_spike: 0.1,
+                latency_spike_ns: 60_000_000,
+                ..none
+            },
+            windows: vec![
+                FaultWindow::over_rounds(
+                    "icmp-budget",
+                    10..30,
+                    FaultIntensity {
+                        icmp_reply_budget: 40,
+                        ..none
+                    },
+                ),
+                FaultWindow::over_rounds(
+                    "blackout",
+                    100..110,
+                    FaultIntensity {
+                        reply_loss: 1.0,
+                        ..none
+                    },
+                ),
+            ],
+        });
+        cfg.feed_plan = Some(FeedFaultPlan {
+            windows: vec![
+                FeedFaultWindow::over_rounds(
+                    "bgp-corrupt",
+                    FeedKind::Bgp,
+                    30..80,
+                    FeedFaultIntensity {
+                        corrupt_records: 0.1,
+                        ..feed_none
+                    },
+                ),
+                FeedFaultWindow::over_rounds(
+                    "bgp-dark",
+                    FeedKind::Bgp,
+                    120..130,
+                    FeedFaultIntensity {
+                        drop: 1.0,
+                        ..feed_none
+                    },
+                ),
+            ],
+        });
+        cfg.ibr = Some(IbrConfig::with_dark_windows(vec![IbrDarkWindow {
+            start: 110,
+            end: 125,
+        }]));
+        cfg.shard_plan = Some(ShardFaultPlan {
+            windows: vec![ShardFaultWindow::scripted(
+                "lose-shard",
+                70..80,
+                vec![1],
+                cfg.shard_retries + 1,
+                ShardFaultKind::Panic,
+            )],
+        });
+        let world = scenarios::ukraine_with_rounds(WorldScale::Tiny, 42, ROUNDS)
+            .into_world()
+            .expect("tiny world");
+        let dir = fresh_dir(&format!("pin{threads}"));
+        let report = Campaign::new(world, cfg)
+            .expect("valid config")
+            .run_checkpointed(&dir, policy())
+            .expect("checkpointed run");
+        assert!(report.vantages.is_empty(), "threads={threads}");
+        let exports = dir.join("export");
+        ukraine_fbs::core::dataset::export_all(&report, &exports).expect("export");
+        assert!(!exports.join("vantage_disagreement.csv").exists());
+        let pin = |path: std::path::PathBuf| {
+            let bytes = std::fs::read(&path).expect("pinned file");
+            let name = path.file_name().expect("name").to_string_lossy();
+            (
+                name.into_owned(),
+                bytes.len() as u64,
+                journal::crc32(&bytes),
+            )
+        };
+        let mut exported: Vec<_> = std::fs::read_dir(&exports)
+            .expect("export dir")
+            .map(|entry| pin(entry.expect("export entry").path()))
+            .collect();
+        exported.sort();
+        let got: Vec<_> = [JOURNAL_FILE, SNAPSHOT_FILE]
+            .into_iter()
+            .map(|file| pin(dir.join(file)))
+            .chain(exported)
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        let want: Vec<(String, u64, u32)> = FAULTED_SINGLE_VANTAGE_BYTES
+            .iter()
+            .map(|&(name, len, crc)| (name.to_string(), len, crc))
+            .collect();
+        assert_eq!(got, want, "threads={threads}");
+    }
 }
