@@ -9,11 +9,13 @@
 //!   one implicit vantage that journals what the paper's single vantage
 //!   always did.
 //! * [`apply_round`] — the *accumulation* half: month rollover,
-//!   eligibility refresh, detector feeds, trinocular belief updates and
-//!   monthly tallies, driven purely by a [`RoundRecord`] plus the world's
-//!   deterministic derived quantities. Replay after a crash runs exactly
-//!   this function over journaled records, so a resumed campaign is
-//!   bit-identical to an uninterrupted one.
+//!   eligibility refresh, quorum fusion, the passive-signal predictors,
+//!   detector feeds, trinocular belief updates and monthly tallies,
+//!   driven purely by a [`RoundRecord`] plus the world's deterministic
+//!   derived quantities. Fusion chunks and the per-AS predictor step run
+//!   through the shard executor's claim loop; the rest is serial. Replay
+//!   after a crash runs exactly this function over journaled records, so
+//!   a resumed campaign is bit-identical to an uninterrupted one.
 //!
 //! [`CampaignRunner`] owns the split state — immutable [`Statics`], the
 //! persistable [`PipelineState`], and the feed layer's derived
@@ -1620,20 +1622,19 @@ fn apply_feeds(
     })
 }
 
-/// Resolves one multi-vantage round into the fused per-block view the
-/// detection sweep consumes, updating per-vantage dissent counters and the
-/// campaign disagreement summary as a side effect.
+/// Blocks per quorum-fusion chunk: the unit the accumulation dispatch
+/// hands out. A constant, so the chunks — and the order their counts are
+/// summed in — never depend on the thread count.
+const FUSE_CHUNK_BLOCKS: usize = 512;
+
+/// The roster entries that vote this round, after checking that each
+/// carries one observation per block.
 ///
 /// Masking happens here: vantages that were offline or whose round was
 /// [`RoundQuality::Unusable`] never reach the ballot, so a blacked-out
 /// vantage cannot pull blocks dark — graceful degradation falls out of the
 /// vote rather than being a special case.
-fn fuse_vantage_round(
-    statics: &Statics,
-    state: &mut PipelineState,
-    record: &RoundRecord,
-    lost: &[bool],
-) -> fbs_types::Result<Vec<BlockObs>> {
+fn fusion_ballot(statics: &Statics, record: &RoundRecord) -> fbs_types::Result<Vec<usize>> {
     let n_blocks = statics.n_blocks;
     let usable: Vec<usize> = record
         .vantages
@@ -1660,21 +1661,49 @@ fn fuse_vantage_round(
             ));
         }
     }
-    let mut fused_blocks = Vec::with_capacity(n_blocks);
-    let mut dissent = vec![0u64; record.vantages.len()];
-    let mut round_disputed = false;
+    Ok(usable)
+}
+
+/// One fusion chunk's share of a round: the fused view of its blocks and
+/// the dissent and disagreement counts over them.
+struct FusedChunk {
+    blocks: Vec<BlockObs>,
+    /// Blocks on which each roster entry's vote lost, in roster order.
+    dissent: Vec<u64>,
+    /// Blocks reachable from some but not all usable vantages.
+    disputed: u64,
+    /// Blocks whose minority vote the quorum suppressed.
+    suppressed: u64,
+}
+
+/// Resolves the blocks of `range` into the fused per-block view the
+/// detection sweep consumes. A pure function of the record, the ballot and
+/// the lost-block mask, so any worker may run any chunk; the caller sums
+/// the counts in chunk order.
+fn fuse_chunk(
+    record: &RoundRecord,
+    usable: &[usize],
+    lost: &[bool],
+    range: std::ops::Range<usize>,
+) -> FusedChunk {
+    let mut chunk = FusedChunk {
+        blocks: Vec::with_capacity(range.len()),
+        dissent: vec![0u64; record.vantages.len()],
+        disputed: 0,
+        suppressed: 0,
+    };
     let mut votes: Vec<BlockVote> = Vec::with_capacity(usable.len());
-    for (bi, &block_lost) in lost.iter().enumerate() {
-        if block_lost {
+    for bi in range {
+        if lost[bi] {
             // Every vantage's entry for this block is a lost-shard
             // placeholder, not a vote: no dissent or dispute accounting
             // over data that was never collected. The sweep skips the
             // block anyway; the placeholder just keeps shapes aligned.
-            fused_blocks.push(LOST_BLOCK_OBS);
+            chunk.blocks.push(LOST_BLOCK_OBS);
             continue;
         }
         votes.clear();
-        for &vi in &usable {
+        for &vi in usable {
             let obs = &record.vantages[vi].blocks[bi];
             votes.push(BlockVote {
                 responsive: obs.responsive,
@@ -1684,15 +1713,14 @@ fn fuse_vantage_round(
         let fused = fuse_block(&votes);
         for (slot, &vi) in usable.iter().enumerate() {
             if votes[slot].reachable() != fused.reachable() {
-                dissent[vi] += 1;
+                chunk.dissent[vi] += 1;
             }
         }
         if fused.disputed() {
-            state.disagreement.some_not_all_block_rounds += 1;
-            round_disputed = true;
+            chunk.disputed += 1;
         }
         if fused.suppressed {
-            state.disagreement.quorum_suppressed_block_rounds += 1;
+            chunk.suppressed += 1;
         }
         // Routing state is feed-derived and shared by every vantage; any
         // usable vantage reports the same bits, so the first one speaks
@@ -1704,20 +1732,14 @@ fn fuse_vantage_round(
                 (obs.routed, obs.routed_known)
             })
             .unwrap_or((false, false));
-        fused_blocks.push(BlockObs {
+        chunk.blocks.push(BlockObs {
             responsive: fused.responsive,
             rtt_ns: fused.rtt_ns,
             routed,
             routed_known,
         });
     }
-    if round_disputed {
-        state.disagreement.rounds_with_disagreement += 1;
-    }
-    for (ledger, d) in state.vantage_ledgers.iter_mut().zip(dissent) {
-        ledger.dissent_block_rounds += d;
-    }
-    Ok(fused_blocks)
+    chunk
 }
 
 /// Folds one measured round into the pipeline state: the accumulation half
@@ -1876,14 +1898,62 @@ fn apply_round(
     // The passive signal folds in *before* the usable-round gate: an
     // active-dark round is exactly when the darknet is the only listener
     // left, so IBR predictors and ledgers advance on every round.
-    apply_ibr(statics, state, record, round, &lost_as)?;
-
-    let quality = record.quality;
+    let ibr_obs = ibr_observation(statics, record, round, state.cursor.completed() as u64)?;
 
     // A round without usable measurements — vantage offline, or the
     // fault plan silences so much that the scan is `Unusable` — is
-    // skipped entirely: detectors freeze, series record gaps.
-    if !record.online || quality == RoundQuality::Unusable {
+    // skipped entirely below: detectors freeze, series record gaps. A
+    // usable round's sweep reads the implicit vantage's observations (the
+    // record's `blocks` section) directly, or the quorum-fused view of the
+    // roster's votes. Detection downstream is unchanged either way —
+    // fusion is resolved *before* detection.
+    let quality = record.quality;
+    let usable = record.online && quality != RoundQuality::Unusable;
+    let ballot = if !usable {
+        None
+    } else if record.vantages.is_empty() {
+        if record.blocks.len() != n_blocks {
+            return Err(FbsError::corrupt_journal(
+                format!(
+                    "round {} record carries {} block observations, world has {}",
+                    r,
+                    record.blocks.len(),
+                    n_blocks
+                ),
+                state.cursor.completed() as u64,
+            ));
+        }
+        None
+    } else {
+        Some(fusion_ballot(statics, record)?)
+    };
+
+    // The two order-free loops share one dispatch: helpers claim the
+    // fusion chunks while this thread steps the per-AS predictors, whose
+    // state it alone may mutate; then it claims chunks too.
+    let n_chunks = if ballot.is_some() {
+        n_blocks.div_ceil(FUSE_CHUNK_BLOCKS)
+    } else {
+        0
+    };
+    let usable_vantages = ballot.as_deref().unwrap_or_default();
+    let (predictors, ibr_ledgers) = (&mut state.ibr_predictors, &mut state.ibr_ledgers);
+    let ((), chunks) = statics.shard.shard_apply(
+        n_chunks,
+        || step_ibr(predictors, ibr_ledgers, ibr_obs, &lost_as, round),
+        &|slot| {
+            let lo = slot as usize * FUSE_CHUNK_BLOCKS;
+            fuse_chunk(
+                record,
+                usable_vantages,
+                &lost,
+                lo..(lo + FUSE_CHUNK_BLOCKS).min(n_blocks),
+            )
+        },
+    );
+    let chunks = fbs_signals::roster_ordered(chunks, |(slot, _)| *slot);
+
+    if !usable {
         if !record.online {
             state.missing_rounds.push(round);
         }
@@ -1905,27 +1975,24 @@ fn apply_round(
         state.cursor.advance();
         return Ok(());
     }
-    // The sweep's input: the implicit vantage's observations (the record's
-    // `blocks` section) directly, or the quorum-fused view of the roster's
-    // votes. Detection downstream is unchanged either way — fusion is
-    // resolved *before* detection.
-    let fused: Vec<BlockObs>;
-    let blocks: &[BlockObs] = if record.vantages.is_empty() {
-        if record.blocks.len() != n_blocks {
-            return Err(FbsError::corrupt_journal(
-                format!(
-                    "round {} record carries {} block observations, world has {}",
-                    r,
-                    record.blocks.len(),
-                    n_blocks
-                ),
-                state.cursor.completed() as u64,
-            ));
+    // Chunk counts merge in chunk order into the per-vantage dissent and
+    // the campaign disagreement summary.
+    let mut round_disputed = false;
+    for (_, chunk) in &chunks {
+        for (ledger, d) in state.vantage_ledgers.iter_mut().zip(&chunk.dissent) {
+            ledger.dissent_block_rounds += d;
         }
-        &record.blocks
+        state.disagreement.some_not_all_block_rounds += chunk.disputed;
+        state.disagreement.quorum_suppressed_block_rounds += chunk.suppressed;
+        round_disputed |= chunk.disputed > 0;
+    }
+    if round_disputed {
+        state.disagreement.rounds_with_disagreement += 1;
+    }
+    let parts: Vec<&[BlockObs]> = if ballot.is_some() {
+        chunks.iter().map(|(_, c)| c.blocks.as_slice()).collect()
     } else {
-        fused = fuse_vantage_round(statics, state, record, &lost)?;
-        &fused
+        vec![&record.blocks]
     };
     state.round_quality.push(quality);
 
@@ -1938,111 +2005,116 @@ fn apply_round(
     let mut reg_active = [0u32; Oblast::COUNT];
     let mut reg_routed = [0u32; Oblast::COUNT];
 
-    for (bi, obs) in blocks.iter().enumerate() {
-        if lost[bi] {
-            // The block sat in a lost shard: no measurement exists. Its
-            // placeholder must not reach any aggregate — a zero would read
-            // as an outage — so the tracked series and detector record the
-            // gap and everything else (including the routing carry-forward
-            // memory, which must stay frozen, not absorb the placeholder)
-            // is left untouched. AS- and region-level gaps are handled in
-            // the detector loops below.
+    let mut base = 0;
+    for part in &parts {
+        for (offset, obs) in part.iter().enumerate() {
+            let bi = base + offset;
+            if lost[bi] {
+                // The block sat in a lost shard: no measurement exists. Its
+                // placeholder must not reach any aggregate — a zero would read
+                // as an outage — so the tracked series and detector record the
+                // gap and everything else (including the routing carry-forward
+                // memory, which must stay frozen, not absorb the placeholder)
+                // is left untouched. AS- and region-level gaps are handled in
+                // the detector loops below.
+                if let Some(entity) = statics.tracked_block[bi] {
+                    if let Some(series) = state.tracked.get_mut(&entity) {
+                        series.bgp.push(None);
+                        series.fbs.push(None);
+                        series.ips.push(None);
+                    }
+                    if let Some(d) = state.block_detectors.get_mut(&entity) {
+                        d.observe(round, EntityRound::MISSING);
+                    }
+                }
+                continue;
+            }
+            let responsive = obs.responsive;
+            let rtt_ns = obs.rtt_ns;
+            // When the BGP delivery lost this block's record, the collector
+            // carries the last known routing state forward instead of reading
+            // a withdrawal into the gap.
+            let routed = if obs.routed_known {
+                obs.routed
+            } else {
+                state.last_routed[bi]
+            };
+            state.last_routed[bi] = routed;
+            let ai = statics.block_as[bi];
+            if routed {
+                as_routed[ai] += 1;
+            }
+            as_ips[ai] += responsive as u64;
+            let active = responsive > 0;
+            if active && state.fbs_eligible[bi] {
+                as_active[ai] += 1;
+            }
+            if let Some(oi) = statics.block_regional_oblast[bi] {
+                let oi = oi as usize;
+                if routed {
+                    reg_routed[oi] += 1;
+                }
+                reg_ips[oi] += responsive as u64;
+                if active && state.fbs_eligible[bi] {
+                    reg_active[oi] += 1;
+                }
+            }
+            // Tracked block series + detector.
             if let Some(entity) = statics.tracked_block[bi] {
+                let input = EntityRound {
+                    bgp: Some(if routed { 1.0 } else { 0.0 }),
+                    fbs: Some(if active && state.fbs_eligible[bi] {
+                        1.0
+                    } else {
+                        0.0
+                    }),
+                    ips: Some(responsive as f64),
+                };
                 if let Some(series) = state.tracked.get_mut(&entity) {
-                    series.bgp.push(None);
-                    series.fbs.push(None);
-                    series.ips.push(None);
+                    // A non-fresh BGP feed gaps the tracked BGP series: the
+                    // collector has no dump to read the state from.
+                    series.bgp.push(feed_quality.mask(input).bgp);
+                    series.fbs.push(input.fbs);
+                    series.ips.push(input.ips);
                 }
                 if let Some(d) = state.block_detectors.get_mut(&entity) {
-                    d.observe(round, EntityRound::MISSING);
+                    d.observe_feeds(round, input, quality, feed_quality);
                 }
             }
-            continue;
-        }
-        let responsive = obs.responsive;
-        let rtt_ns = obs.rtt_ns;
-        // When the BGP delivery lost this block's record, the collector
-        // carries the last known routing state forward instead of reading
-        // a withdrawal into the gap.
-        let routed = if obs.routed_known {
-            obs.routed
-        } else {
-            state.last_routed[bi]
-        };
-        state.last_routed[bi] = routed;
-        let ai = statics.block_as[bi];
-        if routed {
-            as_routed[ai] += 1;
-        }
-        as_ips[ai] += responsive as u64;
-        let active = responsive > 0;
-        if active && state.fbs_eligible[bi] {
-            as_active[ai] += 1;
-        }
-        if let Some(oi) = statics.block_regional_oblast[bi] {
-            let oi = oi as usize;
-            if routed {
-                reg_routed[oi] += 1;
+            // RTT aggregation for tracked ASes.
+            if active {
+                if let Some(asn) = statics.rtt_tracked[ai] {
+                    let agg = state.rtt_monthly.entry((asn, month)).or_default();
+                    agg.sum_ns += rtt_ns;
+                    agg.count += 1;
+                }
             }
-            reg_ips[oi] += responsive as u64;
-            if active && state.fbs_eligible[bi] {
-                reg_active[oi] += 1;
-            }
-        }
-        // Tracked block series + detector.
-        if let Some(entity) = statics.tracked_block[bi] {
-            let input = EntityRound {
-                bgp: Some(if routed { 1.0 } else { 0.0 }),
-                fbs: Some(if active && state.fbs_eligible[bi] {
-                    1.0
-                } else {
-                    0.0
-                }),
-                ips: Some(responsive as f64),
-            };
-            if let Some(series) = state.tracked.get_mut(&entity) {
-                // A non-fresh BGP feed gaps the tracked BGP series: the
-                // collector has no dump to read the state from.
-                series.bgp.push(feed_quality.mask(input).bgp);
-                series.fbs.push(input.fbs);
-                series.ips.push(input.ips);
-            }
-            if let Some(d) = state.block_detectors.get_mut(&entity) {
-                d.observe_feeds(round, input, quality, feed_quality);
+            // Trinocular belief update.
+            if state.ioda.is_some() && state.trin_eligible[bi] {
+                // Believed long-term A vs instantaneous reply rate:
+                // during a real dip the probes go silent while the
+                // belief still expects replies — evidence of Down.
+                let p = state.trin_avail[bi];
+                // Trinocular probes a fixed panel of ever-active
+                // addresses; under dynamic addressing the panel is
+                // often stale, so the instantaneous reply rate sits
+                // well below the believed long-term A — the source
+                // of the signal's flapping (paper Fig. 27).
+                let stale = 0.2 + 0.8 * world.rng().uniform3(r as u64, bi as u64, 777);
+                let p_probe = world.trin_availability(round, bi) * stale;
+                let outcome = assess_block(state.beliefs[bi], p, &cfg.trinocular, |probe| {
+                    routed
+                        && world
+                            .rng()
+                            .chance3(p_probe, r as u64, bi as u64, 5000 + probe as u64)
+                });
+                state.beliefs[bi] = outcome.belief;
+                if outcome.state == fbs_trinocular::BlockState::Up {
+                    as_trin_up[ai] += 1;
+                }
             }
         }
-        // RTT aggregation for tracked ASes.
-        if active {
-            if let Some(asn) = statics.rtt_tracked[ai] {
-                let agg = state.rtt_monthly.entry((asn, month)).or_default();
-                agg.sum_ns += rtt_ns;
-                agg.count += 1;
-            }
-        }
-        // Trinocular belief update.
-        if state.ioda.is_some() && state.trin_eligible[bi] {
-            // Believed long-term A vs instantaneous reply rate:
-            // during a real dip the probes go silent while the
-            // belief still expects replies — evidence of Down.
-            let p = state.trin_avail[bi];
-            // Trinocular probes a fixed panel of ever-active
-            // addresses; under dynamic addressing the panel is
-            // often stale, so the instantaneous reply rate sits
-            // well below the believed long-term A — the source
-            // of the signal's flapping (paper Fig. 27).
-            let stale = 0.2 + 0.8 * world.rng().uniform3(r as u64, bi as u64, 777);
-            let p_probe = world.trin_availability(round, bi) * stale;
-            let outcome = assess_block(state.beliefs[bi], p, &cfg.trinocular, |probe| {
-                routed
-                    && world
-                        .rng()
-                        .chance3(p_probe, r as u64, bi as u64, 5000 + probe as u64)
-            });
-            state.beliefs[bi] = outcome.belief;
-            if outcome.state == fbs_trinocular::BlockState::Up {
-                as_trin_up[ai] += 1;
-            }
-        }
+        base += part.len();
     }
 
     // --- Feed detectors. ---
@@ -2131,23 +2203,17 @@ fn apply_round(
     Ok(())
 }
 
-/// Folds one round's passive-radiation observation into the predictors
-/// and ledgers. A dark collector freezes every predictor (no baseline
-/// drift, no spurious transitions); an observed round feeds each AS's
-/// volume through its seasonal predictor. An AS touched by a lost shard
-/// is treated as dark for the round: its journaled volume sum is missing
-/// the lost blocks' contribution, and a partial sum would read as a
-/// volume drop.
-fn apply_ibr(
+/// Checks one round's passive-radiation observation against the campaign:
+/// `None` when the IBR layer is off, else the observation, whose volumes
+/// must cover every AS unless the collector was dark.
+fn ibr_observation<'r>(
     statics: &Statics,
-    state: &mut PipelineState,
-    record: &RoundRecord,
+    record: &'r RoundRecord,
     round: Round,
-    lost_as: &[bool],
-) -> fbs_types::Result<()> {
-    let pos = state.cursor.completed() as u64;
+    pos: u64,
+) -> fbs_types::Result<Option<&'r IbrObs>> {
     let obs = match (&statics.ibr, &record.ibr) {
-        (None, None) => return Ok(()),
+        (None, None) => return Ok(None),
         (Some(_), Some(obs)) => obs,
         (expected, _) => {
             return Err(FbsError::corrupt_journal(
@@ -2165,15 +2231,7 @@ fn apply_ibr(
             ));
         }
     };
-    if obs.dark {
-        for (predictor, ledger) in state.ibr_predictors.iter_mut().zip(&mut state.ibr_ledgers) {
-            predictor.observe_dark(round);
-            ledger.volume.push(0);
-            ledger.status.push(IbrRoundStatus::Dark);
-        }
-        return Ok(());
-    }
-    if obs.volumes.len() != statics.as_list.len() {
+    if !obs.dark && obs.volumes.len() != statics.as_list.len() {
         return Err(FbsError::corrupt_journal(
             format!(
                 "round {} record carries {} ibr volumes, world has {} ASes",
@@ -2184,18 +2242,38 @@ fn apply_ibr(
             pos,
         ));
     }
-    for (ai, volume) in obs.volumes.iter().enumerate() {
-        if lost_as.get(ai).copied().unwrap_or(false) {
-            state.ibr_predictors[ai].observe_dark(round);
-            state.ibr_ledgers[ai].volume.push(0);
-            state.ibr_ledgers[ai].status.push(IbrRoundStatus::Dark);
-            continue;
-        }
-        state.ibr_predictors[ai].observe(round, *volume);
-        state.ibr_ledgers[ai].volume.push(*volume);
-        state.ibr_ledgers[ai].status.push(IbrRoundStatus::Observed);
+    Ok(Some(obs))
+}
+
+/// Folds one round's checked passive-radiation observation into the
+/// predictors and ledgers. A dark collector freezes every predictor (no
+/// baseline drift, no spurious transitions); an observed round feeds each
+/// AS's volume through its seasonal predictor. An AS touched by a lost
+/// shard is treated as dark for the round: its journaled volume sum is
+/// missing the lost blocks' contribution, and a partial sum would read as
+/// a volume drop.
+fn step_ibr(
+    predictors: &mut [SeasonalPredictor],
+    ledgers: &mut [IbrLedger],
+    obs: Option<&IbrObs>,
+    lost_as: &[bool],
+    round: Round,
+) {
+    let Some(obs) = obs else { return };
+    for (ai, (predictor, ledger)) in predictors.iter_mut().zip(ledgers).enumerate() {
+        let volume = match obs.volumes.get(ai) {
+            Some(v) if !obs.dark && !lost_as.get(ai).copied().unwrap_or(false) => *v,
+            _ => {
+                predictor.observe_dark(round);
+                ledger.volume.push(0);
+                ledger.status.push(IbrRoundStatus::Dark);
+                continue;
+            }
+        };
+        predictor.observe(round, volume);
+        ledger.volume.push(volume);
+        ledger.status.push(IbrRoundStatus::Observed);
     }
-    Ok(())
 }
 
 /// Folds one round's journaled shard outcomes into the supervision ledger

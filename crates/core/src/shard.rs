@@ -4,8 +4,8 @@
 //! fan-out, the darknet volume sum — is embarrassingly parallel: every
 //! per-block value is a pure function of `(seed, round, block)`. This
 //! module splits that work into deterministic AS-aligned shards of
-//! contiguous block indices and runs them on a bounded worker pool, with
-//! each shard *supervised*:
+//! contiguous block indices and runs them on the calling thread plus up to
+//! `threads − 1` scoped helpers, with each shard *supervised*:
 //!
 //! * **panic isolation** — the shard task runs under `catch_unwind`; a
 //!   panicking shard costs a retry, never the campaign;
@@ -22,11 +22,22 @@
 //!   blocks are marked missing and the round is downgraded by the caller,
 //!   mirroring the fault machinery's degraded-round handling.
 //!
+//! The claim loop: each dispatch spawns `threads − 1` scoped helpers, and
+//! the calling thread works beside them instead of waiting — while a
+//! helper is still starting, the caller claims the slots it would have
+//! taken. Every worker claims slots from
+//! one shared counter and keeps its outputs; the helpers hand theirs back
+//! through their join handles, and a helper's genuine panic resurfaces on
+//! the caller when it joins. The accumulation half of a round runs
+//! through the same loop ([`ShardExec::shard_apply`]): helpers claim
+//! order-free chunks while the caller first runs the work that needs the
+//! round's `&mut` state.
+//!
 //! Determinism under parallelism: shards are keyed by block coordinates
-//! (never by scheduling), workers claim slots from a shared counter, and
-//! results are re-sorted into slot order by [`roster_order`] before any
-//! merge. The output bytes are therefore identical at any thread count,
-//! which `tests/byte_identity.rs` pins at `threads = 1, 2, 8`.
+//! (never by scheduling), and results are re-sorted into slot order by
+//! [`roster_order`] before any merge. The output bytes are therefore
+//! identical at any thread count, which `tests/byte_identity.rs` pins at
+//! `threads = 1, 2, 8` on a multi-shard world, kill and resume included.
 
 use crate::checkpoint::{ShardObs, ShardOutcomeObs};
 use fbs_netsim::shardfaults::{injected_panic, shards_domain, ShardFaultKind, ShardFaultPlan};
@@ -35,7 +46,6 @@ use fbs_types::{Asn, Round};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Virtual cost budget per block, in nanoseconds — the deadline currency.
 /// Generous against the real ~20–100 ns of oracle-path work per block, so
@@ -112,40 +122,44 @@ impl ShardExec {
         self.plan.is_some()
     }
 
-    /// Runs `task` once per shard on the worker pool and returns the
+    /// Runs `task` once per shard on the claim loop and returns the
     /// supervised results in *arrival order* — the caller must pass them
     /// through [`roster_order`] before folding. The task receives the
     /// shard's slot and block range and must be a pure function of them
     /// (all RNG draws coordinate-addressed), which is what makes a retry
-    /// bit-identical to a first try.
+    /// bit-identical to a first try. A one-shard partition runs inline.
     pub fn shard_execute<T, F>(&self, round: Round, task: &F) -> Vec<SupervisedShard<T>>
     where
         T: Send,
         F: Fn(u32, Range<usize>) -> T + Sync,
     {
         let n = self.ranges.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return (0..n)
-                .map(|slot| self.supervise(round, slot, task))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<SupervisedShard<T>>();
-        std::thread::scope(|s| {
-            let next = &next;
-            for _ in 0..workers {
-                let tx = tx.clone();
-                s.spawn(move || loop {
-                    let slot = next.fetch_add(1, Ordering::SeqCst);
-                    if slot >= n || tx.send(self.supervise(round, slot, task)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            rx.into_iter().collect()
-        })
+        let helpers = self.threads.min(n).saturating_sub(1);
+        let ((), shards) = claim_loop(n, helpers, || (), &|slot| {
+            self.supervise(round, slot as usize, task)
+        });
+        shards.into_iter().map(|(_, shard)| shard).collect()
+    }
+
+    /// The accumulation dispatch: runs `work(slot)` for each of `n`
+    /// order-free chunks on the claim loop while the calling thread first
+    /// runs `first` — the step that mutates round state in place, which
+    /// stays on the caller because a `&mut` borrow cannot be claimed from
+    /// shared state without a lock. Returns `first`'s value and the chunk
+    /// outputs in arrival order; pass them through a `roster_*` ordering
+    /// step before merging. Even a lone chunk gets a helper, since the
+    /// caller is busy with `first`; `threads = 1` runs everything inline.
+    pub fn shard_apply<P, T, F>(
+        &self,
+        n: usize,
+        first: impl FnOnce() -> P,
+        work: &F,
+    ) -> (P, Vec<(u32, T)>)
+    where
+        T: Send,
+        F: Fn(u32) -> T + Sync,
+    {
+        claim_loop(n, (self.threads - 1).min(n), first, work)
     }
 
     /// Supervises one shard: bounded retry around the deadline watchdog
@@ -220,6 +234,52 @@ impl ShardExec {
     }
 }
 
+/// The claim loop: runs `work(slot)` once for each of `n` slots on the
+/// calling thread and `helpers` scoped helpers, which claim slots from one
+/// shared counter. `first` runs on the calling thread while the helpers
+/// already claim; then the caller claims too. Returns `first`'s value and
+/// the `(slot, output)` pairs in arrival order: the caller's own, then each
+/// helper's as its join handle hands them back. A helper's panic is resumed
+/// on the calling thread.
+fn claim_loop<P, T, F>(
+    n: usize,
+    helpers: usize,
+    first: impl FnOnce() -> P,
+    work: &F,
+) -> (P, Vec<(u32, T)>)
+where
+    T: Send,
+    F: Fn(u32) -> T + Sync,
+{
+    if helpers == 0 {
+        let p = first();
+        return (p, (0..n as u32).map(|slot| (slot, work(slot))).collect());
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut out = Vec::new();
+        loop {
+            let slot = next.fetch_add(1, Ordering::SeqCst);
+            if slot >= n {
+                return out;
+            }
+            out.push((slot as u32, work(slot as u32)));
+        }
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(claim)).collect();
+        let p = first();
+        let mut out = claim();
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        (p, out)
+    })
+}
+
 /// Splits the block index space into contiguous shards cut at AS
 /// boundaries near [`SHARD_TARGET_BLOCKS`] (hard-capped at twice it, so a
 /// giant AS still parallelizes). Depends only on the block→AS map: the
@@ -258,6 +318,9 @@ pub(crate) fn reduce_outcomes<T>(ordered: &[SupervisedShard<T>]) -> ShardObs {
 mod tests {
     use super::*;
     use fbs_netsim::shardfaults::ShardFaultWindow;
+    use std::sync::{mpsc, Mutex};
+    use std::thread;
+    use std::time::Duration;
 
     fn as_map(sizes: &[(u32, usize)]) -> Vec<Asn> {
         sizes
@@ -422,6 +485,140 @@ mod tests {
             caught.is_err(),
             "without a shard plan, a real panic must surface like the serial pipeline"
         );
+    }
+
+    /// How long a test slot waits for its counterpart on another thread
+    /// before giving up: a failed rendezvous fails the test, never hangs it.
+    const RENDEZVOUS: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn the_caller_works_one_slot_while_a_helper_works_another() {
+        // Two slots, two workers. The slot on the calling thread waits for
+        // the helper's slot to start, and the helper's slot waits until the
+        // caller has seen it: both slots are in progress at once, one on
+        // each thread, and neither can finish alone.
+        let blocks = as_map(&[(1, 64), (2, 64)]);
+        let caller = thread::current().id();
+        let (started_tx, started_rx) = mpsc::channel::<u32>();
+        let (seen_tx, seen_rx) = mpsc::channel::<()>();
+        let (started_rx, seen_rx) = (Mutex::new(started_rx), Mutex::new(seen_rx));
+        let task = |slot: u32, range: Range<usize>| -> (bool, Option<u32>, Range<usize>) {
+            let on_caller = thread::current().id() == caller;
+            let met = if on_caller {
+                let helper_slot = started_rx.lock().unwrap().recv_timeout(RENDEZVOUS).ok();
+                seen_tx.send(()).unwrap();
+                helper_slot
+            } else {
+                started_tx.send(slot).unwrap();
+                seen_rx
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(RENDEZVOUS)
+                    .ok()
+                    .map(|()| slot)
+            };
+            (on_caller, met, range)
+        };
+        let ex = exec(&blocks, 2, None);
+        let shards = roster_order(ex.shard_execute(Round(4), &task));
+        // Every slot delivered once, in roster order, with its own range.
+        let slots: Vec<u32> = shards.iter().map(|s| s.slot).collect();
+        assert_eq!(slots, [0, 1]);
+        let outputs: Vec<_> = shards.into_iter().map(|s| s.output.unwrap()).collect();
+        for (output, range) in outputs.iter().zip(ex.ranges()) {
+            assert_eq!(&output.2, range);
+        }
+        let on_caller: Vec<bool> = outputs.iter().map(|o| o.0).collect();
+        assert!(
+            on_caller.contains(&true) && on_caller.contains(&false),
+            "one slot on the caller, one on a helper: {on_caller:?}"
+        );
+        let helper_slot = outputs.iter().position(|o| !o.0).unwrap() as u32;
+        for output in &outputs {
+            assert_eq!(output.1, Some(helper_slot), "the rendezvous completed");
+        }
+    }
+
+    #[test]
+    fn the_caller_runs_its_first_step_while_a_helper_claims_a_chunk() {
+        let ex = exec(&as_map(&[(1, 10)]), 2, None);
+        let caller = thread::current().id();
+        let (tx, rx) = mpsc::channel::<thread::ThreadId>();
+        let work = |slot: u32| -> (u32, thread::ThreadId) {
+            tx.send(thread::current().id()).unwrap();
+            (slot, thread::current().id())
+        };
+        let first = || rx.recv_timeout(RENDEZVOUS).ok();
+        let (met, chunks) = ex.shard_apply(3, first, &work);
+        // The first step ran on the caller and saw a helper's chunk start.
+        assert!(met.is_some_and(|id| id != caller), "{met:?}");
+        let ordered = fbs_signals::roster_ordered(chunks, |(slot, _)| *slot);
+        let slots: Vec<u32> = ordered
+            .iter()
+            .map(|(slot, out)| {
+                assert_eq!(*slot, out.0);
+                *slot
+            })
+            .collect();
+        assert_eq!(
+            slots,
+            [0, 1, 2],
+            "every chunk delivered once, in roster order"
+        );
+        // One thread runs everything inline, in order.
+        let inline = exec(&as_map(&[(1, 10)]), 1, None);
+        let (ran_first, chunks) = inline.shard_apply(3, || thread::current().id(), &|slot| {
+            (slot, thread::current().id())
+        });
+        assert_eq!(ran_first, caller);
+        assert_eq!(
+            chunks.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert!(chunks.iter().all(|(_, (_, id))| *id == caller));
+    }
+
+    /// Runs `dispatch` with a task that panics on any helper thread and,
+    /// on the calling thread, waits until a helper has claimed its slot —
+    /// so the panic is certain to be raised on a helper. Returns the
+    /// payload that came out of the dispatch.
+    fn helper_panic_payload(dispatch: impl FnOnce(&(dyn Fn() + Sync))) -> String {
+        let caller = thread::current().id();
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let step = || {
+            if thread::current().id() == caller {
+                rx.lock()
+                    .unwrap()
+                    .recv_timeout(RENDEZVOUS)
+                    .expect("a helper claimed a slot");
+            } else {
+                tx.send(()).unwrap();
+                panic!("genuine bug on a helper");
+            }
+        };
+        let caught = catch_unwind(AssertUnwindSafe(|| dispatch(&step)));
+        let payload = caught.expect_err("the helper's panic must propagate");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_helper_threads_genuine_panic_propagates_out_of_both_dispatches() {
+        let ex = exec(&as_map(&[(1, 64), (2, 64)]), 2, None);
+        let payload = helper_panic_payload(|step| {
+            ex.shard_execute(Round(0), &|_slot: u32, range: Range<usize>| {
+                step();
+                range.len()
+            });
+        });
+        assert_eq!(payload, "genuine bug on a helper");
+        let payload = helper_panic_payload(|step| {
+            ex.shard_apply(1, step, &|_slot: u32| step());
+        });
+        assert_eq!(payload, "genuine bug on a helper");
     }
 
     #[test]

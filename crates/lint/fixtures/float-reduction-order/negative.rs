@@ -21,3 +21,21 @@ fn snr(xs: &[f64]) -> f64 {
 fn offline_mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
+
+pub fn emit_counts(xs: &[u64], ys: &[Vec<u64>], out: &mut String) {
+    out.push_str(&format!("{} {} {}", blocks(xs), rounds(xs), busiest(ys)));
+}
+
+fn blocks(xs: &[u64]) -> f64 {
+    let n: u64 = xs.iter().sum();
+    n as f64
+}
+
+fn rounds(xs: &[u64]) -> u64 {
+    xs.iter().sum()
+}
+
+fn busiest(ys: &[Vec<u64>]) -> f64 {
+    let counts: Vec<u64> = ys.iter().map(|y| y.iter().sum()).collect();
+    counts.iter().copied().max().unwrap_or(0) as f64
+}

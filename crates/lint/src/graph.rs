@@ -128,14 +128,17 @@ pub struct SharedSite {
 }
 
 /// One order-sensitive floating-point reduction inside a function body:
-/// `.sum::<f64>()` / `.product::<f64>()`, or a `.fold(<float literal>, …)`
-/// whose closure accumulates with `+`. Float addition is not associative,
-/// so the accumulation order *is* part of the result bytes.
+/// `.sum::<f64>()` / `.product::<f64>()`, a `.sum()` / `.product()` whose
+/// `f64` type comes from a `let x: f64` binding or the function's `-> f64`
+/// return type, or a `.fold(<float literal>, …)` whose closure accumulates
+/// with `+`. Float addition is not associative, so the accumulation order
+/// *is* part of the result bytes.
 #[derive(Debug, Clone)]
 pub struct FloatFold {
     pub line: u32,
     pub col: u32,
-    /// The reduction shape: `sum::<f64>`, `product::<f64>`, or `fold(+)`.
+    /// The reduction shape: `sum::<f64>`, `product::<f64>`, `sum() as f64`,
+    /// `product() as f64`, or `fold(+)`.
     pub shape: &'static str,
 }
 
@@ -265,7 +268,10 @@ fn push_fn(
         float_folds: Vec::new(),
     };
     if let Some(span) = f.body {
-        scan_body(file, span, &mut node);
+        let returns_f64 = f
+            .ret
+            .is_some_and(|r| r.hi == r.lo + 1 && file.sig_token(r.lo).is_ident(&file.src, "f64"));
+        scan_body(file, span, returns_f64, &mut node);
     }
     let idx = g.fns.len();
     g.fns_by_name.entry(f.name.clone()).or_default().push(idx);
@@ -286,9 +292,60 @@ fn plain_str_value(bytes: &[u8]) -> Option<String> {
 /// Shared-mutable constructs that make behaviour depend on scheduling.
 const SHARED_STATE: &[&str] = &["Mutex", "RwLock", "RefCell", "Cell", "UnsafeCell"];
 
+/// Whether the untyped `.sum()` / `.product()` call at `i` (the method
+/// name; `i + 1`, `i + 2` are its empty parentheses) yields an `f64` by
+/// its statement: the whole initializer chain of a `let <pat>: f64 = …;`,
+/// or the body's tail or `return` value when the function returns `f64`.
+/// A call nested inside another call's arguments, a closure or a tuple
+/// takes its type from there and is not judged.
+fn reduces_into_f64(file: &SourceFile, span: Span, i: usize, returns_f64: bool) -> bool {
+    let src = &file.src;
+    // Walk back over the receiver chain to the start of the statement.
+    let mut depth = 0i64;
+    let mut k = i;
+    let start = loop {
+        if k == span.lo {
+            break k;
+        }
+        let t = file.sig_token(k - 1);
+        if t.kind == TokenKind::Punct {
+            match (t.bytes(src), depth) {
+                (b";" | b"{" | b"}", 0) => break k,
+                (b"(" | b"[" | b"|" | b"||", 0) => return false,
+                (b")" | b"]" | b"}", _) => depth += 1,
+                (b"(" | b"[" | b"{", _) => depth -= 1,
+                _ => {}
+            }
+        }
+        k -= 1;
+    };
+    let first = file.sig_token(start);
+    if first.is_ident(src, "let") {
+        // `let <pat>: f64 = <chain>;` — the type sits between the first
+        // top-level `:` and `=`, and the chain must end the statement.
+        let mut colon = None;
+        let mut k = start + 1;
+        while k < i {
+            let t = file.sig_token(k);
+            if t.is_punct(src, "=") {
+                break;
+            }
+            if t.is_punct(src, ":") && colon.is_none() {
+                colon = Some(k);
+            }
+            k += 1;
+        }
+        let typed_f64 =
+            colon.is_some_and(|c| k == c + 2 && file.sig_token(c + 1).is_ident(src, "f64"));
+        return typed_f64 && i + 3 < span.hi && file.sig_token(i + 3).is_punct(src, ";");
+    }
+    // The body's tail expression, or a `return` value.
+    returns_f64 && (first.is_ident(src, "return") || i + 3 == span.hi)
+}
+
 /// One pass over a body span collecting callees, hash-collection mentions,
 /// write sites, RNG-domain calls, shared-state mentions, and float folds.
-fn scan_body(file: &SourceFile, span: Span, node: &mut FnNode) {
+fn scan_body(file: &SourceFile, span: Span, returns_f64: bool, node: &mut FnNode) {
     let src = &file.src;
     let hi = span.hi.min(file.sig_len());
     let lo = span.lo.min(hi);
@@ -375,6 +432,25 @@ fn scan_body(file: &SourceFile, span: Span, node: &mut FnNode) {
                     "sum::<f64>"
                 } else {
                     "product::<f64>"
+                },
+            });
+        }
+        // `.sum()` / `.product()` whose `f64` comes from the statement.
+        if (t.is_ident(src, "sum") || t.is_ident(src, "product"))
+            && i > lo
+            && file.sig_token(i - 1).is_punct(src, ".")
+            && i + 2 < hi
+            && file.sig_token(i + 1).is_punct(src, "(")
+            && file.sig_token(i + 2).is_punct(src, ")")
+            && reduces_into_f64(file, Span { lo, hi }, i, returns_f64)
+        {
+            node.float_folds.push(FloatFold {
+                line: t.line,
+                col: t.col,
+                shape: if t.is_ident(src, "sum") {
+                    "sum() as f64"
+                } else {
+                    "product() as f64"
                 },
             });
         }

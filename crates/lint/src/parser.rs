@@ -91,6 +91,9 @@ pub struct FnItem {
     pub name: String,
     /// Body token span, `None` for bodiless declarations (`fn f();`).
     pub body: Option<Span>,
+    /// Return-type token span (between `->` and the `where` clause or the
+    /// body), `None` when the signature declares no return type.
+    pub ret: Option<Span>,
     pub line: u32,
     pub col: u32,
 }
@@ -675,6 +678,8 @@ impl<'a> Parser<'a> {
         }
         // Return type / where clause: scan to the body or `;`, skipping
         // nested brackets (closures in const generics are out of scope).
+        let mut ret_lo = None;
+        let mut ret_hi = None;
         while j < hi && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
             if self.is_punct(j, "(") || self.is_punct(j, "[") {
                 j = self.skip_balanced(j, hi);
@@ -684,8 +689,18 @@ impl<'a> Parser<'a> {
                 j = self.skip_angles(j, hi);
                 continue;
             }
+            if self.is_punct(j, "->") && ret_lo.is_none() {
+                ret_lo = Some(j + 1);
+            }
+            if self.is_ident(j, "where") && ret_hi.is_none() {
+                ret_hi = Some(j);
+            }
             j += 1;
         }
+        let ret = ret_lo.map(|lo| Span {
+            lo,
+            hi: ret_hi.unwrap_or(j).max(lo),
+        });
         if self.is_punct(j, "{") {
             let close = self.skip_balanced(j, hi);
             let body = Span {
@@ -697,6 +712,7 @@ impl<'a> Parser<'a> {
                 Some(FnItem {
                     name,
                     body: Some(body),
+                    ret,
                     line,
                     col,
                 }),
@@ -707,6 +723,7 @@ impl<'a> Parser<'a> {
                 Some(FnItem {
                     name,
                     body: None,
+                    ret,
                     line,
                     col,
                 }),

@@ -718,8 +718,9 @@ fn check_shared_mutable_in_shard_path(
 }
 
 /// `float-reduction-order` — float addition is not associative, so a
-/// `.sum::<f64>()` / additive fold computes different bytes under
-/// different accumulation orders. Inside a function reachable from an
+/// `.sum::<f64>()`, a `.sum()` typed `f64` by its binding or return type,
+/// or an additive fold computes different bytes under different
+/// accumulation orders. Inside a function reachable from an
 /// emission/persistence surface that order *is* the wire format; the
 /// sharded engine must either pin it (accumulate in roster order) or the
 /// site must carry a pragma recording why the current order is stable.

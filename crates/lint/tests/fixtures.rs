@@ -312,16 +312,20 @@ fn shared_mutable_accepts_owned_state_and_off_path_helpers() {
 #[test]
 fn float_reduction_order_fires_on_sum_and_additive_fold() {
     // line 9: .sum::<f64>() in a helper the emitter calls, line 13: an
-    // additive f64 fold one hop further.
+    // additive f64 fold one hop further; lines 21, 26 and 33: an untyped
+    // .sum() / .product() whose f64 comes from a `let x: f64` binding, a
+    // `-> f64` tail and a `return` in an `-> f64` function.
     assert_fires(
         "float-reduction-order",
         "crates/core/src/fixture.rs",
-        &[9, 13],
+        &[9, 13, 21, 26, 33],
     );
 }
 
 #[test]
 fn float_reduction_order_accepts_integer_max_and_pragmad_reductions() {
+    // Includes untyped sums typed as integers by their binding, by a
+    // `-> u64` tail, and inside a closure of an `-> f64` function.
     assert_clean("float-reduction-order", "crates/core/src/fixture.rs");
 }
 

@@ -215,11 +215,15 @@ pub fn shards_domain(world_rng: WorldRng) -> WorldRng {
 /// task. Lives here (not in `fbs-core`) because the pipeline crates forbid
 /// panics in library code; the netsim fault layer is the one place allowed
 /// to blow up on purpose, and the supervisor must catch it.
+///
+/// It unwinds with [`std::panic::resume_unwind`], which skips the panic
+/// hook: a scripted fault prints no `panicked at` message or backtrace,
+/// while the supervisor's `catch_unwind` still catches it.
 pub fn injected_panic(window: &str, round: Round, shard: u32, attempt: u32) -> ! {
-    panic!(
+    std::panic::resume_unwind(Box::new(format!(
         "injected shard fault {window:?}: panic in shard {shard} attempt {attempt} of round {}",
         round.0
-    )
+    )))
 }
 
 #[cfg(test)]

@@ -130,14 +130,35 @@ impl SeasonBucket {
     }
 
     /// Median of the filled samples, `None` until any sample is present.
+    ///
+    /// Sorts a stack copy of the filled samples (before wrap-around they
+    /// sit at the ring's front; after it, the whole ring is filled), so an
+    /// observed round allocates nothing. [`Persist::restore`] admits only
+    /// rings of [`SeasonalPredictor::HISTORY_DAYS`] samples, which is what
+    /// bounds the copy.
     fn median(&self) -> Option<f64> {
+        let mut buf = [0.0f64; SeasonalPredictor::HISTORY_DAYS];
+        let xs = buf.get_mut(..self.filled)?;
+        xs.copy_from_slice(self.ring.get(..self.filled)?);
+        xs.sort_unstable_by(f64::total_cmp);
+        let mid = xs.len() / 2;
+        match xs.len() {
+            0 => None,
+            n if n % 2 == 1 => Some(xs[mid]),
+            _ => Some((xs[mid - 1] + xs[mid]) / 2.0),
+        }
+    }
+
+    /// The allocating median this bucket used to compute: the reference
+    /// [`SeasonBucket::median`] is checked against.
+    #[cfg(test)]
+    fn median_reference(&self) -> Option<f64> {
         if self.filled == 0 {
             return None;
         }
         let mut xs: Vec<f64> = if self.filled == self.ring.len() {
             self.ring.clone()
         } else {
-            // Before wrap-around the filled samples sit at the ring's front.
             self.ring[..self.filled].to_vec()
         };
         xs.sort_unstable_by(f64::total_cmp);
@@ -160,7 +181,10 @@ impl Persist for SeasonBucket {
         let ring = Vec::<f64>::restore(r)?;
         let head = usize::restore(r)?;
         let filled = usize::restore(r)?;
-        if ring.is_empty() || head >= ring.len() || filled > ring.len() {
+        if ring.len() != SeasonalPredictor::HISTORY_DAYS
+            || head >= ring.len()
+            || filled > ring.len()
+        {
             return Err(FbsError::Io {
                 reason: format!(
                     "inconsistent season bucket: ring {}, head {head}, filled {filled}",
@@ -521,6 +545,40 @@ mod tests {
         });
         roundtrip_eq(&IbrRoundStatus::Observed);
         roundtrip_eq(&IbrRoundStatus::Dark);
+    }
+
+    proptest::proptest! {
+        /// The stack-copy median equals the allocating reference bit for
+        /// bit on any ring: empty, partly filled, full, or wrapped one or
+        /// more times, over any `f64` bit pattern (NaNs, infinities and
+        /// signed zeros included) as well as volume-like values.
+        #[test]
+        fn stack_median_matches_the_allocating_reference(
+            bits in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..30),
+            volumes in proptest::collection::vec(0.0f64..1e9, 0..30),
+        ) {
+            for samples in [bits.into_iter().map(f64::from_bits).collect::<Vec<_>>(), volumes] {
+                let mut bucket = SeasonBucket::new(SeasonalPredictor::HISTORY_DAYS);
+                proptest::prop_assert_eq!(bucket.median(), None);
+                for v in samples {
+                    bucket.push(v);
+                    proptest::prop_assert_eq!(
+                        bucket.median().map(f64::to_bits),
+                        bucket.median_reference().map(f64::to_bits)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_restored_ring_must_hold_a_week() {
+        let mut w = ByteWriter::new();
+        vec![1.0f64; SeasonalPredictor::HISTORY_DAYS + 1].persist(&mut w);
+        0usize.persist(&mut w);
+        3usize.persist(&mut w);
+        let bytes = w.into_bytes();
+        assert!(SeasonBucket::restore(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -13,11 +13,13 @@ use ukraine_fbs::core::dataset::{availability_csv, availability_rows, outage_csv
 use ukraine_fbs::core::CheckpointPolicy;
 use ukraine_fbs::journal;
 use ukraine_fbs::netsim::{
-    AsProfile, AsSpec, BlockSpec, FaultIntensity, FaultPlan, FaultWindow, FeedFaultIntensity,
-    FeedFaultPlan, FeedFaultWindow, IbrConfig, IbrDarkWindow, Script, ShardFaultKind,
-    ShardFaultPlan, ShardFaultWindow, VantageSpec, World, WorldConfig, WorldScale,
+    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, FaultWindow,
+    FeedFaultIntensity, FeedFaultPlan, FeedFaultWindow, IbrConfig, IbrDarkWindow, Script,
+    ScriptedEvent, ShardFaultKind, ShardFaultPlan, ShardFaultWindow, VantageSpec, World,
+    WorldConfig, WorldScale,
 };
 use ukraine_fbs::prelude::*;
+use ukraine_fbs::signals::IbrRoundStatus;
 use ukraine_fbs::types::{FeedKind, Oblast, Prefix};
 
 const ROUNDS: u32 = 240; // 20 days at 12 rounds/day
@@ -62,14 +64,6 @@ fn campaign() -> Campaign {
     Campaign::new(world(23), cfg).expect("valid config")
 }
 
-fn campaign_with_threads(threads: usize) -> Campaign {
-    let mut cfg = CampaignConfig::without_baseline();
-    cfg.tracked.clear();
-    cfg.rtt_tracked.clear();
-    cfg.threads = threads;
-    Campaign::new(world(23), cfg).expect("valid config")
-}
-
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -100,77 +94,241 @@ fn two_runs_write_identical_checkpoint_bytes() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
-#[test]
-fn thread_count_never_reaches_output_bytes() {
-    // The sharded executor's worker count is pure mechanism: every block's
-    // observation is derived from coordinate-addressed RNG, and the merge
-    // is a roster-ordered reduce, so the same campaign at 1, 2 and 8
-    // threads must write byte-identical checkpoints and datasets. One
-    // thread runs the shards inline on the calling thread — the pre-shard
-    // serial pipeline — so this also pins parallel == serial.
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let dir = fresh_dir(&format!("t{threads}"));
-        let report = campaign_with_threads(threads)
+/// A world the shard executor really splits: four ASes of 300, 150, 100
+/// and 50 blocks. The 300-block AS is above the executor's 128-block shard
+/// cap, so it spans three shards; the world cuts into six shards and its
+/// 600 blocks into two quorum-fusion chunks. A BGP outage on one AS feeds
+/// the detectors, and a vantage outage makes a run of unusable rounds on
+/// which only the darknet is heard.
+fn multi_shard_world() -> World {
+    let sizes = [
+        (301u32, Oblast::Kharkiv, 300usize),
+        (302, Oblast::Kyiv, 150),
+        (303, Oblast::Kherson, 100),
+        (304, Oblast::Lviv, 50),
+    ];
+    let mut blocks = Vec::new();
+    let mut ases = Vec::new();
+    for (asn, home, n) in sizes {
+        let first = blocks.len();
+        for k in first..first + n {
+            blocks.push(BlockSpec {
+                block: BlockId::from_octets(10, (k >> 8) as u8, (k & 0xff) as u8),
+                owner: Asn(asn),
+                home,
+                // Every fifth block has two responders, so a lossy
+                // vantage sometimes sees it dark while the others do not.
+                base_responders: if k % 5 == 0 {
+                    2
+                } else {
+                    60 + (k % 7) as u16 * 10
+                },
+                geo_population: 200,
+                response_prob: 0.85,
+                diurnal: k % 3 != 0,
+                power_backup: 1.0,
+                annual_decay: 1.0,
+            });
+        }
+        ases.push(AsSpec {
+            asn: Asn(asn),
+            name: format!("multi-shard-{asn}"),
+            profile: AsProfile::Regional,
+            hq: Some(home),
+            prefixes: blocks[first..]
+                .iter()
+                .map(|b| Prefix::from_block(b.block))
+                .collect(),
+            base_rtt_ns: 40_000_000,
+            upstream: Asn(1),
+        });
+    }
+    let config = WorldConfig {
+        seed: 31,
+        scale: WorldScale::Tiny,
+        rounds: ROUNDS,
+        ases,
+        blocks,
+    };
+    let mut script = Script::new();
+    script.push(ScriptedEvent {
+        name: "bgp-outage".into(),
+        target: EventTarget::As(Asn(302)),
+        kind: EventKind::BgpOutage,
+        start: Round(100).start(),
+        end: Some(Round(112).start()),
+    });
+    script.push(ScriptedEvent {
+        name: "vantage-outage".into(),
+        target: EventTarget::Country,
+        kind: EventKind::VantageOutage,
+        start: Round(150).start(),
+        end: Some(Round(156).start()),
+    });
+    World::new(config, script, vec![]).expect("valid config")
+}
+
+/// The multi-shard campaign at `threads`: the darknet with a dark window,
+/// tracked blocks and ASes, an RTT-tracked AS, and the Trinocular/IODA
+/// baseline on; with `roster`, three vantages — one clean, one behind
+/// path latency and reply loss, one blacked out mid-campaign.
+fn multi_shard_campaign(threads: usize, roster: bool) -> Campaign {
+    let mut cfg = CampaignConfig::default();
+    assert!(cfg.run_baseline);
+    cfg.tracked = vec![
+        EntityId::As(Asn(301)),
+        EntityId::As(Asn(302)),
+        EntityId::Block(BlockId::from_octets(10, 1, 200)),
+        EntityId::Block(BlockId::from_octets(10, 0, 5)),
+    ];
+    cfg.rtt_tracked = vec![Asn(301)];
+    cfg.ibr = Some(IbrConfig::with_dark_windows(vec![IbrDarkWindow {
+        start: 60,
+        end: 72,
+    }]));
+    if roster {
+        cfg.vantages = vec![
+            VantageSpec::new("kyiv"),
+            VantageSpec {
+                path_rtt_ns: 12_000_000,
+                fault_plan: Some(FaultPlan {
+                    baseline: FaultIntensity::default(),
+                    windows: vec![FaultWindow::over_rounds(
+                        "lossy",
+                        20..200,
+                        FaultIntensity {
+                            reply_loss: 0.6,
+                            ..FaultIntensity::default()
+                        },
+                    )],
+                }),
+                ..VantageSpec::new("warsaw")
+            },
+            VantageSpec {
+                fault_plan: Some(FaultPlan {
+                    baseline: FaultIntensity::default(),
+                    windows: vec![FaultWindow::over_rounds(
+                        "blackout",
+                        120..180,
+                        FaultIntensity {
+                            reply_loss: 1.0,
+                            ..FaultIntensity::default()
+                        },
+                    )],
+                }),
+                ..VantageSpec::new("frankfurt")
+            },
+        ];
+    }
+    cfg.threads = threads;
+    Campaign::new(multi_shard_world(), cfg).expect("valid config")
+}
+
+/// Everything a finished checkpointed campaign leaves behind: the report,
+/// then every file of the checkpoint directory and of its dataset export,
+/// by name.
+fn output_bytes(
+    report: &CampaignReport,
+    dir: &std::path::Path,
+) -> (String, Vec<(String, Vec<u8>)>) {
+    let exports = dir.join("export");
+    ukraine_fbs::core::dataset::export_all(report, &exports).expect("export");
+    let mut files = Vec::new();
+    for (prefix, d) in [("", dir.to_path_buf()), ("export/", exports)] {
+        for entry in std::fs::read_dir(&d).expect("output dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_file() {
+                let name = path.file_name().expect("name").to_string_lossy();
+                files.push((
+                    format!("{prefix}{name}"),
+                    std::fs::read(&path).expect("output file"),
+                ));
+            }
+        }
+    }
+    files.sort();
+    let _ = std::fs::remove_dir_all(dir);
+    (format!("{report:?}"), files)
+}
+
+/// Runs the multi-shard campaign to the end at threads 1, 2 and 8, and at
+/// threads 2 and 8 also kills it between two snapshots and resumes it, so
+/// replay runs through the pooled accumulation too. Every run must leave
+/// the threads-1 run's report, journal, snapshot and export bytes.
+fn assert_thread_count_never_reaches_bytes(roster: bool) {
+    let tag = if roster { "roster" } else { "implicit" };
+    let run = |threads: usize| {
+        let dir = fresh_dir(&format!("{tag}-t{threads}"));
+        let report = multi_shard_campaign(threads, roster)
             .run_checkpointed(&dir, policy())
             .expect("checkpointed run");
-        let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).expect(SNAPSHOT_FILE);
-        let journal = std::fs::read(dir.join(JOURNAL_FILE)).expect(JOURNAL_FILE);
-        let _ = std::fs::remove_dir_all(&dir);
-        let avail = availability_csv(&availability_rows(&report)).into_bytes();
-        let out = outage_csv(&outage_rows(&report)).into_bytes();
-        runs.push((
-            threads,
-            format!("{report:?}"),
-            snapshot,
-            journal,
-            avail,
-            out,
-        ));
-    }
-    let (_, base_report, base_snap, base_journal, base_avail, base_out) = &runs[0];
-    for (threads, report, snap, journal, avail, out) in &runs[1..] {
-        assert_eq!(report, base_report, "report differs at threads={threads}");
-        assert_eq!(snap, base_snap, "snapshot differs at threads={threads}");
-        assert_eq!(
-            journal, base_journal,
-            "journal differs at threads={threads}"
+        if threads == 1 {
+            // The campaign exercises what it claims to: detections, the
+            // darknet heard and dark, unusable rounds, the baseline, and
+            // on the roster a ballot that disagrees.
+            assert!(report.total_as_outages() > 0, "{tag}");
+            assert!(!report.missing_rounds.is_empty(), "{tag}");
+            assert!(report.ioda.is_some(), "{tag}");
+            assert_eq!(report.tracked.len(), 4, "{tag}");
+            let statuses: Vec<_> = report.ibr.iter().flat_map(|l| &l.status).collect();
+            assert!(statuses.contains(&&IbrRoundStatus::Dark), "{tag}");
+            assert!(statuses.contains(&&IbrRoundStatus::Observed), "{tag}");
+            assert_eq!(report.vantages.len(), if roster { 3 } else { 0 });
+            assert_eq!(report.disagreement.some_not_all_block_rounds > 0, roster);
+        }
+        output_bytes(&report, &dir)
+    };
+    let serial = run(1);
+    assert!(serial.1.iter().any(|(name, _)| name == JOURNAL_FILE));
+    assert!(serial.1.iter().any(|(name, _)| name == SNAPSHOT_FILE));
+    assert!(serial
+        .1
+        .iter()
+        .any(|(name, _)| name == "export/ibr_signal.csv"));
+    for threads in [2usize, 8] {
+        assert!(
+            run(threads) == serial,
+            "{tag}: bytes differ at threads={threads}"
         );
-        assert_eq!(
-            avail, base_avail,
-            "availability csv differs at threads={threads}"
+        let campaign = multi_shard_campaign(threads, roster);
+        let dir = fresh_dir(&format!("{tag}-kill{threads}"));
+        let mut runner = campaign
+            .runner_checkpointed(&dir, policy())
+            .expect("checkpoint dir");
+        for _ in 0..130 {
+            assert!(runner.step_round().expect("step"));
+        }
+        drop(runner);
+        let (report, diag) = campaign.resume_with(&dir, policy()).expect("resume");
+        assert_eq!(diag.replayed_rounds, 130 - 84, "{tag}: {diag:?}");
+        assert!(
+            output_bytes(&report, &dir) == serial,
+            "{tag}: resumed bytes differ at threads={threads}"
         );
-        assert_eq!(out, base_out, "outage csv differs at threads={threads}");
     }
 }
 
 #[test]
+fn thread_count_never_reaches_output_bytes() {
+    // The sharded executor's worker count is pure mechanism: every block's
+    // observation is derived from coordinate-addressed RNG, the shard
+    // merge is a roster-ordered reduce, and the accumulation half's chunk
+    // counts merge in chunk order, so the same campaign at 1, 2 and 8
+    // threads — killed and resumed or not — writes byte-identical
+    // checkpoints and datasets. One thread runs everything inline on the
+    // calling thread, so this also pins parallel == serial. This campaign
+    // measures through the implicit vantage.
+    assert_thread_count_never_reaches_bytes(false);
+}
+
+#[test]
 fn thread_count_never_reaches_fanned_out_surfaces() {
-    // Same property with every measurement surface live at once: a vantage
-    // roster (per-vantage fan-out shards) and the passive IBR signal both
-    // ride the shard executor, and none of their bytes may depend on how
-    // many workers carried the round.
-    let run = |threads: usize| {
-        let mut cfg = CampaignConfig::without_baseline();
-        cfg.tracked.clear();
-        cfg.rtt_tracked.clear();
-        cfg.vantages = vec![VantageSpec::new("solo")];
-        cfg.ibr = Some(IbrConfig::default());
-        cfg.threads = threads;
-        let dir = fresh_dir(&format!("ft{threads}"));
-        let report = Campaign::new(world(23), cfg)
-            .expect("valid config")
-            .run_checkpointed(&dir, policy())
-            .expect("checkpointed run");
-        let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).expect(SNAPSHOT_FILE);
-        let journal = std::fs::read(dir.join(JOURNAL_FILE)).expect(JOURNAL_FILE);
-        let _ = std::fs::remove_dir_all(&dir);
-        (format!("{report:?}"), snapshot, journal)
-    };
-    let serial = run(1);
-    for threads in [2usize, 8] {
-        assert_eq!(run(threads), serial, "bytes differ at threads={threads}");
-    }
+    // Same property with every measurement surface live at once: a
+    // three-vantage roster (per-vantage fan-out shards, quorum fusion over
+    // two chunks) and the passive IBR signal both ride the shard executor,
+    // and none of their bytes may depend on how many workers carried the
+    // round.
+    assert_thread_count_never_reaches_bytes(true);
 }
 
 #[test]
