@@ -73,15 +73,18 @@ pub fn lint_source(file: &SourceFile) -> Vec<Finding> {
 /// Lints an analyzed file set: per-file lexical rules on each file, then
 /// the workspace semantic rules over the symbol graph built from all of
 /// them. `complete` marks a full workspace sweep (enables absence checks
-/// like registry staleness). Semantic findings pass through the anchoring
-/// file's test-region and pragma filters, same as lexical ones.
+/// like registry staleness). Semantic findings anchored to a file pass
+/// through its test-region and pragma filters, same as lexical ones;
+/// path-anchored findings (stale registry entries, the wire-schema rules)
+/// are never filtered.
 pub fn lint_sources(files: &[SourceFile], complete: bool) -> LintRun {
     lint_sources_with_lock(files, complete, None)
 }
 
 /// [`lint_sources`] plus the wire-schema compatibility gate: when the
 /// `SCHEMA.lock` text is supplied, the extraction is diffed against it
-/// and `frozen-version-edit` / `schema-lock-drift` findings join the run.
+/// and `frozen-version-edit` / `schema-lock-drift` findings join the run
+/// (on a complete sweep, also a lock that is not the canonical text).
 /// `unprobed-version` always runs; without a lockfile no read-only
 /// version is frozen, so every one of them counts as dead.
 pub fn lint_sources_with_lock(files: &[SourceFile], complete: bool, lock: Option<&str>) -> LintRun {
@@ -99,7 +102,7 @@ pub fn lint_sources_with_lock(files: &[SourceFile], complete: bool, lock: Option
     }
     let graph = crate::graph::build(files);
     let mut semantic = check_workspace(files, &graph, complete);
-    semantic.extend(crate::schema::check_schema(files, &graph, lock));
+    semantic.extend(crate::schema::check_schema(files, &graph, lock, complete));
     for sf in semantic {
         match sf.anchor {
             Anchor::File(i) => {
@@ -200,9 +203,9 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 
 /// Lints every Rust source file under `root` (the workspace): all files
 /// are analyzed up front so the semantic rules see the whole symbol
-/// graph, and complete-sweep absence checks are enabled. When the root
-/// carries a `SCHEMA.lock`, the wire-schema compatibility gate runs
-/// against it.
+/// graph, and complete-sweep absence checks are enabled. The wire-schema
+/// compatibility gate runs against the root's `SCHEMA.lock`; a missing
+/// lock is itself a finding once the workspace has a wire type.
 pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
     let files = analyze_workspace(root)?;
     let lock = fs::read_to_string(root.join("SCHEMA.lock")).ok();
@@ -210,7 +213,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintRun> {
 }
 
 /// Reads and analyzes every workspace source file (the shared front half
-/// of [`lint_workspace`] and the `schema` CLI mode).
+/// of [`lint_workspace`] and `schema --write-lock`).
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     for path in collect_rs_files(root)? {

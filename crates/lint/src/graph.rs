@@ -63,8 +63,6 @@ pub struct FnNode {
     pub write_sites: Vec<WriteSite>,
     /// World-RNG `domain(…)` call sites inside the body.
     pub domain_sites: Vec<DomainSite>,
-    /// Env-derived output-path sites (`env::var` with a literal default).
-    pub artifact_sites: Vec<ArtifactSite>,
     /// Shared-mutable-state mentions inside the body.
     pub shared_sites: Vec<SharedSite>,
     /// Order-sensitive float reductions inside the body.
@@ -98,21 +96,6 @@ pub struct DomainSite {
     /// (`domain("faults")` → `Some("faults")`); `None` for computed
     /// arguments (`domain(&self.name)`, `domain(kind.name())`).
     pub literal: Option<String>,
-}
-
-/// One env-derived output-path site: `std::env::var("FBS_…")` with a
-/// nearby string-literal default naming the artifact written there
-/// (`var("FBS_BENCH_OUT").unwrap_or_else(|_| "BENCH_scan.json".…)`).
-/// These name emission artifacts the same way `EMISSION_FILES` names
-/// emission source files, so the registry check covers both.
-#[derive(Debug, Clone)]
-pub struct ArtifactSite {
-    pub line: u32,
-    pub col: u32,
-    /// The environment variable consulted.
-    pub env: String,
-    /// The literal fallback artifact name, when one follows the call.
-    pub default: Option<String>,
 }
 
 /// One shared-mutable-state mention inside a function body: interior
@@ -151,8 +134,6 @@ pub struct SymbolGraph {
     pub enums: BTreeMap<String, Vec<ItemRef>>,
     /// Every `impl Persist for …` block.
     pub persist_impls: Vec<PersistImpl>,
-    /// Type names that have at least one `Persist` impl anywhere.
-    pub persist_types: BTreeSet<String>,
     /// Every function in the workspace, in (file, position) order.
     pub fns: Vec<FnNode>,
     /// Function name → indices into [`SymbolGraph::fns`].
@@ -176,11 +157,6 @@ impl SymbolGraph {
             Some([one]) => Some(*one),
             _ => None,
         }
-    }
-
-    /// Whether `name` names any workspace-defined struct or enum.
-    pub fn defines_type(&self, name: &str) -> bool {
-        self.structs.contains_key(name) || self.enums.contains_key(name)
     }
 }
 
@@ -215,7 +191,6 @@ pub fn build(files: &[SourceFile]) -> SymbolGraph {
                         .find(|f| f.name == fname)
                         .and_then(|f| f.body)
                 };
-                g.persist_types.insert(imp.type_name.clone());
                 g.persist_impls.push(PersistImpl {
                     file: fi,
                     type_name: imp.type_name.clone(),
@@ -263,7 +238,6 @@ fn push_fn(
         hash_sites: Vec::new(),
         write_sites: Vec::new(),
         domain_sites: Vec::new(),
-        artifact_sites: Vec::new(),
         shared_sites: Vec::new(),
         float_folds: Vec::new(),
     };
@@ -393,28 +367,6 @@ fn scan_body(file: &SourceFile, span: Span, returns_f64: bool, node: &mut FnNode
                 col: t.col,
                 literal,
             });
-        }
-        // `env::var("NAME")` with a trailing string-literal default —
-        // an env-derived artifact path. The default is the next plain
-        // string literal within the same expression (a short window
-        // bounds the scan; the unwrap chain is only a few tokens).
-        if t.is_ident(src, "var")
-            && i + 3 < hi
-            && file.sig_token(i + 1).is_punct(src, "(")
-            && file.sig_token(i + 2).kind == TokenKind::Str
-            && file.sig_token(i + 3).is_punct(src, ")")
-        {
-            if let Some(env) = plain_str_value(file.sig_token(i + 2).bytes(src)) {
-                let default = (i + 4..hi.min(i + 16))
-                    .filter(|&k| file.sig_token(k).kind == TokenKind::Str)
-                    .find_map(|k| plain_str_value(file.sig_token(k).bytes(src)));
-                node.artifact_sites.push(ArtifactSite {
-                    line: t.line,
-                    col: t.col,
-                    env,
-                    default,
-                });
-            }
         }
         // `.sum::<f64>()` / `.product::<f64>()` — typed float reductions.
         if (t.is_ident(src, "sum") || t.is_ident(src, "product"))
@@ -591,7 +543,6 @@ mod tests {
         let pi = &g.persist_impls[0];
         assert_eq!(pi.type_name, "P");
         assert!(pi.encode.is_some() && pi.decode.is_some());
-        assert!(g.persist_types.contains("P"));
         assert!(g.unique_struct("P").is_some());
     }
 
@@ -709,6 +660,6 @@ mod tests {
         let b = analyze("crates/feeds/src/b.rs", "struct Dup { y: u8 }");
         let g = build(&[a, b]);
         assert!(g.unique_struct("Dup").is_none());
-        assert!(g.defines_type("Dup"));
+        assert_eq!(g.structs["Dup"].len(), 2);
     }
 }

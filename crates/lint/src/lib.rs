@@ -11,7 +11,7 @@
 //! `file:line:col` diagnostics, a `--json` mode, and a non-zero exit for
 //! CI.
 //!
-//! Architecture, in six layers:
+//! Architecture: nine modules in six layers.
 //!
 //! * [`lexer`] — a small, *total* Rust lexer (raw strings, byte strings,
 //!   nested block comments, char-vs-lifetime disambiguation, shebangs).
@@ -28,23 +28,29 @@
 //!   graph (struct → Persist impl → encode/decode bodies, fn → callees,
 //!   write/domain/shared-state/float-fold sites), the dataflow substrate
 //!   over it (resolved call edges, fixed-point transitive reachability,
-//!   and a source→sink shard-order taint pass), and the eight cross-file
-//!   rules: `persist-field-drift`, `persist-orphan`,
-//!   `unregistered-emission`, `nondet-collection-flow`,
-//!   `shard-merge-order`, `rng-domain-collision`,
-//!   `shared-mutable-in-shard-path`, `float-reduction-order`.
+//!   and a source→sink shard-order taint pass), and the seven cross-file
+//!   rules: `persist-field-drift`, `unregistered-emission`,
+//!   `nondet-collection-flow`, `shard-merge-order`,
+//!   `rng-domain-collision`, `shared-mutable-in-shard-path`,
+//!   `float-reduction-order`.
 //! * [`schema`] — static wire-format extraction over the symbol graph:
 //!   every `Persist` impl's ordered writes, enum wire tags, and the
 //!   written layout of each versioned root (read-only versions keep the
 //!   layout the lockfile froze), serialized as the committed
 //!   `SCHEMA.lock` and diffed against it by the compatibility rules
 //!   `frozen-version-edit`, `unprobed-version`, and `schema-lock-drift`.
+//!   These anchor to paths, so no pragma or test region excuses them,
+//!   and a complete sweep also requires the lock's canonical text.
 //! * [`rules`] + [`engine`] — the lexical rule registry and the driver
 //!   that walks the workspace, applies each rule in scope, runs the
 //!   semantic pass over the assembled graph, and filters excused lines.
 //!
-//! Run it as `cargo run -p fbs-lint -- --workspace`, or
-//! `cargo run -p fbs-lint -- schema --check` for the wire-schema gate.
+//! Run it as `cargo run -p fbs-lint -- --workspace`; that sweep is also
+//! the wire-schema gate (`fbs-lint schema --write-lock` regenerates the
+//! lock). Two rules have caught real defects in this tree:
+//! `persist-field-drift` (the `FeedKind` codec sides disagreeing on its
+//! variants) and `rng-domain-collision` (two call sites drawing the
+//! `"faults"` domain); `README.md` keeps that record.
 
 #![forbid(unsafe_code)]
 
@@ -65,9 +71,7 @@ pub use engine::{
     lint_source, lint_sources, lint_sources_with_lock, lint_workspace, render_json, FileFinding,
     LintRun,
 };
-pub use rules::{
-    rule_by_name, Finding, Rule, EMISSION_FILES, EMISSION_OUTPUTS, RNG_DOMAINS, RULES,
-};
+pub use rules::{rule_by_name, Finding, Rule, EMISSION_FILES, RNG_DOMAINS, RULES};
 pub use schema::{
     diff_schemas, extract, parse_lock, render_lock, EditKind, Layout, SchemaEdit, TypeSchema,
     VersionedSchema, WireOp, WireSchema,

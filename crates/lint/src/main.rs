@@ -6,14 +6,13 @@
 //! fbs-lint --list-rules           # what is enforced, and why
 //! fbs-lint path/to/file.rs …      # lint specific files
 //! fbs-lint schema --write-lock    # (re)generate SCHEMA.lock
-//! fbs-lint schema --check         # fail if the extraction drifted
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use fbs_lint::{analyze_workspace, diff_schemas, extract, parse_lock, render_lock, EditKind};
+use fbs_lint::{analyze_workspace, extract, parse_lock, render_lock};
 use fbs_lint::{
     find_workspace_root, lint_sources, lint_workspace, render_json, FileMeta, LintRun, SourceFile,
     RULES, SEMANTIC_RULES,
@@ -24,21 +23,12 @@ use std::process::ExitCode;
 // crates; a binary reporting its own runtime is the sanctioned use.
 use std::time::Instant;
 
-/// What `fbs-lint schema …` should do.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SchemaMode {
-    /// Regenerate `SCHEMA.lock` from a fresh extraction.
-    WriteLock,
-    /// Diff a fresh extraction against `SCHEMA.lock`; violations exit 1.
-    Check,
-}
-
 struct Args {
     workspace: bool,
     json: bool,
     list_rules: bool,
-    /// The `schema` subcommand, when invoked.
-    schema: Option<SchemaMode>,
+    /// `schema --write-lock`: regenerate `SCHEMA.lock`.
+    write_lock: bool,
     root: Option<PathBuf>,
     /// Write a `BENCH_lint.json` benchmark artifact here after the run.
     bench_json: Option<PathBuf>,
@@ -52,7 +42,7 @@ fn parse_args() -> Result<Args, String> {
         workspace: false,
         json: false,
         list_rules: false,
-        schema: None,
+        write_lock: false,
         root: None,
         bench_json: None,
         budget_ms: None,
@@ -69,8 +59,7 @@ fn parse_args() -> Result<Args, String> {
             "--workspace" => args.workspace = true,
             "--json" => args.json = true,
             "--list-rules" => args.list_rules = true,
-            "--write-lock" if schema_subcommand => args.schema = Some(SchemaMode::WriteLock),
-            "--check" if schema_subcommand => args.schema = Some(SchemaMode::Check),
+            "--write-lock" if schema_subcommand => args.write_lock = true,
             "--root" => {
                 let dir = it.next().ok_or("--root requires a directory argument")?;
                 args.root = Some(PathBuf::from(dir));
@@ -96,10 +85,16 @@ fn parse_args() -> Result<Args, String> {
             path => args.paths.push(PathBuf::from(path)),
         }
     }
-    if schema_subcommand && args.schema.is_none() {
-        return Err(format!("schema requires --write-lock or --check\n{USAGE}"));
+    let sweep_args = args.workspace
+        || args.json
+        || args.list_rules
+        || args.bench_json.is_some()
+        || args.budget_ms.is_some()
+        || !args.paths.is_empty();
+    if schema_subcommand && (!args.write_lock || sweep_args) {
+        return Err(format!("schema takes --write-lock [--root DIR]\n{USAGE}"));
     }
-    if args.schema.is_none() && !args.workspace && !args.list_rules && args.paths.is_empty() {
+    if !args.write_lock && !args.workspace && !args.list_rules && args.paths.is_empty() {
         return Err(format!("nothing to lint\n{USAGE}"));
     }
     Ok(args)
@@ -107,7 +102,7 @@ fn parse_args() -> Result<Args, String> {
 
 const USAGE: &str = "usage: fbs-lint [--workspace] [--json] [--list-rules] [--root DIR] \
      [--bench-json PATH] [--budget-ms N] [FILES…]\n\
-       fbs-lint schema (--write-lock | --check) [--root DIR] [--bench-json PATH] [--budget-ms N]";
+       fbs-lint schema --write-lock [--root DIR]";
 
 fn list_rules() {
     let width = RULES
@@ -147,12 +142,12 @@ fn lint_paths(paths: &[PathBuf], root: &Path) -> Result<LintRun, String> {
     Ok(lint_sources(&files, false))
 }
 
-/// The `schema` subcommand: extract the wire schema from a fresh
-/// workspace analysis, carry the read-only layouts over from the current
-/// `SCHEMA.lock`, then either rewrite the lock (`--write-lock`) or diff
-/// against it (`--check`). Check mode also emits a `BENCH_schema.json`
-/// timing row when benchmarking is requested.
-fn run_schema(mode: SchemaMode, args: &Args, root: &Path, started: Instant) -> ExitCode {
+/// `fbs-lint schema --write-lock`: rewrite `SCHEMA.lock` from a fresh
+/// workspace extraction, carrying the read-only layouts over from the
+/// current lock. A missing lock is generated from scratch; a lock that
+/// exists but does not read or parse is refused (exit 2) untouched,
+/// since its frozen read-only layouts cannot be re-derived from source.
+fn write_lock(root: &Path) -> ExitCode {
     let files = match analyze_workspace(root) {
         Ok(files) => files,
         Err(e) => {
@@ -163,12 +158,26 @@ fn run_schema(mode: SchemaMode, args: &Args, root: &Path, started: Instant) -> E
     let graph = fbs_lint::graph::build(&files);
     let mut schema = extract(&files, &graph);
     let lock_path = root.join("SCHEMA.lock");
-    let lock = std::fs::read_to_string(&lock_path).map(|text| {
-        let parsed = parse_lock(&text);
-        (text, parsed)
-    });
-    if let Ok((_, Ok(locked))) = &lock {
-        schema.carry_read_only(locked);
+    match std::fs::read_to_string(&lock_path) {
+        Ok(text) => match parse_lock(&text) {
+            Ok(locked) => schema.carry_read_only(&locked),
+            Err(e) => {
+                eprintln!(
+                    "fbs-lint: {e}; refusing to overwrite {}: its read-only layouts would be lost",
+                    lock_path.display()
+                );
+                return ExitCode::from(2);
+            }
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => {
+            eprintln!("fbs-lint: reading {}: {e}", lock_path.display());
+            return ExitCode::from(2);
+        }
+    }
+    if let Err(e) = std::fs::write(&lock_path, render_lock(&schema)) {
+        eprintln!("fbs-lint: writing {}: {e}", lock_path.display());
+        return ExitCode::from(2);
     }
     let versions = schema
         .all_versions()
@@ -176,98 +185,12 @@ fn run_schema(mode: SchemaMode, args: &Args, root: &Path, started: Instant) -> E
         .map(|v| format!("v{v}"))
         .collect::<Vec<_>>()
         .join(" ");
-
-    if mode == SchemaMode::WriteLock {
-        let text = render_lock(&schema);
-        if let Err(e) = std::fs::write(&lock_path, text) {
-            eprintln!("fbs-lint: writing {}: {e}", lock_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "fbs-lint: wrote {} ({} impls, versions {versions})",
-            lock_path.display(),
-            schema.impl_count(),
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut violations: Vec<String> = Vec::new();
-    match lock {
-        Err(e) => {
-            eprintln!(
-                "fbs-lint: reading {}: {e} (run `fbs-lint schema --write-lock` first)",
-                lock_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        Ok((_, Err(e))) => violations.push(format!("SCHEMA.lock: [schema-lock-drift] {e}")),
-        Ok((lock_text, Ok(locked))) => {
-            for edit in diff_schemas(&locked, &schema) {
-                let rule = match edit.kind {
-                    EditKind::Breaking => "frozen-version-edit",
-                    EditKind::Additive => "schema-lock-drift",
-                };
-                violations.push(format!(
-                    "{}:{}: [{rule}] {}: {}",
-                    edit.path, edit.line, edit.type_name, edit.detail
-                ));
-            }
-            if violations.is_empty() && lock_text != render_lock(&schema) {
-                violations.push(
-                    "SCHEMA.lock: [schema-lock-drift] lock text is not the canonical \
-                         serialization; regenerate with `fbs-lint schema --write-lock`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-    for v in &violations {
-        println!("{v}");
-    }
-    let wall_ms = started.elapsed().as_millis();
     eprintln!(
-        "fbs-lint: schema check, {} impls, versions {versions}, {} violation{} ({wall_ms} ms)",
+        "fbs-lint: wrote {} ({} impls, versions {versions})",
+        lock_path.display(),
         schema.impl_count(),
-        violations.len(),
-        if violations.len() == 1 { "" } else { "s" },
     );
-
-    // The timing row lands next to BENCH_lint.json in CI; the default
-    // path is env-overridable so local runs can redirect it.
-    let bench_out = args.bench_json.clone().unwrap_or_else(|| {
-        PathBuf::from(
-            std::env::var("FBS_SCHEMA_BENCH_OUT").unwrap_or_else(|_| "BENCH_schema.json".into()),
-        )
-    });
-    let want_bench = args.bench_json.is_some()
-        || args.budget_ms.is_some()
-        || std::env::var("FBS_SCHEMA_BENCH_OUT").is_ok();
-    if want_bench {
-        let bench = format!(
-            "{{\"bench\":\"schema_check\",\"impls\":{},\"versioned\":{},\"versions\":{},\"violations\":{},\"wall_ms\":{wall_ms},\"budget_ms\":{}}}\n",
-            schema.impl_count(),
-            schema.versioned.len(),
-            schema.all_versions().len(),
-            violations.len(),
-            args.budget_ms.map_or("null".to_string(), |b| b.to_string()),
-        );
-        if let Err(e) = std::fs::write(&bench_out, bench) {
-            eprintln!("fbs-lint: writing {}: {e}", bench_out.display());
-            return ExitCode::from(2);
-        }
-    }
-    let over_budget = args.budget_ms.is_some_and(|b| wall_ms > b);
-    if over_budget {
-        eprintln!(
-            "fbs-lint: schema check took {wall_ms} ms, over the --budget-ms {} budget",
-            args.budget_ms.unwrap_or(0),
-        );
-    }
-    if violations.is_empty() && !over_budget {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -290,8 +213,8 @@ fn main() -> ExitCode {
         None => find_workspace_root(&cwd).unwrap_or(cwd),
     };
 
-    if let Some(mode) = args.schema {
-        return run_schema(mode, &args, &root, started);
+    if args.write_lock {
+        return write_lock(&root);
     }
 
     let run = if args.workspace {

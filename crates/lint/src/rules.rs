@@ -66,16 +66,6 @@ pub const EMISSION_FILES: &[&str] = &[
     "crates/journal/src/wal.rs",
 ];
 
-/// The registry of env-derived artifact names: benchmark and gate
-/// binaries resolve their output path through an environment variable
-/// with a literal default (`FBS_BENCH_OUT` → `BENCH_scan.json`), and CI
-/// uploads those defaults by name. The `unregistered-emission` semantic
-/// rule checks this list *both ways* against `env::var("…")` sites whose
-/// default names a `.json` artifact: an unlisted default is a violation
-/// (CI would silently miss the artifact), a listed name with no live
-/// site is stale. Sorted, no duplicates (pinned by test).
-pub const EMISSION_OUTPUTS: &[&str] = &["BENCH_scan.json", "BENCH_schema.json"];
-
 /// The registry of world-RNG domain strings: every random decision in
 /// the workspace flows through `WorldRng::domain("<literal>")`, and the
 /// disjointness of those literals is what keeps the noise streams of
@@ -467,17 +457,5 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted, EMISSION_FILES);
-    }
-
-    /// And so does the env-derived artifact-name registry.
-    #[test]
-    fn emission_outputs_registry_is_sorted_and_distinct() {
-        let mut sorted = EMISSION_OUTPUTS.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted, EMISSION_OUTPUTS);
-        for name in EMISSION_OUTPUTS {
-            assert!(name.ends_with(".json"), "artifact names are json: {name}");
-        }
     }
 }

@@ -30,7 +30,9 @@
 //!   decoder never accepts, or the decoder accepts a tag that is neither
 //!   written nor frozen read-only in the lockfile;
 //! * `schema-lock-drift` — the extraction differs additively from
-//!   `SCHEMA.lock` (regenerate with `fbs-lint schema --write-lock`).
+//!   `SCHEMA.lock`, or (on a complete sweep) the lock is not the
+//!   extraction's canonical text (regenerate with
+//!   `fbs-lint schema --write-lock`).
 //!
 //! Everything here follows the linter's totality discipline: arbitrary
 //! input bytes must produce *some* extraction, never a panic.
@@ -823,8 +825,8 @@ pub fn extract(files: &[SourceFile], g: &SymbolGraph) -> WireSchema {
 
 const LOCK_HEADER: &str = "\
 # SCHEMA.lock — wire layouts statically extracted from every Persist impl.
-# Generated by `fbs-lint schema --write-lock`; CI runs `fbs-lint schema
-# --check` and fails on drift. Every layout below is frozen (DESIGN.md):
+# Generated by `fbs-lint schema --write-lock`; `fbs-lint --workspace`
+# fails on drift. Every layout below is frozen (DESIGN.md):
 # an edit is a breaking change unless it ships behind a new version tag.
 # A tag a root `reads` but no longer `writes` is read-only: its layout is
 # never re-derived, and `--write-lock` carries it over verbatim.";
@@ -1182,7 +1184,6 @@ pub enum EditKind {
 #[derive(Debug, Clone)]
 pub struct SchemaEdit {
     pub kind: EditKind,
-    pub type_name: String,
     /// Anchor path (the new side when the type still exists).
     pub path: String,
     /// Anchor line in the new extraction (`0` when the type is gone).
@@ -1253,10 +1254,9 @@ fn describe_op_diff(old: &[WireOp], new: &[WireOp]) -> Option<String> {
 /// classifying every difference.
 pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
     let mut edits = Vec::new();
-    let mut push = |kind: EditKind, name: &str, path: &str, line: u32, detail: String| {
+    let mut push = |kind: EditKind, path: &str, line: u32, detail: String| {
         edits.push(SchemaEdit {
             kind,
-            type_name: name.to_string(),
             path: path.to_string(),
             line,
             detail,
@@ -1267,7 +1267,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
         let Some(nt) = new.types.get(name) else {
             push(
                 EditKind::Breaking,
-                name,
                 &ot.path,
                 0,
                 format!("wire type `{name}` was removed from the extraction"),
@@ -1279,7 +1278,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
                 if oc != nc {
                     push(
                         EditKind::Breaking,
-                        name,
                         &nt.path,
                         nt.line,
                         format!("primitive `{name}` codec changed: {oc} → {nc}"),
@@ -1290,7 +1288,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
                 if let Some(d) = describe_op_diff(oo, no) {
                     push(
                         EditKind::Breaking,
-                        name,
                         &nt.path,
                         nt.line,
                         format!("frozen layout of `{name}` edited: {d}"),
@@ -1302,7 +1299,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
             }
             _ => push(
                 EditKind::Breaking,
-                name,
                 &nt.path,
                 nt.line,
                 format!("wire kind of `{name}` changed (struct/enum/prim)"),
@@ -1313,7 +1309,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
         if !old.types.contains_key(name) {
             push(
                 EditKind::Additive,
-                name,
                 &nt.path,
                 nt.line,
                 format!("new wire type `{name}`"),
@@ -1325,7 +1320,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
         let Some(nv) = new.versioned.get(name) else {
             push(
                 EditKind::Breaking,
-                name,
                 &ov.path,
                 0,
                 format!("versioned root `{name}` was removed from the extraction"),
@@ -1339,7 +1333,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
                 None if nv.reads.contains(tag) && !nv.writes.contains(tag) => {}
                 None => push(
                     EditKind::Breaking,
-                    name,
                     &nv.path,
                     nv.line,
                     format!("frozen version v{tag} of `{name}` was removed"),
@@ -1348,7 +1341,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
                     if let Some(d) = describe_op_diff(oops, nops) {
                         push(
                             EditKind::Breaking,
-                            name,
                             &nv.path,
                             nv.line,
                             format!("frozen v{tag} layout of `{name}` edited: {d}"),
@@ -1361,7 +1353,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
             if !ov.layouts.contains_key(tag) {
                 push(
                     EditKind::Additive,
-                    name,
                     &nv.path,
                     nv.line,
                     format!("new version tag v{tag} of `{name}`"),
@@ -1374,7 +1365,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
         for v in ov.reads.difference(&nv.reads) {
             push(
                 EditKind::Breaking,
-                name,
                 &nv.path,
                 nv.line,
                 format!("`{name}` no longer reads version {v}"),
@@ -1389,7 +1379,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
                 if ov.layouts.contains_key(v) || !nv.layouts.contains_key(v) {
                     push(
                         EditKind::Additive,
-                        name,
                         &nv.path,
                         nv.line,
                         format!("`{name}` newly {label} version {v}"),
@@ -1402,7 +1391,6 @@ pub fn diff_schemas(old: &WireSchema, new: &WireSchema) -> Vec<SchemaEdit> {
         if !old.versioned.contains_key(name) {
             push(
                 EditKind::Additive,
-                name,
                 &nv.path,
                 nv.line,
                 format!("new versioned root `{name}`"),
@@ -1418,7 +1406,7 @@ fn diff_enum(
     new: &[VariantLayout],
     path: &str,
     line: u32,
-    push: &mut impl FnMut(EditKind, &str, &str, u32, String),
+    push: &mut impl FnMut(EditKind, &str, u32, String),
 ) {
     let new_by_name: BTreeMap<&str, &VariantLayout> =
         new.iter().map(|v| (v.name.as_str(), v)).collect();
@@ -1427,7 +1415,6 @@ fn diff_enum(
         let Some(nv) = new_by_name.get(ov.name.as_str()) else {
             push(
                 EditKind::Breaking,
-                name,
                 path,
                 line,
                 format!("enum `{name}` variant `{}` was removed", ov.name),
@@ -1438,7 +1425,6 @@ fn diff_enum(
             let fmt = |t: Option<u32>| t.map(|n| n.to_string()).unwrap_or_else(|| "?".into());
             push(
                 EditKind::Breaking,
-                name,
                 path,
                 line,
                 format!(
@@ -1451,7 +1437,6 @@ fn diff_enum(
         } else if let Some(d) = describe_op_diff(&ov.ops, &nv.ops) {
             push(
                 EditKind::Breaking,
-                name,
                 path,
                 line,
                 format!("enum `{name}` variant `{}` payload edited: {d}", ov.name),
@@ -1466,7 +1451,6 @@ fn diff_enum(
         match nv.tag {
             Some(t) if old_tags.contains(&t) => push(
                 EditKind::Breaking,
-                name,
                 path,
                 line,
                 format!(
@@ -1476,7 +1460,6 @@ fn diff_enum(
             ),
             _ => push(
                 EditKind::Additive,
-                name,
                 path,
                 line,
                 format!("enum `{name}` gained variant `{}` on a fresh tag", nv.name),
@@ -1492,26 +1475,21 @@ fn diff_enum(
 /// Runs the three schema rules over an analyzed file set. The lockfile
 /// text is optional: without it nothing is frozen, so only
 /// `unprobed-version` can fire, and every read-only tag counts as dead.
+/// On a `complete` sweep the lock must also exist (once there is a wire
+/// type) and be the canonical rendering of the extraction; a file subset
+/// compares layouts only, so a hand-written lock can serve as a fixture
+/// baseline.
+///
+/// Every finding anchors to a path ([`Anchor::Path`]), so neither an
+/// `allow` pragma nor a test region can excuse a wire-contract break.
 pub fn check_schema(
     files: &[SourceFile],
     g: &SymbolGraph,
     lock: Option<&str>,
+    complete: bool,
 ) -> Vec<SemanticFinding> {
     let mut out = Vec::new();
     let mut fresh = extract(files, g);
-
-    // File index by path, for anchoring.
-    let by_path: BTreeMap<&str, usize> = files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.meta.path.as_str(), i))
-        .collect();
-    let anchor_of = |path: &str| -> Anchor {
-        by_path
-            .get(path)
-            .map(|&i| Anchor::File(i))
-            .unwrap_or_else(|| Anchor::Path(path.to_string()))
-    };
 
     let locked = match lock.map(parse_lock) {
         Some(Ok(locked)) => {
@@ -1519,17 +1497,11 @@ pub fn check_schema(
             Some(locked)
         }
         Some(Err(e)) => {
-            out.push(SemanticFinding {
-                anchor: Anchor::Path("SCHEMA.lock".to_string()),
-                finding: Finding {
-                    rule: "schema-lock-drift",
-                    line: 1,
-                    col: 1,
-                    message: format!(
-                        "SCHEMA.lock is unreadable ({e}): regenerate with `fbs-lint schema --write-lock`"
-                    ),
-                },
-            });
+            out.push(lock_finding(format!("SCHEMA.lock is unreadable ({e})")));
+            None
+        }
+        None if complete && fresh.impl_count() > 0 => {
+            out.push(lock_finding("SCHEMA.lock is missing".to_string()));
             None
         }
         None => None,
@@ -1538,7 +1510,7 @@ pub fn check_schema(
     for v in fresh.versioned.values() {
         let mut unprobed = |message: String| {
             out.push(SemanticFinding {
-                anchor: anchor_of(&v.path),
+                anchor: Anchor::Path(v.path.clone()),
                 finding: Finding {
                     rule: "unprobed-version",
                     line: v.line,
@@ -1567,8 +1539,17 @@ pub fn check_schema(
         }
     }
 
-    let Some(locked) = locked else { return out };
-    for edit in diff_schemas(&locked, &fresh) {
+    let (Some(lock), Some(locked)) = (lock, locked) else {
+        return out;
+    };
+    let edits = diff_schemas(&locked, &fresh);
+    // Any edit already makes the text differ, and names the cause.
+    if complete && edits.is_empty() && lock != render_lock(&fresh) {
+        out.push(lock_finding(
+            "SCHEMA.lock is not the canonical serialization of the extraction".to_string(),
+        ));
+    }
+    for edit in edits {
         let (rule, message): (&'static str, String) = match edit.kind {
             EditKind::Breaking => (
                 "frozen-version-edit",
@@ -1586,7 +1567,7 @@ pub fn check_schema(
             ),
         };
         out.push(SemanticFinding {
-            anchor: anchor_of(&edit.path),
+            anchor: Anchor::Path(edit.path),
             finding: Finding {
                 rule,
                 line: edit.line.max(1),
@@ -1596,6 +1577,19 @@ pub fn check_schema(
         });
     }
     out
+}
+
+/// A `schema-lock-drift` finding about the lockfile as a whole.
+fn lock_finding(problem: String) -> SemanticFinding {
+    SemanticFinding {
+        anchor: Anchor::Path("SCHEMA.lock".to_string()),
+        finding: Finding {
+            rule: "schema-lock-drift",
+            line: 1,
+            col: 1,
+            message: format!("{problem}: regenerate with `fbs-lint schema --write-lock`"),
+        },
+    }
 }
 
 fn fmt_versions(set: &BTreeSet<u32>) -> String {

@@ -14,14 +14,15 @@
 //! can apply the same pragma and test-region filtering as lexical rules.
 //! The one exception is a *stale registry entry* — a path with no code
 //! behind it — which anchors to the path itself ([`Anchor::Path`]) and
-//! only fires on a complete workspace sweep.
+//! only fires on a complete workspace sweep. (The wire-schema rules in
+//! [`crate::schema`] anchor to paths too.)
 
-use crate::context::{FileKind, SourceFile};
+use crate::context::SourceFile;
 use crate::dataflow::{build_call_graph, shard_taint, CallGraph};
 use crate::graph::{is_library, FnNode, SymbolGraph};
 use crate::lexer::TokenKind;
 use crate::parser::Span;
-use crate::rules::{Finding, EMISSION_FILES, EMISSION_OUTPUTS, RNG_DOMAINS};
+use crate::rules::{Finding, EMISSION_FILES, RNG_DOMAINS};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Metadata for a workspace-level rule (the check itself lives in
@@ -38,10 +39,6 @@ pub const SEMANTIC_RULES: &[SemanticRule] = &[
     SemanticRule {
         name: "persist-field-drift",
         summary: "every field of a Persist struct must appear in both persist() and restore(), in the same order; enum variants must be covered by both",
-    },
-    SemanticRule {
-        name: "persist-orphan",
-        summary: "fields of Persist types must not store workspace types that lack a Persist impl",
     },
     SemanticRule {
         name: "unregistered-emission",
@@ -87,8 +84,9 @@ pub enum Anchor {
     /// Index into the analyzed file set — filtered by that file's pragmas
     /// and test regions like any lexical finding.
     File(usize),
-    /// A workspace-relative path with no analyzed file behind it (stale
-    /// registry entries); exempt from pragma filtering.
+    /// A workspace-relative path, exempt from pragma and test-region
+    /// filtering: stale registry entries (no analyzed file behind them)
+    /// and every wire-schema finding (no pragma may excuse a break).
     Path(String),
 }
 
@@ -153,7 +151,7 @@ impl Flow {
     }
 }
 
-/// Runs all eight semantic rules. `complete` marks a full workspace sweep,
+/// Runs all seven semantic rules. `complete` marks a full workspace sweep,
 /// which is the only mode where *absence* is meaningful (a registry entry
 /// with no live call sites is stale on a sweep, unknowable on a file
 /// subset).
@@ -165,7 +163,6 @@ pub fn check_workspace(
     let flow = Flow::build(files, g);
     let mut out = Vec::new();
     check_persist_field_drift(files, g, &mut out);
-    check_persist_orphan(files, g, &mut out);
     check_unregistered_emission(files, g, complete, &mut out);
     check_nondet_collection_flow(files, g, &flow, &mut out);
     check_shard_merge_order(files, g, &flow, &mut out);
@@ -324,46 +321,6 @@ fn check_persist_field_drift(
     }
 }
 
-/// `persist-orphan` — a field of a `Persist` struct that stores a
-/// workspace-defined type without its own `Persist` impl cannot actually
-/// reach journal/checkpoint bytes; either the impl was forgotten or the
-/// field silently falls out of persisted state.
-fn check_persist_orphan(files: &[SourceFile], g: &SymbolGraph, out: &mut Vec<SemanticFinding>) {
-    const RULE: &str = "persist-orphan";
-    let mut reported: BTreeSet<(usize, u32, u32, String)> = BTreeSet::new();
-    for pi in &g.persist_impls {
-        if !is_library(&files[pi.file]) {
-            continue;
-        }
-        let Some(r) = g.unique_struct(&pi.type_name) else {
-            continue;
-        };
-        let def = &files[r.file];
-        let s = &def.ast.structs[r.item];
-        for field in &s.fields {
-            for (_, t) in def.span_tokens(field.ty) {
-                if t.kind != TokenKind::Ident {
-                    continue;
-                }
-                let bytes = t.bytes(&def.src);
-                if !bytes.first().is_some_and(u8::is_ascii_uppercase) {
-                    continue;
-                }
-                let name = String::from_utf8_lossy(bytes).into_owned();
-                if g.defines_type(&name)
-                    && !g.persist_types.contains(&name)
-                    && reported.insert((r.file, field.line, field.col, name.clone()))
-                {
-                    push(out, r.file, RULE, field.line, field.col, format!(
-                        "field `{}` of Persist type `{}` stores `{name}`, which has no Persist impl: it cannot round-trip through journal/checkpoint state",
-                        field.name, pi.type_name
-                    ));
-                }
-            }
-        }
-    }
-}
-
 /// `unregistered-emission` — the `EMISSION_FILES` registry is derived
 /// facts, not trust: every file-writing call site found in library code
 /// must live in a registered file (direction A), and on a complete sweep
@@ -411,53 +368,33 @@ fn check_unregistered_emission(
             }
         }
     }
+}
 
-    // Env-derived artifact names: bench and gate binaries that resolve an
-    // output path through `env::var("…")` with a `.json` literal default
-    // must name an artifact the EMISSION_OUTPUTS registry (and therefore
-    // CI's artifact uploads) knows about. Library emissions are covered
-    // above by file path; these binaries are covered by artifact name.
-    let mut live_outputs: BTreeSet<&str> = BTreeSet::new();
-    for f in &g.fns {
-        let file = &files[f.file];
-        if !matches!(file.meta.kind, FileKind::Bin | FileKind::Bench) || f.write_sites.is_empty() {
-            continue;
-        }
-        for site in &f.artifact_sites {
-            let Some(default) = &site.default else {
-                continue;
-            };
-            if !default.ends_with(".json") {
-                continue;
-            }
-            match EMISSION_OUTPUTS.iter().find(|e| *e == default) {
-                Some(entry) => {
-                    live_outputs.insert(entry);
-                }
-                None => push(out, f.file, RULE, site.line, site.col, format!(
-                    "env-derived artifact `{default}` (via {}) is not in the EMISSION_OUTPUTS registry: register it so CI uploads cover this output",
-                    site.env
-                )),
-            }
-        }
-    }
-    if complete {
-        for entry in EMISSION_OUTPUTS {
-            if !live_outputs.contains(entry) {
-                out.push(SemanticFinding {
-                    anchor: Anchor::Path((*entry).to_string()),
-                    finding: Finding {
-                        rule: RULE,
-                        line: 1,
-                        col: 1,
-                        message: format!(
-                            "EMISSION_OUTPUTS entry `{entry}` has no env-derived write site: the artifact moved or the entry is stale"
-                        ),
-                    },
-                });
-            }
-        }
-    }
+/// The sink name vocabulary, by kind: a function whose name starts with
+/// one of these prefixes is an emission/persistence sink. [`sink_reason`]
+/// and `shard-merge-order`'s sink-call test both read it, so a new sink
+/// surface reaches every sink-based rule at once.
+const SINK_PREFIXES: &[(&str, &[&str])] = &[
+    (
+        "emission function",
+        &["write_", "emit_", "export_", "render_"],
+    ),
+    // Vantage-fusion and the shard executor's reduce fold feed detection
+    // input, checkpoints and reports: hash-ordered iteration there leaks
+    // roster/scheduling order into all three.
+    ("ordered-merge function", &["fuse_", "merge_", "reduce_"]),
+    // The passive signal's ledgers and seasonal predictions feed both the
+    // version-4 checkpoint bytes and the ibr_signal.csv emission:
+    // hash-ordered iteration in either would leak into persisted state.
+    ("passive-signal function", &["ibr_", "predict_"]),
+];
+
+/// The sink kind a function name's prefix marks, if any.
+fn sink_kind(name: &str) -> Option<&'static str> {
+    SINK_PREFIXES
+        .iter()
+        .find(|(_, prefixes)| prefixes.iter().any(|p| name.starts_with(p)))
+        .map(|&(kind, _)| kind)
 }
 
 /// Why a function counts as an emission/persistence sink, if it does.
@@ -471,28 +408,7 @@ fn sink_reason(f: &FnNode) -> Option<String> {
     if !f.write_sites.is_empty() {
         return Some(format!("file-writing function `{}`", f.name));
     }
-    for prefix in ["write_", "emit_", "export_", "render_"] {
-        if f.name.starts_with(prefix) {
-            return Some(format!("emission function `{}`", f.name));
-        }
-    }
-    // Vantage-fusion and the shard executor's reduce fold feed detection
-    // input, checkpoints and reports: hash-ordered iteration there leaks
-    // roster/scheduling order into all three.
-    for prefix in ["fuse_", "merge_", "reduce_"] {
-        if f.name.starts_with(prefix) {
-            return Some(format!("ordered-merge function `{}`", f.name));
-        }
-    }
-    // The passive signal's ledgers and seasonal predictions feed both the
-    // version-4 checkpoint bytes and the ibr_signal.csv emission:
-    // hash-ordered iteration in either would leak into persisted state.
-    for prefix in ["ibr_", "predict_"] {
-        if f.name.starts_with(prefix) {
-            return Some(format!("passive-signal function `{}`", f.name));
-        }
-    }
-    None
+    sink_kind(&f.name).map(|kind| format!("{kind} `{}`", f.name))
 }
 
 /// `nondet-collection-flow` — `HashMap`/`HashSet` iteration order is
@@ -559,15 +475,7 @@ fn check_shard_merge_order(
             // sink (it delivers its caller a slot-ordered value).
             return false;
         }
-        if sinkish.contains(name) || name == "persist" {
-            return true;
-        }
-        [
-            "write_", "emit_", "export_", "render_", "fuse_", "merge_", "reduce_", "ibr_",
-            "predict_",
-        ]
-        .iter()
-        .any(|p| name.starts_with(p))
+        sinkish.contains(name) || name == "persist" || sink_kind(name).is_some()
     };
     for f in &g.fns {
         if !is_library(&files[f.file]) {
@@ -863,23 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn orphan_field_type_is_flagged_at_its_definition() {
-        let f = analyze(
-            "crates/types/src/x.rs",
-            "pub struct Inner { x: u8 }\n\
-             pub struct Outer { inner: Inner }\n\
-             impl Persist for Outer {\n\
-                 fn persist(&self, w: &mut W) { w.put(self.inner); }\n\
-                 fn restore(r: &mut R) -> Result<Self> { Ok(Outer { inner: r.get()? }) }\n\
-             }\n",
-        );
-        let findings = run(std::slice::from_ref(&f));
-        assert_eq!(rules_of(&findings), ["persist-orphan"]);
-        assert_eq!(findings[0].finding.line, 2);
-        assert!(findings[0].finding.message.contains("`Inner`"));
-    }
-
-    #[test]
     fn unregistered_write_site_fires_and_registry_file_does_not() {
         let rogue = analyze(
             "crates/core/src/rogue.rs",
@@ -901,12 +792,9 @@ mod tests {
         let partial = check_workspace(std::slice::from_ref(&f), &g, false);
         assert!(partial.is_empty());
         let complete = check_workspace(std::slice::from_ref(&f), &g, true);
-        // Every EMISSION_FILES, EMISSION_OUTPUTS, and RNG_DOMAINS entry is
-        // stale when the only analyzed file contains no writes or draws.
-        assert_eq!(
-            complete.len(),
-            EMISSION_FILES.len() + EMISSION_OUTPUTS.len() + RNG_DOMAINS.len()
-        );
+        // Every EMISSION_FILES and RNG_DOMAINS entry is stale when the
+        // only analyzed file contains no writes or draws.
+        assert_eq!(complete.len(), EMISSION_FILES.len() + RNG_DOMAINS.len());
         assert!(complete
             .iter()
             .all(|sf| matches!(sf.anchor, Anchor::Path(_))));

@@ -222,16 +222,6 @@ fn persist_field_drift_skips_non_library_files() {
 }
 
 #[test]
-fn persist_orphan_fires_at_the_orphaned_field() {
-    assert_fires("persist-orphan", "crates/geodb/src/fixture.rs", &[9]);
-}
-
-#[test]
-fn persist_orphan_accepts_fields_whose_types_persist() {
-    assert_clean("persist-orphan", "crates/geodb/src/fixture.rs");
-}
-
-#[test]
 fn unregistered_emission_fires_on_rogue_write_site() {
     assert_fires("unregistered-emission", "crates/geodb/src/fixture.rs", &[7]);
 }

@@ -1,18 +1,28 @@
 //! Compatibility-classifier tests: every edit family the wire-schema
 //! gate distinguishes, asserted against exact `Additive` / `Breaking`
 //! verdicts on minimal extraction pairs (`old` = the frozen lockfile
-//! state, `new` = the edited source).
+//! state, `new` = the edited source). The last group runs the gate the
+//! way the workspace sweep does, lockfile text and all.
 
 #![forbid(unsafe_code)]
 
-use fbs_lint::{diff_schemas, extract, EditKind, FileMeta, SourceFile, WireSchema};
+use fbs_lint::{
+    diff_schemas, extract, lint_sources_with_lock, render_lock, EditKind, FileMeta, SourceFile,
+    WireSchema,
+};
+
+const PATH: &str = "crates/types/src/x.rs";
+
+fn analyze(src: &str) -> Vec<SourceFile> {
+    vec![SourceFile::analyze(
+        FileMeta::infer(PATH),
+        src.as_bytes().to_vec(),
+    )]
+}
 
 /// Extracts the wire schema of one virtual library file.
 fn schema_of(src: &str) -> WireSchema {
-    let files = vec![SourceFile::analyze(
-        FileMeta::infer("crates/types/src/x.rs"),
-        src.as_bytes().to_vec(),
-    )];
+    let files = analyze(src);
     let g = fbs_lint::graph::build(&files);
     extract(&files, &g)
 }
@@ -231,4 +241,78 @@ fn enum_variant_reusing_a_frozen_tag_is_breaking() {
 fn an_identical_extraction_produces_no_edits() {
     assert!(diff_schemas(&schema_of(VERSIONED_OLD), &schema_of(VERSIONED_OLD)).is_empty());
     assert!(diff_schemas(&schema_of(ENUM_OLD), &schema_of(ENUM_OLD)).is_empty());
+}
+
+/// The wire-schema findings of a lint run over one virtual library file
+/// against `lock`, as `(rule, path, line)`; `complete` marks a workspace
+/// sweep.
+fn gate(src: &str, lock: Option<&str>, complete: bool) -> Vec<(&'static str, String, u32)> {
+    lint_sources_with_lock(&analyze(src), complete, lock)
+        .findings
+        .into_iter()
+        .filter(|f| {
+            matches!(
+                f.finding.rule,
+                "frozen-version-edit" | "unprobed-version" | "schema-lock-drift"
+            )
+        })
+        .map(|f| (f.finding.rule, f.path, f.finding.line))
+        .collect()
+}
+
+#[test]
+fn a_sweep_rejects_a_missing_lock_or_one_whose_text_is_not_canonical() {
+    let canonical = render_lock(&schema_of(PAIR_OLD));
+    assert!(gate(PAIR_OLD, Some(&canonical), true).is_empty());
+    // Same layouts, but without the generated header.
+    let hand_edited: String = canonical
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    for lock in [Some(hand_edited.as_str()), None] {
+        assert_eq!(
+            gate(PAIR_OLD, lock, true),
+            [("schema-lock-drift", "SCHEMA.lock".to_string(), 1)]
+        );
+        // A file subset judges layouts only, so hand-written locks serve
+        // as fixture baselines.
+        assert!(gate(PAIR_OLD, lock, false).is_empty());
+    }
+}
+
+#[test]
+fn a_sweep_rejects_a_lock_that_lost_a_read_only_layout() {
+    // `Rec` writes v6 and still reads v5, whose layout only the lock
+    // records.
+    let lost = render_lock(&schema_of(VERSIONED_OLD));
+    let frozen = lost.replace("  v6\n", "  v5\n    u32 V5\n    nested self.base\n  v6\n");
+    assert!(gate(VERSIONED_OLD, Some(&frozen), true).is_empty());
+    assert_eq!(
+        gate(VERSIONED_OLD, Some(&lost), true),
+        [("unprobed-version", PATH.to_string(), 3)]
+    );
+}
+
+#[test]
+fn no_pragma_or_test_region_excuses_a_frozen_layout_edit() {
+    let lock = render_lock(&schema_of(PAIR_OLD));
+    let reordered = "impl Persist for Pair {
+    fn persist(&self, w: &mut ByteWriter) {
+        w.put_u64(self.b);
+        w.put_u32(self.a);
+    }
+}
+";
+    let pragma = format!("// fbs-lint: allow(frozen-version-edit) layout reordered\n{reordered}");
+    let test_region = format!("#[cfg(test)]\nmod tests {{\n{reordered}}}\n");
+    for (src, line) in [(&pragma, 2), (&test_region, 3)] {
+        for complete in [true, false] {
+            assert_eq!(
+                gate(src, Some(&lock), complete),
+                [("frozen-version-edit", PATH.to_string(), line)],
+                "{src}"
+            );
+        }
+    }
 }

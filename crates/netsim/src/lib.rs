@@ -19,7 +19,7 @@
 //! * the **wire path** — [`transport::WorldTransport`] answers real ICMP
 //!   echo packets from `fbs-prober` according to per-round responder
 //!   bitmaps ([`World::block_bitmap`]); used by tests, examples, and the
-//!   packet-level benches;
+//!   `fault_injection` bench;
 //! * the **oracle path** — [`World::block_truth`] returns the per-round
 //!   responsive count and RTT directly; used by the longitudinal campaign
 //!   where 13,069 rounds × tens of thousands of blocks would make packet

@@ -284,6 +284,67 @@ impl<'a> ByteReader<'a> {
 }
 
 /// State that serializes itself into the checkpoint codec.
+///
+/// A field reaches checkpoint bytes only through its own `Persist` impl,
+/// and the compiler holds every encoder to that: persisting a field whose
+/// type has no impl does not build.
+///
+/// ```compile_fail
+/// use fbs_types::{ByteReader, ByteWriter, Persist, Result};
+///
+/// pub struct Inner {
+///     x: u8,
+/// }
+///
+/// pub struct Holder {
+///     inner: Inner,
+/// }
+///
+/// impl Persist for Holder {
+///     fn persist(&self, w: &mut ByteWriter) {
+///         self.inner.persist(w); // `Inner` is not `Persist`
+///     }
+///     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
+///         Ok(Holder {
+///             inner: Persist::restore(r)?,
+///         })
+///     }
+/// }
+/// ```
+///
+/// Its twin, which gives `Inner` an impl, builds:
+///
+/// ```
+/// use fbs_types::{ByteReader, ByteWriter, Persist, Result};
+///
+/// pub struct Inner {
+///     x: u8,
+/// }
+///
+/// impl Persist for Inner {
+///     fn persist(&self, w: &mut ByteWriter) {
+///         w.put_u8(self.x);
+///     }
+///     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
+///         Ok(Inner { x: r.get_u8()? })
+///     }
+/// }
+///
+/// pub struct Holder {
+///     inner: Inner,
+/// }
+///
+/// impl Persist for Holder {
+///     fn persist(&self, w: &mut ByteWriter) {
+///         self.inner.persist(w);
+///     }
+///     fn restore(r: &mut ByteReader<'_>) -> Result<Self> {
+///         Ok(Holder {
+///             inner: Persist::restore(r)?,
+///         })
+///     }
+/// }
+/// ```
 pub trait Persist: Sized {
     /// Writes `self` field by field.
     fn persist(&self, w: &mut ByteWriter);
