@@ -1,6 +1,8 @@
 //! Durable campaign execution: round records, snapshots, and the store.
 //!
-//! A checkpoint directory holds two files:
+//! A checkpoint directory holds two files (and `state.snap.prev`, the
+//! snapshot the last write replaced, which the next write reuses in place
+//! and resume never reads):
 //!
 //! * `rounds.wal` — the write-ahead round journal ([`fbs_journal::Journal`]).
 //!   One record per campaign round, appended *after* the round has been

@@ -16,7 +16,9 @@
 //!   [`Journal::open`] collects the records instead.
 //! - [`write_snapshot`] / [`read_snapshot`] — atomic whole-state
 //!   snapshots (temp file + fsync + rename) with a versioned header, so a
-//!   resume can skip replaying most of the journal.
+//!   resume can skip replaying most of the journal. The replaced snapshot
+//!   is kept as `<name>.prev` and rewritten in place by the next write,
+//!   so replacing one frees no disk blocks.
 //!
 //! Both formats checksum with the zlib-compatible CRC-32 ([`crc32`], a
 //! slicing-by-8 table kernel) and carry explicit magic/version bytes so

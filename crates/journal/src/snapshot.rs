@@ -16,6 +16,14 @@
 //! snapshot or the new one, never a half-written hybrid — any validation
 //! failure in [`read_snapshot`] means storage damage, which the caller
 //! should treat by quarantining the file and replaying its journal.
+//!
+//! The snapshot a write replaces stays behind as `<name>.prev`, and the
+//! next write assembles its temporary over that file in place, so a
+//! directory holds two snapshot-sized files and replacing a snapshot
+//! frees no blocks. Freed blocks are discarded when the filesystem
+//! commits them, and every fsync waits for that commit: on an ext4
+//! mounted with `discard`, renaming over a 4 MB snapshot held the
+//! journal's next per-round fsync for 75–180 ms.
 
 use crate::crc32::crc32;
 use crate::wal::{read_array, sync_parent_dir};
@@ -32,7 +40,8 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 4;
 /// Atomically writes `payload` (with schema `version`) to `path`.
 pub fn write_snapshot(path: impl AsRef<Path>, version: u32, payload: &[u8]) -> Result<()> {
     let path = path.as_ref();
-    let tmp = tmp_path(path);
+    let tmp = sibling(path, ".tmp");
+    let prev = sibling(path, ".prev");
 
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(SNAPSHOT_MAGIC);
@@ -40,19 +49,52 @@ pub fn write_snapshot(path: impl AsRef<Path>, version: u32, payload: &[u8]) -> R
     header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     header.extend_from_slice(&crc32(payload).to_le_bytes());
 
+    // Assemble over the temp file an interrupted write left, else over
+    // the snapshot before last, but never over a second link of the live
+    // snapshot (a crash between the link and the rename below leaves one).
+    for spare in [tmp.as_path(), prev.as_path()] {
+        if same_file(spare, path) {
+            std::fs::remove_file(spare)?;
+        }
+    }
+    if !tmp.exists() {
+        let _ = std::fs::rename(&prev, &tmp);
+    }
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
-        .truncate(true)
+        .truncate(false)
         .open(&tmp)?;
     file.write_all(&header)?;
     file.write_all(payload)?;
+    file.set_len((HEADER_LEN + payload.len()) as u64)?;
     file.sync_all()?;
     drop(file);
 
+    // Keep the replaced snapshot linked, so the rename frees none of its
+    // blocks. Best effort, like the directory fsync.
+    let _ = std::fs::remove_file(&prev);
+    let _ = std::fs::hard_link(path, &prev);
     std::fs::rename(&tmp, path)?;
     sync_parent_dir(path);
     Ok(())
+}
+
+/// Whether `a` and `b` are links to one file. Without inode numbers
+/// (non-Unix) any two existing files count as one, which turns off the
+/// reuse of `.prev`.
+#[cfg(unix)]
+fn same_file(a: &Path, b: &Path) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    match (std::fs::metadata(a), std::fs::metadata(b)) {
+        (Ok(a), Ok(b)) => (a.dev(), a.ino()) == (b.dev(), b.ino()),
+        _ => false,
+    }
+}
+
+#[cfg(not(unix))]
+fn same_file(a: &Path, b: &Path) -> bool {
+    a.exists() && b.exists()
 }
 
 /// Reads and validates the snapshot at `path`.
@@ -105,17 +147,16 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<(u32, Vec<u8>)>> {
 /// quarantine path. The caller then proceeds as if no snapshot existed.
 pub fn quarantine_snapshot(path: impl AsRef<Path>) -> Result<PathBuf> {
     let path = path.as_ref();
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".quarantined");
-    let quarantine = PathBuf::from(name);
+    let quarantine = sibling(path, ".quarantined");
     std::fs::rename(path, &quarantine)?;
     sync_parent_dir(path);
     Ok(quarantine)
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
+/// `path` with `suffix` appended to its file name.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
-    name.push(".tmp");
+    name.push(suffix);
     PathBuf::from(name)
 }
 
@@ -140,7 +181,7 @@ mod tests {
         assert_eq!(version, 3);
         assert_eq!(payload, b"detector state");
         // No temp residue.
-        assert!(!tmp_path(&path).exists());
+        assert!(!sibling(&path, ".tmp").exists());
     }
 
     #[test]
@@ -152,6 +193,69 @@ mod tests {
         let (version, payload) = read_snapshot(&path).unwrap().unwrap();
         assert_eq!(version, 2);
         assert_eq!(payload, b"new and longer");
+    }
+
+    #[test]
+    fn rewrite_assembles_over_the_snapshot_before_last() {
+        let dir = tmpdir("reuse");
+        let path = dir.join("state.snap");
+        let prev = sibling(&path, ".prev");
+        write_snapshot(&path, 1, b"the first and longest payload").unwrap();
+        assert!(!prev.exists());
+        write_snapshot(&path, 2, b"second").unwrap();
+        assert_eq!(
+            read_snapshot(&prev).unwrap().unwrap().1,
+            b"the first and longest payload"
+        );
+        #[cfg(unix)]
+        let first = {
+            use std::os::unix::fs::MetadataExt;
+            std::fs::metadata(&prev).unwrap().ino()
+        };
+        // The third write lands in the first one's file, cut to length.
+        write_snapshot(&path, 3, b"third").unwrap();
+        assert_eq!(
+            read_snapshot(&path).unwrap().unwrap(),
+            (3, b"third".to_vec())
+        );
+        assert_eq!(
+            read_snapshot(&prev).unwrap().unwrap(),
+            (2, b"second".to_vec())
+        );
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt;
+            assert_eq!(std::fs::metadata(&path).unwrap().ino(), first);
+        }
+        assert!(!sibling(&path, ".tmp").exists());
+    }
+
+    #[test]
+    fn a_second_link_of_the_live_snapshot_is_never_written_in_place() {
+        for spare in [".prev", ".tmp"] {
+            let dir = tmpdir(&format!("alias{spare}"));
+            let path = dir.join("state.snap");
+            write_snapshot(&path, 1, b"live").unwrap();
+            write_snapshot(&path, 2, b"live and well").unwrap();
+            // What a crash between the link and the rename, or a hand
+            // that links the live file, leaves behind.
+            let _ = std::fs::remove_file(sibling(&path, spare));
+            std::fs::hard_link(&path, sibling(&path, spare)).unwrap();
+            let witness = dir.join("witness");
+            std::fs::hard_link(&path, &witness).unwrap();
+
+            write_snapshot(&path, 3, b"next").unwrap();
+            assert_eq!(
+                read_snapshot(&path).unwrap().unwrap(),
+                (3, b"next".to_vec())
+            );
+            assert_eq!(
+                read_snapshot(&witness).unwrap().unwrap(),
+                (2, b"live and well".to_vec()),
+                "{spare}"
+            );
+            assert!(!sibling(&path, ".tmp").exists(), "{spare}");
+        }
     }
 
     #[test]
