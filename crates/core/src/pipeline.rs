@@ -354,6 +354,8 @@ pub(crate) struct Statics {
 pub(crate) struct IbrStatic {
     config: IbrConfig,
     rng: WorldRng,
+    /// Each block's stable emission gain (`ibr::block_gain`), drawn once.
+    gain: Vec<f64>,
 }
 
 /// The feed layer's carried state: the BGP dump stream and the loader
@@ -502,9 +504,13 @@ impl Statics {
             .as_ref()
             .map(|c| -> fbs_types::Result<IbrStatic> {
                 c.validate()?;
+                let rng = ibr::ibr_domain(world.rng());
                 Ok(IbrStatic {
                     config: c.clone(),
-                    rng: ibr::ibr_domain(world.rng()),
+                    rng,
+                    gain: (0..world.blocks().len())
+                        .map(|bi| ibr::block_gain(&rng, bi))
+                        .collect(),
                 })
             })
             .transpose()?;
@@ -1164,8 +1170,9 @@ struct ShardChunk {
 ///
 /// The RTT is kept only when `keep_rtt` (the block's AS is RTT-tracked,
 /// `Statics::rtt_block`); every other block reports `0`, so live apply and
-/// replay see the same record. Every draw is coordinate-addressed, so
-/// skipping the spike draw moves no other.
+/// replay see the same record, and its `truth.rtt_ns` is not read (the
+/// shard task draws none for it). Every draw is coordinate-addressed, so
+/// skipping the truth's RTT draw and the spike draw moves no other.
 #[allow(clippy::too_many_arguments)]
 fn scan_block(
     truth: &BlockTruth,
@@ -1285,9 +1292,17 @@ fn measure_round_timed(
             return chunk;
         }
         for bi in range {
-            let truth = world.block_truth(round, bi);
-            let unknown = routed_unknown[bi];
+            // Only a block whose RTT is kept draws one: `scan_block` reads
+            // no other block's, and the darknet reads none.
+            let state = world.block_state(round, bi);
             let keep_rtt = statics.rtt_block[bi];
+            let rtt_ns = if keep_rtt {
+                world.truth_rtt_ns(&state, round, bi)
+            } else {
+                0
+            };
+            let truth = state.with_rtt(rtt_ns);
+            let unknown = routed_unknown[bi];
             for ((vs, scan), out) in statics
                 .vantages
                 .iter()
@@ -1309,8 +1324,13 @@ fn measure_round_timed(
                 }
             }
             if let Some(is) = darknet {
-                chunk.ibr.push(ibr::volume_from_truth(
-                    &truth, &is.config, &is.rng, round, bi,
+                chunk.ibr.push(ibr::volume_with_gain(
+                    &truth,
+                    is.gain[bi],
+                    &is.config,
+                    &is.rng,
+                    round,
+                    bi,
                 ));
             }
         }

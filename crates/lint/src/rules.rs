@@ -315,11 +315,14 @@ fn check_panic_in_pipeline(f: &SourceFile, out: &mut Vec<Finding>) {
             }
         }
         // `expr[&key]` — indexing with a borrowed key is map indexing,
-        // which panics on a missing entry (the as_pos incident).
+        // which panics on a missing entry (the as_pos incident). After a
+        // keyword (`for p in [&a, &b]`, `&mut [&str]`) the `[` opens an
+        // array or a slice type, not an index.
         if i >= 1 && i + 1 < n && t.is_punct(src, "[") && f.sig_token(i + 1).is_punct(src, "&") {
             let prev = f.sig_token(i - 1);
-            let indexable =
-                prev.kind == TokenKind::Ident || prev.is_punct(src, ")") || prev.is_punct(src, "]");
+            let indexable = (prev.kind == TokenKind::Ident && !is_keyword(prev.bytes(src)))
+                || prev.is_punct(src, ")")
+                || prev.is_punct(src, "]");
             if indexable {
                 out.push(finding(
                     f,
@@ -332,6 +335,50 @@ fn check_panic_in_pipeline(f: &SourceFile, out: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+/// Whether an identifier token is a Rust keyword that cannot be indexed.
+/// `self`, `Self` and `.await` can be, so they are left out.
+fn is_keyword(ident: &[u8]) -> bool {
+    matches!(
+        ident,
+        b"as"
+            | b"async"
+            | b"break"
+            | b"const"
+            | b"continue"
+            | b"crate"
+            | b"dyn"
+            | b"else"
+            | b"enum"
+            | b"extern"
+            | b"false"
+            | b"fn"
+            | b"for"
+            | b"if"
+            | b"impl"
+            | b"in"
+            | b"let"
+            | b"loop"
+            | b"match"
+            | b"mod"
+            | b"move"
+            | b"mut"
+            | b"pub"
+            | b"ref"
+            | b"return"
+            | b"static"
+            | b"struct"
+            | b"super"
+            | b"trait"
+            | b"true"
+            | b"type"
+            | b"unsafe"
+            | b"use"
+            | b"where"
+            | b"while"
+            | b"yield"
+    )
 }
 
 /// NaN-hostile comparisons in detector math: `partial_cmp(...).unwrap()`

@@ -22,7 +22,8 @@
 //!   campaign's shard task evaluates each block's truth once per round and
 //!   hands the same value to every vantage's scan and to the darknet.
 //!   [`block_volume`] is the from-scratch form that evaluates the truth
-//!   itself.
+//!   itself, and [`volume_with_gain`] the kernel under both, taking the
+//!   block's stable [`block_gain`] drawn once per block.
 //!
 //! Determinism: every noise draw comes from the world RNG's **`"ibr"`
 //! domain**, disjoint from `"faults"`, `"feeds"`, `"vantage-faults"` and
@@ -155,18 +156,39 @@ pub fn block_volume(
     volume_from_truth(&world.block_truth(round, bi), cfg, rng, round, bi)
 }
 
+/// Block `bi`'s stable emission gain in [0.6, 1.4): infection density
+/// and NAT depth vary per network but not per round. Deterministic in
+/// `(seed, bi)`, so a caller that sweeps many rounds draws it once.
+pub fn block_gain(rng: &WorldRng, bi: usize) -> f64 {
+    0.6 + 0.8 * rng.uniform3(bi as u64, salt::GAIN, 0)
+}
+
 /// The unsolicited packet volume block `bi` radiates toward the darknet at
 /// `round`, given its ground truth `truth` (`world.block_truth(round, bi)`)
-/// — deterministic in `(seed, round, block)`.
+/// — deterministic in `(seed, round, block)`. The composition of
+/// [`block_gain`] and [`volume_with_gain`]; it reads no RTT.
+pub fn volume_from_truth(
+    truth: &BlockTruth,
+    cfg: &IbrConfig,
+    rng: &WorldRng,
+    round: Round,
+    bi: usize,
+) -> u64 {
+    volume_with_gain(truth, block_gain(rng, bi), cfg, rng, round, bi)
+}
+
+/// [`volume_from_truth`] with block `bi`'s emission gain already drawn:
+/// `gain` is [`block_gain`]`(rng, bi)`. `truth.rtt_ns` is not read.
 ///
 /// Shape: `responsive × rate × gain`, where `responsive` is the world's
 /// ground-truth live count (already carrying diurnal seasonality, power
-/// modulation and scripted events), `gain` is a stable per-block factor
-/// (networks differ in infection density), plus sub-Poisson jitter and an
-/// occasional backscatter burst. An unrouted block contributes zero: its
-/// packets cannot reach the collector.
-pub fn volume_from_truth(
+/// modulation and scripted events) and `gain` a stable per-block factor,
+/// plus sub-Poisson jitter and an occasional backscatter burst. An
+/// unrouted block contributes zero: its packets cannot reach the
+/// collector.
+pub fn volume_with_gain(
     truth: &BlockTruth,
+    gain: f64,
     cfg: &IbrConfig,
     rng: &WorldRng,
     round: Round,
@@ -177,9 +199,6 @@ pub fn volume_from_truth(
     }
     let r = round.0 as u64;
     let b = bi as u64;
-    // Stable per-block emission gain in [0.6, 1.4): infection density and
-    // NAT depth vary per network but not per round.
-    let gain = 0.6 + 0.8 * rng.uniform3(b, salt::GAIN, 0);
     let steady = truth.responsive as f64 * cfg.rate_per_responder * (1.0 - cfg.backscatter_share);
     // Backscatter arrives in episodes: the expected share is preserved,
     // but roughly every third round carries a triple burst.

@@ -1,14 +1,18 @@
 //! The assembled world: truth queries, BGP log, data-source exports.
 //!
 //! Truth queries run tens of millions of times per campaign, so the world
-//! precompiles two lookup structures at construction:
+//! precompiles its lookup structures at construction:
 //!
 //! * **per-block modifier timelines** — every scripted event is distributed
 //!   to the blocks it touches (by block, AS, region or country), leaving
 //!   each block with small sorted interval lists that answer "am I
 //!   unreachable / scaled / rerouted at round r" with a binary search;
 //! * **a per-round power bitmask** — one `u32` of oblast bits per round,
-//!   so the blackout check is a single AND in the hot path.
+//!   so the blackout check is a single AND in the hot path;
+//! * **a per-(month, block) responder-pool table** and **a per-block
+//!   Trinocular address factor** — constants the queries would otherwise
+//!   recompute on every call (a `powf` and a hash draw), each evaluated
+//!   once with the same expression, so every value is bit-identical.
 
 use crate::power::{PowerCalendar, StrikeEvent};
 use crate::rng::WorldRng;
@@ -19,7 +23,8 @@ use fbs_prober::ResponderBitmap;
 use fbs_types::{Asn, BlockId, MonthId, Oblast, Result, Round};
 use std::collections::BTreeMap;
 
-/// Ground truth for one block at one round.
+/// Ground truth for one block at one round: a [`BlockState`] plus the
+/// round-trip time, as composed by [`World::block_truth`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockTruth {
     /// Whether the block is reachable through BGP.
@@ -28,11 +33,40 @@ pub struct BlockTruth {
     pub pool: u16,
     /// Addresses that answer a probe this round.
     pub responsive: u32,
-    /// Round-trip time to the block this round, nanoseconds.
+    /// Round-trip time to the block this round, nanoseconds; 0 when the
+    /// block is unrouted or its pool is empty.
     pub rtt_ns: u64,
     /// Per-address response probability in effect (for Trinocular
     /// emulation, which probes addresses individually).
     pub response_prob: f64,
+}
+
+/// Ground truth for one block at one round without the round-trip time:
+/// what [`World::block_state`] evaluates. Each field means what the
+/// [`BlockTruth`] field of the same name does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockState {
+    /// Whether the block is reachable through BGP.
+    pub routed: bool,
+    /// Responder-pool size this month.
+    pub pool: u16,
+    /// Addresses that answer a probe this round.
+    pub responsive: u32,
+    /// Per-address response probability in effect.
+    pub response_prob: f64,
+}
+
+impl BlockState {
+    /// The full truth: this state with round-trip time `rtt_ns`.
+    pub fn with_rtt(self, rtt_ns: u64) -> BlockTruth {
+        BlockTruth {
+            routed: self.routed,
+            pool: self.pool,
+            responsive: self.responsive,
+            rtt_ns,
+            response_prob: self.response_prob,
+        }
+    }
 }
 
 /// Per-block compiled event effects.
@@ -164,6 +198,12 @@ pub struct World {
     as_index: BTreeMap<Asn, usize>,
     /// Month index per round.
     month_of_round: Vec<u16>,
+    /// Responder-pool size per month and block, month-major:
+    /// `pools[m * blocks.len() + bi]` is `blocks[bi].responders_at(m)` for
+    /// every month `m` the rounds span.
+    pools: Vec<u16>,
+    /// Per-block Trinocular address-intermittence factor, in [0.12, 0.5).
+    trin_factor: Vec<f64>,
     /// Power-off oblast bitmask per round.
     power_mask: Vec<u32>,
     /// Vantage-offline flag per round.
@@ -195,6 +235,17 @@ impl World {
         let first_month = MonthId::campaign_first();
         let month_of_round: Vec<u16> = (0..config.rounds)
             .map(|r| (Round(r).month().0 - first_month.0) as u16)
+            .collect();
+
+        // --- Per-block constants, each evaluated once with the expression
+        // the truth queries read it through. ---
+        let months = month_of_round.last().map_or(0, |&m| u32::from(m) + 1);
+        let pools: Vec<u16> = (0..months)
+            .flat_map(|m| blocks.iter().map(move |b| b.responders_at(m)))
+            .collect();
+        let trin_factor: Vec<f64> = blocks
+            .iter()
+            .map(|b| 0.12 + 0.38 * rng.uniform3(b.block.0 as u64, 31, 7))
             .collect();
 
         // --- Compile per-block modifier timelines. ---
@@ -267,6 +318,8 @@ impl World {
             owner_idx,
             as_index,
             month_of_round,
+            pools,
+            trin_factor,
             power_mask,
             vantage_offline,
         })
@@ -333,6 +386,12 @@ impl World {
         self.power_mask[round.0 as usize] & (1 << oblast.index()) != 0
     }
 
+    /// Block `bi`'s responder-pool size in `round`'s month (precomputed).
+    #[inline]
+    fn pool(&self, round: Round, bi: usize) -> u16 {
+        self.pools[usize::from(self.month_of_round[round.0 as usize]) * self.blocks.len() + bi]
+    }
+
     /// Whether the block is unreachable (BGP-style) at `round`.
     #[inline]
     pub fn block_down(&self, round: Round, bi: usize) -> bool {
@@ -361,17 +420,26 @@ impl World {
         p.clamp(0.0, 1.0)
     }
 
-    /// Oracle-path truth: responsive count, routing state and RTT.
+    /// Oracle-path truth: responsive count, routing state and RTT — the
+    /// composition of [`Self::block_state`] and [`Self::truth_rtt_ns`].
+    /// A caller that discards the RTT calls `block_state` alone and skips
+    /// its draw; every draw is coordinate-addressed, so no other moves.
     pub fn block_truth(&self, round: Round, bi: usize) -> BlockTruth {
+        let state = self.block_state(round, bi);
+        state.with_rtt(self.truth_rtt_ns(&state, round, bi))
+    }
+
+    /// Oracle-path truth without the RTT: routing state, pool, responsive
+    /// count and response probability.
+    pub fn block_state(&self, round: Round, bi: usize) -> BlockState {
         let b = &self.blocks[bi];
         let routed = !self.block_down(round, bi);
-        let pool = b.responders_at(self.month_index(round));
+        let pool = self.pool(round, bi);
         if !routed || pool == 0 {
-            return BlockTruth {
+            return BlockState {
                 routed,
                 pool,
                 responsive: 0,
-                rtt_ns: 0,
                 response_prob: 0.0,
             };
         }
@@ -385,13 +453,22 @@ impl World {
         let sd = 0.1 * mean.sqrt() + 0.005 * mean;
         let z = self.rng.normal3(round.0 as u64, b.block.0 as u64, 1);
         let responsive = (mean + z * sd).round().clamp(0.0, pool as f64) as u32;
-        let rtt_ns = self.rtt_ns(round, bi);
-        BlockTruth {
+        BlockState {
             routed,
             pool,
             responsive,
-            rtt_ns,
             response_prob: p,
+        }
+    }
+
+    /// The RTT [`Self::block_truth`] reports for block `bi` in `state`
+    /// (its [`Self::block_state`] at `round`): [`Self::rtt_ns`] when the
+    /// block answers at all (routed, with a non-empty pool), else 0.
+    pub fn truth_rtt_ns(&self, state: &BlockState, round: Round, bi: usize) -> u64 {
+        if state.routed && state.pool > 0 {
+            self.rtt_ns(round, bi)
+        } else {
+            0
         }
     }
 
@@ -413,8 +490,7 @@ impl World {
     /// mostly in 0.1–0.5) — which is exactly what makes its belief flap
     /// on sparse blocks (paper Fig. 27).
     pub fn trin_availability(&self, round: Round, bi: usize) -> f64 {
-        let f = 0.12 + 0.38 * self.rng.uniform3(self.blocks[bi].block.0 as u64, 31, 7);
-        (self.response_prob(round, bi) * f).clamp(0.0, 1.0)
+        (self.response_prob(round, bi) * self.trin_factor[bi]).clamp(0.0, 1.0)
     }
 
     /// Wire-path truth: the exact responder bitmap for a block this round.
@@ -429,7 +505,7 @@ impl World {
             return ResponderBitmap::EMPTY;
         }
         let month = self.month_index(round) as u64;
-        let pool = b.responders_at(month as u32);
+        let pool = self.pool(round, bi);
         let p = self.response_prob(round, bi);
         let mut bm = ResponderBitmap::EMPTY;
         let geo = self.rng.domain("hosts");
@@ -500,7 +576,7 @@ impl World {
         for r in month_rounds {
             let round = Round(r);
             if !self.block_down(round, bi) {
-                pool = self.blocks[bi].responders_at(self.month_index(round));
+                pool = self.pool(round, bi);
                 if self.response_prob(round, bi) > 0.0 {
                     any_active = true;
                     break;
@@ -566,6 +642,10 @@ mod tests {
     use fbs_types::{CivilDate, Prefix, CAMPAIGN_START};
 
     fn test_world(script: Script, strikes: Vec<StrikeEvent>) -> World {
+        World::new(test_config(), script, strikes).unwrap()
+    }
+
+    fn test_config() -> WorldConfig {
         let ases = vec![
             AsSpec {
                 asn: Asn(25482),
@@ -613,14 +693,13 @@ mod tests {
                 annual_decay: 0.95,
             });
         }
-        let config = WorldConfig {
+        WorldConfig {
             seed: 99,
             scale: WorldScale::Tiny,
             rounds: 2400, // 200 days
             ases,
             blocks,
-        };
-        World::new(config, script, strikes).unwrap()
+        }
     }
 
     fn ts(days: i64) -> fbs_types::Timestamp {
@@ -634,6 +713,161 @@ mod tests {
 
     fn kbi(w: &World, i: u8) -> usize {
         w.block_index(BlockId::from_octets(176, 8, i)).unwrap()
+    }
+
+    /// The precomputed constants against the expressions they replace: the
+    /// pool table against `BlockSpec::responders_at` for every month and
+    /// block, and `block_truth`, `trin_availability` and `ever_active`
+    /// against from-scratch references (the `powf` pool and the inline hash
+    /// draws) at every round of a world with down, scale, night, reroute
+    /// and power-cut modifiers and a pool that decays to zero; and the
+    /// darknet kernel fed a precomputed gain against `volume_from_truth`.
+    #[test]
+    fn tables_match_a_from_scratch_oracle() {
+        use crate::ibr::{block_gain, ibr_domain, volume_from_truth, volume_with_gain, IbrConfig};
+        let event = |target, kind, from: i64, to: i64| ScriptedEvent {
+            name: "modifier".into(),
+            target,
+            kind,
+            start: ts(from),
+            end: Some(ts(to)),
+        };
+        let mut s = Script::new();
+        s.push(event(
+            EventTarget::As(Asn(25482)),
+            EventKind::BgpOutage,
+            10,
+            13,
+        ));
+        s.push(event(
+            EventTarget::Region(Oblast::Kyiv),
+            EventKind::IpsScale(0.4),
+            20,
+            40,
+        ));
+        s.push(event(
+            EventTarget::Block(BlockId::from_octets(193, 151, 241)),
+            EventKind::NightScale(0.3),
+            30,
+            90,
+        ));
+        s.push(event(
+            EventTarget::As(Asn(15895)),
+            EventKind::Reroute {
+                via: Asn(12389),
+                extra_rtt_ns: 60_000_000,
+            },
+            50,
+            120,
+        ));
+        let strikes = vec![StrikeEvent {
+            date: CivilDate::new(2022, 3, 10),
+            severity: 1.0,
+            recovery_days: 40,
+        }];
+        // One block's pool decays from 1 to 0 in the second month: routed
+        // with an empty pool, it answers nothing and carries no RTT.
+        let mut config = test_config();
+        config.blocks[7].base_responders = 1;
+        config.blocks[7].annual_decay = 0.01;
+        let w = World::new(config, s, strikes).unwrap();
+        let n = w.blocks().len();
+
+        // (a) The pool table, entry by entry.
+        let months = w.month_index(Round(w.rounds() - 1)) + 1;
+        assert!(months >= 6, "{months} months");
+        assert_eq!(w.pools.len(), months as usize * n);
+        for m in 0..months {
+            for (bi, b) in w.blocks().iter().enumerate() {
+                assert_eq!(
+                    w.pools[m as usize * n + bi],
+                    b.responders_at(m),
+                    "month {m}, block {bi}"
+                );
+            }
+        }
+
+        // (b) Truth and Trinocular availability at every round.
+        let reference_truth = |round: Round, bi: usize| -> BlockTruth {
+            let b = &w.blocks()[bi];
+            let routed = !w.block_down(round, bi);
+            let pool = b.responders_at(w.month_index(round));
+            if !routed || pool == 0 {
+                return BlockTruth {
+                    routed,
+                    pool,
+                    responsive: 0,
+                    rtt_ns: 0,
+                    response_prob: 0.0,
+                };
+            }
+            let p = w.response_prob(round, bi);
+            let mean = pool as f64 * p;
+            let sd = 0.1 * mean.sqrt() + 0.005 * mean;
+            let z = w.rng().normal3(round.0 as u64, b.block.0 as u64, 1);
+            BlockTruth {
+                routed,
+                pool,
+                responsive: (mean + z * sd).round().clamp(0.0, pool as f64) as u32,
+                rtt_ns: w.rtt_ns(round, bi),
+                response_prob: p,
+            }
+        };
+        let reference_trin = |round: Round, bi: usize| -> f64 {
+            let f = 0.12 + 0.38 * w.rng().uniform3(w.blocks()[bi].block.0 as u64, 31, 7);
+            (w.response_prob(round, bi) * f).clamp(0.0, 1.0)
+        };
+        let cfg = IbrConfig::default();
+        let ibr_rng = ibr_domain(w.rng());
+        let gains: Vec<f64> = (0..n).map(|bi| block_gain(&ibr_rng, bi)).collect();
+        // (unrouted, scaled, night-scaled, rerouted, powered off, radiating,
+        // routed with an empty pool)
+        let mut seen = [0usize; 7];
+        for r in 0..w.rounds() {
+            let round = Round(r);
+            for (bi, &gain) in gains.iter().enumerate() {
+                let truth = w.block_truth(round, bi);
+                assert_eq!(truth, reference_truth(round, bi), "round {r}, block {bi}");
+                let state = w.block_state(round, bi);
+                assert_eq!(state.with_rtt(truth.rtt_ns), truth);
+                assert_eq!(
+                    w.trin_availability(round, bi).to_bits(),
+                    reference_trin(round, bi).to_bits(),
+                    "round {r}, block {bi}"
+                );
+                // (c) The darknet kernel with the block's gain drawn once.
+                let volume = volume_with_gain(&truth, gain, &cfg, &ibr_rng, round, bi);
+                assert_eq!(volume, volume_from_truth(&truth, &cfg, &ibr_rng, round, bi));
+                let m = &w.mods[bi];
+                seen[0] += usize::from(!truth.routed);
+                seen[1] += usize::from(m.scale_at(r) != 1.0);
+                seen[2] += usize::from(m.night_scale_at(r) != 1.0);
+                seen[3] += usize::from(m.reroute_extra(r) != 0);
+                seen[4] += usize::from(w.power_off(w.blocks()[bi].home, round));
+                seen[5] += usize::from(volume != 0);
+                seen[6] += usize::from(truth.routed && truth.pool == 0);
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "unrouted, scaled, night, rerouted, power off, radiating, empty pool: {seen:?}"
+        );
+
+        // `ever_active` over each month, against the `powf` pool.
+        for m in 0..months {
+            let rounds = w.month_rounds(MonthId(MonthId::campaign_first().0 + m));
+            for (bi, b) in w.blocks().iter().enumerate() {
+                let live = rounds
+                    .clone()
+                    .find(|&r| !w.block_down(Round(r), bi) && w.response_prob(Round(r), bi) > 0.0);
+                let want = live.map_or(0, |r| b.responders_at(w.month_index(Round(r))));
+                assert_eq!(
+                    w.ever_active(rounds.clone(), bi),
+                    want,
+                    "month {m}, block {bi}"
+                );
+            }
+        }
     }
 
     #[test]
