@@ -9,18 +9,19 @@
 //!   one implicit vantage that journals what the paper's single vantage
 //!   always did.
 //! * [`apply_round`] — the *accumulation* half: month rollover,
-//!   eligibility refresh, quorum fusion, the passive-signal predictors,
+//!   eligibility refresh, the passive-signal predictors, quorum fusion,
 //!   detector feeds, trinocular belief updates and monthly tallies,
 //!   driven purely by a [`RoundRecord`] plus the world's deterministic
-//!   derived quantities. Fusion chunks and the per-AS predictor step run
-//!   through the shard executor's claim loop; the rest is serial. Replay
-//!   after a crash runs exactly this function over journaled records, so
-//!   a resumed campaign is bit-identical to an uninterrupted one.
+//!   derived quantities, in one serial pass over the blocks. Replay after
+//!   a crash runs exactly this function over journaled records, so a
+//!   resumed campaign is bit-identical to an uninterrupted one.
 //!
 //! [`CampaignRunner`] owns the split state — immutable [`Statics`], the
-//! persistable [`PipelineState`], and the feed layer's derived
-//! [`FeedState`], which is carried across rounds but never persisted —
-//! and drives `step_round()` until the cursor is done; [`Campaign::run`],
+//! persistable [`PipelineState`], the feed layer's derived [`FeedState`],
+//! which is carried across rounds but never persisted, and the next
+//! round's measured record — and drives `step_round()` until the cursor
+//! is done, finishing each round on the calling thread while the shard
+//! executor's helpers measure the next; [`Campaign::run`],
 //! [`Campaign::run_checkpointed`] and [`Campaign::resume`] are thin
 //! drivers over it.
 
@@ -178,6 +179,7 @@ impl Campaign {
             state,
             store: None,
             diagnostics: ResumeDiagnostics::default(),
+            ahead: None,
             shard_wall_ns,
         })
     }
@@ -272,7 +274,7 @@ impl Campaign {
             // the state; re-measure them — determinism makes the records
             // identical — and heal the journal so it stays authoritative.
             for i in journaled..completed {
-                let record = measure_round(
+                let (record, _) = measure_round(
                     &self.world,
                     &self.config,
                     &statics,
@@ -297,6 +299,7 @@ impl Campaign {
             state,
             store: Some(store),
             diagnostics,
+            ahead: None,
             shard_wall_ns,
         })
     }
@@ -1203,51 +1206,98 @@ fn scan_block(
     }
 }
 
-/// Produces the journal record for `round`: the measurement half of the
-/// loop, and the only part that consults the faulty wire path.
+/// Produces the journal record for `round`, with its per-shard wall times
+/// (slot order; empty when the executor was bypassed): the measurement
+/// half of the loop, and the only part that consults the faulty wire path.
 ///
-/// All per-block work — the per-vantage scans and the darknet volume
-/// sums — runs through the campaign's shard executor: deterministic
-/// AS-aligned shards on the bounded worker pool, each supervised
-/// (panic-isolated, deadline-bounded, deterministically retried). Results are restored to roster (slot)
-/// order before the merge, so the journal bytes are identical at any
-/// thread count. When a shard exhausts its retries the round degrades
-/// gracefully: its blocks are journaled as missing placeholders, the
-/// round quality drops to `Degraded` (`Unusable` when every shard is
-/// lost), and the per-shard outcomes are journaled for the report's
-/// [`ShardLedger`].
+/// It composes three steps, which the runner also calls apart to measure
+/// the next round beside the current round's accumulation: the serial
+/// [`measure_prelude`]; [`measure_beside`], which runs the pure per-range
+/// task [`measure_range`] once per shard on the campaign's shard executor
+/// (deterministic AS-aligned shards, each supervised: panic-isolated,
+/// deadline-bounded, deterministically retried); and [`assemble_round`],
+/// which merges the shards in roster (slot) order, so the journal bytes
+/// are identical at any thread count. Wall times are runner diagnostics
+/// only: never journaled, never compared.
 fn measure_round(
     world: &World,
     cfg: &CampaignConfig,
     statics: &Statics,
     feeds: Option<&mut FeedState>,
     round: Round,
-) -> RoundRecord {
-    measure_round_timed(world, cfg, statics, feeds, round).0
+) -> (RoundRecord, Vec<u64>) {
+    let prelude = measure_prelude(world, cfg, statics, feeds, round);
+    let ((), ordered) = measure_beside(world, cfg, statics, &prelude, || ());
+    assemble_round(statics, prelude, ordered)
 }
 
-/// [`measure_round`] plus this round's per-shard wall times (slot order;
-/// empty when the executor was bypassed). Wall times are runner
-/// diagnostics only: never journaled, never compared.
-fn measure_round_timed(
+/// Runs `first` on the calling thread while the shard executor's helpers
+/// measure `prelude`'s round, then returns `first`'s value and the
+/// round's supervised shards in roster (slot) order. With nothing for the
+/// executor to do and no supervision ledger to feed, it is skipped, and
+/// the skip is itself the observation.
+fn measure_beside<P>(
+    world: &World,
+    cfg: &CampaignConfig,
+    statics: &Statics,
+    prelude: &RoundPrelude,
+    first: impl FnOnce() -> P,
+) -> (P, Vec<shard::SupervisedShard<ShardChunk>>) {
+    if prelude.no_block_work() && !statics.shard.supervised() {
+        return (first(), Vec::new());
+    }
+    let task = |_slot: u32, range: std::ops::Range<usize>| {
+        measure_range(world, cfg, statics, prelude, range)
+    };
+    let (p, shards) = statics.shard.shard_execute(prelude.round, first, &task);
+    (p, shard::roster_order(shards))
+}
+
+/// The serial prelude of one round's measurement: everything the shard
+/// task reads besides the world, resolved once on the calling thread
+/// before any shard runs.
+struct RoundPrelude {
+    round: Round,
+    online: bool,
+    feeds: Vec<FeedObs>,
+    /// Per block, whether the BGP delivery lost its routing state.
+    routed_unknown: Vec<bool>,
+    /// `None`: the IBR layer is off. `Some(false)`: the collector itself
+    /// is dark this round. `Some(true)`: the darknet is listening.
+    ibr_live: Option<bool>,
+    /// Each vantage's verdict, indexed like `statics.vantages`.
+    vantage_quality: Vec<RoundQuality>,
+    /// Each vantage's path intensity, `None` for a vantage that measures
+    /// nothing this round.
+    vantage_scan: Vec<Option<FaultIntensity>>,
+    /// The round's headline quality before any shard loss.
+    quality: RoundQuality,
+}
+
+impl RoundPrelude {
+    /// Whether no layer measures a block this round.
+    fn no_block_work(&self) -> bool {
+        self.vantage_scan.iter().all(Option::is_none) && self.ibr_live != Some(true)
+    }
+}
+
+/// Fetches the round's feeds and resolves what per-block work it carries:
+/// the serial first step of [`measure_round`]. Feeds are fetched by
+/// infrastructure independent of the probing vantage(s), so feed
+/// observations are collected even for rounds the scanner itself cannot
+/// measure, and fetched once, not per shard.
+fn measure_prelude(
     world: &World,
     cfg: &CampaignConfig,
     statics: &Statics,
     feed_state: Option<&mut FeedState>,
     round: Round,
-) -> (RoundRecord, Vec<u64>) {
+) -> RoundPrelude {
     let online = world.vantage_online(round);
-    // Feeds are fetched by infrastructure independent of the probing
-    // vantage(s), so feed observations are collected even for rounds the
-    // scanner itself cannot measure — and fetched once, not per shard.
     let (feeds, routed_unknown) = measure_feeds(world, statics, feed_state, round);
-    // `None`: the IBR layer is off. `Some(false)`: the collector itself
-    // is dark this round. `Some(true)`: the darknet is listening.
     let ibr_live = statics.ibr.as_ref().map(|is| !is.config.dark_at(round));
-
-    // Resolve what per-block work the round carries — once, outside the
-    // pool: one scan per usable vantage (a masked vantage measures
-    // nothing: offline, or catastrophic loss on its path).
+    // One scan per usable vantage: a masked vantage measures nothing
+    // (offline, or catastrophic loss on its path).
     let mut vantage_quality: Vec<RoundQuality> = Vec::new();
     let mut vantage_scan: Vec<Option<FaultIntensity>> = Vec::new();
     for vs in &statics.vantages {
@@ -1262,93 +1312,122 @@ fn measure_round_timed(
     // (kept on offline rounds too, where the fused verdict reads
     // `Unusable`), or the roster's fused one — one clean vantage keeps the
     // round usable while another sits behind 100% loss.
-    let mut quality = if statics.implicit_vantage {
+    let quality = if statics.implicit_vantage {
         vantage_quality[0]
     } else {
         fuse_round_quality(vantage_quality.iter().map(|q| (online, *q)))
     };
+    RoundPrelude {
+        round,
+        online,
+        feeds,
+        routed_unknown,
+        ibr_live,
+        vantage_quality,
+        vantage_scan,
+        quality,
+    }
+}
 
-    let supervised = statics.shard.supervised();
-    let no_block_work = vantage_scan.iter().all(Option::is_none) && ibr_live != Some(true);
-
-    // The shard task: measure this shard's slice of every active layer in
-    // one pass, evaluating each block's truth once and handing it to every
-    // consumer. A pure function of (slot, range) — all draws
-    // coordinate-addressed — so a retry after an injected panic reproduces
-    // the first try, and any worker interleaving produces the same chunk.
-    let darknet = statics.ibr.as_ref().filter(|_| ibr_live == Some(true));
-    let task = |_slot: u32, range: std::ops::Range<usize>| -> ShardChunk {
-        let cap = |active: bool| if active { range.len() } else { 0 };
-        let mut chunk = ShardChunk {
-            vantages: vantage_scan
-                .iter()
-                .map(|s| Vec::with_capacity(cap(s.is_some())))
-                .collect(),
-            ibr: Vec::with_capacity(cap(darknet.is_some())),
+/// The shard task: measures one block range's slice of every active layer
+/// in one pass, evaluating each block's truth once and handing it to every
+/// consumer. A pure function of the prelude and the range — all draws
+/// coordinate-addressed — so a retry after an injected panic reproduces
+/// the first try, and any worker interleaving produces the same chunk.
+fn measure_range(
+    world: &World,
+    cfg: &CampaignConfig,
+    statics: &Statics,
+    prelude: &RoundPrelude,
+    range: std::ops::Range<usize>,
+) -> ShardChunk {
+    let round = prelude.round;
+    let darknet = statics
+        .ibr
+        .as_ref()
+        .filter(|_| prelude.ibr_live == Some(true));
+    let cap = |active: bool| if active { range.len() } else { 0 };
+    let mut chunk = ShardChunk {
+        vantages: prelude
+            .vantage_scan
+            .iter()
+            .map(|s| Vec::with_capacity(cap(s.is_some())))
+            .collect(),
+        ibr: Vec::with_capacity(cap(darknet.is_some())),
+    };
+    // A supervised round with every layer masked runs the task only for
+    // its ledger: no truth is evaluated.
+    if prelude.no_block_work() {
+        return chunk;
+    }
+    for bi in range {
+        // Only a block whose RTT is kept draws one: `scan_block` reads no
+        // other block's, and the darknet reads none.
+        let state = world.block_state(round, bi);
+        let keep_rtt = statics.rtt_block[bi];
+        let rtt_ns = if keep_rtt {
+            world.truth_rtt_ns(&state, round, bi)
+        } else {
+            0
         };
-        // A supervised round with every layer masked runs the task only
-        // for its ledger: no truth is evaluated.
-        if no_block_work {
-            return chunk;
-        }
-        for bi in range {
-            // Only a block whose RTT is kept draws one: `scan_block` reads
-            // no other block's, and the darknet reads none.
-            let state = world.block_state(round, bi);
-            let keep_rtt = statics.rtt_block[bi];
-            let rtt_ns = if keep_rtt {
-                world.truth_rtt_ns(&state, round, bi)
-            } else {
-                0
-            };
-            let truth = state.with_rtt(rtt_ns);
-            let unknown = routed_unknown[bi];
-            for ((vs, scan), out) in statics
-                .vantages
-                .iter()
-                .zip(&vantage_scan)
-                .zip(&mut chunk.vantages)
-            {
-                if let Some(intensity) = scan {
-                    out.push(scan_block(
-                        &truth,
-                        cfg.scan_retries,
-                        &vs.rng,
-                        vs.spec.path_rtt_ns,
-                        intensity,
-                        round,
-                        bi,
-                        unknown,
-                        keep_rtt,
-                    ));
-                }
-            }
-            if let Some(is) = darknet {
-                chunk.ibr.push(ibr::volume_with_gain(
+        let truth = state.with_rtt(rtt_ns);
+        let unknown = prelude.routed_unknown[bi];
+        for ((vs, scan), out) in statics
+            .vantages
+            .iter()
+            .zip(&prelude.vantage_scan)
+            .zip(&mut chunk.vantages)
+        {
+            if let Some(intensity) = scan {
+                out.push(scan_block(
                     &truth,
-                    is.gain[bi],
-                    &is.config,
-                    &is.rng,
+                    cfg.scan_retries,
+                    &vs.rng,
+                    vs.spec.path_rtt_ns,
+                    intensity,
                     round,
                     bi,
+                    unknown,
+                    keep_rtt,
                 ));
             }
         }
-        chunk
-    };
+        if let Some(is) = darknet {
+            chunk.ibr.push(ibr::volume_with_gain(
+                &truth,
+                is.gain[bi],
+                &is.config,
+                &is.rng,
+                round,
+                bi,
+            ));
+        }
+    }
+    chunk
+}
 
-    // Run on the pool, then restore roster (slot) order before any merge:
-    // the executor delivers in arrival order, which must never reach a
-    // sink. With nothing for the pool to do and no supervision ledger to
-    // feed, the pool is skipped: the skip is itself the observation.
-    let ordered = if no_block_work && !supervised {
-        Vec::new()
-    } else {
-        shard::roster_order(statics.shard.shard_execute(round, &task))
-    };
-
-    // The roster-ordered deterministic reduce: splice completed chunks
-    // into campaign-wide vectors, fill lost shards with placeholders.
+/// The roster-ordered deterministic reduce that ends [`measure_round`]:
+/// splices the completed shards (`ordered`, in slot order, empty when the
+/// executor was skipped) into campaign-wide vectors and fills lost shards
+/// with placeholders. When a shard exhausts its retries the round degrades
+/// gracefully: its blocks are journaled as missing placeholders, the round
+/// quality drops to `Degraded` (`Unusable` when every shard is lost), and
+/// the per-shard outcomes are journaled for the report's [`ShardLedger`].
+fn assemble_round(
+    statics: &Statics,
+    prelude: RoundPrelude,
+    ordered: Vec<shard::SupervisedShard<ShardChunk>>,
+) -> (RoundRecord, Vec<u64>) {
+    let RoundPrelude {
+        round,
+        online,
+        feeds,
+        ibr_live,
+        vantage_quality,
+        vantage_scan,
+        mut quality,
+        ..
+    } = prelude;
     let mut wall = Vec::with_capacity(ordered.len());
     let mut lost_shards = 0usize;
     let mut vblocks: Vec<Vec<BlockObs>> = vantage_scan
@@ -1431,7 +1510,10 @@ fn measure_round_timed(
             }
         }
     });
-    let shards = supervised.then(|| shard::reduce_outcomes(&ordered));
+    let shards = statics
+        .shard
+        .supervised()
+        .then(|| shard::reduce_outcomes(&ordered));
     let record = RoundRecord {
         round,
         online,
@@ -1642,11 +1724,6 @@ fn apply_feeds(
     })
 }
 
-/// Blocks per quorum-fusion chunk: the unit the accumulation dispatch
-/// hands out. A constant, so the chunks — and the order their counts are
-/// summed in — never depend on the thread count.
-const FUSE_CHUNK_BLOCKS: usize = 512;
-
 /// The roster entries that vote this round, after checking that each
 /// carries one observation per block.
 ///
@@ -1684,10 +1761,14 @@ fn fusion_ballot(statics: &Statics, record: &RoundRecord) -> fbs_types::Result<V
     Ok(usable)
 }
 
-/// One fusion chunk's share of a round: the fused view of its blocks and
-/// the dissent and disagreement counts over them.
-struct FusedChunk {
-    blocks: Vec<BlockObs>,
+/// One usable round's quorum over the roster: resolves each block's votes
+/// into the fused view the detection sweep consumes, and counts the
+/// round's dissent and disagreement as it goes.
+struct Quorum<'r> {
+    record: &'r RoundRecord,
+    /// The roster entries that vote this round ([`fusion_ballot`]).
+    usable: Vec<usize>,
+    votes: Vec<BlockVote>,
     /// Blocks on which each roster entry's vote lost, in roster order.
     dissent: Vec<u64>,
     /// Blocks reachable from some but not all usable vantages.
@@ -1696,70 +1777,61 @@ struct FusedChunk {
     suppressed: u64,
 }
 
-/// Resolves the blocks of `range` into the fused per-block view the
-/// detection sweep consumes. A pure function of the record, the ballot and
-/// the lost-block mask, so any worker may run any chunk; the caller sums
-/// the counts in chunk order.
-fn fuse_chunk(
-    record: &RoundRecord,
-    usable: &[usize],
-    lost: &[bool],
-    range: std::ops::Range<usize>,
-) -> FusedChunk {
-    let mut chunk = FusedChunk {
-        blocks: Vec::with_capacity(range.len()),
-        dissent: vec![0u64; record.vantages.len()],
-        disputed: 0,
-        suppressed: 0,
-    };
-    let mut votes: Vec<BlockVote> = Vec::with_capacity(usable.len());
-    for bi in range {
-        if lost[bi] {
-            // Every vantage's entry for this block is a lost-shard
-            // placeholder, not a vote: no dissent or dispute accounting
-            // over data that was never collected. The sweep skips the
-            // block anyway; the placeholder just keeps shapes aligned.
-            chunk.blocks.push(LOST_BLOCK_OBS);
-            continue;
+impl<'r> Quorum<'r> {
+    fn new(record: &'r RoundRecord, usable: Vec<usize>) -> Self {
+        Quorum {
+            record,
+            votes: Vec::with_capacity(usable.len()),
+            dissent: vec![0u64; record.vantages.len()],
+            usable,
+            disputed: 0,
+            suppressed: 0,
         }
-        votes.clear();
-        for &vi in usable {
-            let obs = &record.vantages[vi].blocks[bi];
-            votes.push(BlockVote {
+    }
+
+    /// The fused observation of block `bi`, which must not sit in a lost
+    /// shard: every vantage's entry for such a block is a placeholder, not
+    /// a vote.
+    fn fuse(&mut self, bi: usize) -> BlockObs {
+        let vantages = &self.record.vantages;
+        self.votes.clear();
+        for &vi in &self.usable {
+            let obs = &vantages[vi].blocks[bi];
+            self.votes.push(BlockVote {
                 responsive: obs.responsive,
                 rtt_ns: obs.rtt_ns,
             });
         }
-        let fused = fuse_block(&votes);
-        for (slot, &vi) in usable.iter().enumerate() {
-            if votes[slot].reachable() != fused.reachable() {
-                chunk.dissent[vi] += 1;
+        let fused = fuse_block(&self.votes);
+        for (vote, &vi) in self.votes.iter().zip(&self.usable) {
+            if vote.reachable() != fused.reachable() {
+                self.dissent[vi] += 1;
             }
         }
         if fused.disputed() {
-            chunk.disputed += 1;
+            self.disputed += 1;
         }
         if fused.suppressed {
-            chunk.suppressed += 1;
+            self.suppressed += 1;
         }
         // Routing state is feed-derived and shared by every vantage; any
         // usable vantage reports the same bits, so the first one speaks
         // for all (the deterministic vantage-ordered merge).
-        let (routed, routed_known) = usable
+        let (routed, routed_known) = self
+            .usable
             .first()
             .map(|&vi| {
-                let obs = &record.vantages[vi].blocks[bi];
+                let obs = &vantages[vi].blocks[bi];
                 (obs.routed, obs.routed_known)
             })
             .unwrap_or((false, false));
-        chunk.blocks.push(BlockObs {
+        BlockObs {
             responsive: fused.responsive,
             rtt_ns: fused.rtt_ns,
             routed,
             routed_known,
-        });
+        }
     }
-    chunk
 }
 
 /// Folds one measured round into the pipeline state: the accumulation half
@@ -1919,6 +1991,13 @@ fn apply_round(
     // active-dark round is exactly when the darknet is the only listener
     // left, so IBR predictors and ledgers advance on every round.
     let ibr_obs = ibr_observation(statics, record, round, state.cursor.completed() as u64)?;
+    step_ibr(
+        &mut state.ibr_predictors,
+        &mut state.ibr_ledgers,
+        ibr_obs,
+        &lost_as,
+        round,
+    );
 
     // A round without usable measurements — vantage offline, or the
     // fault plan silences so much that the scan is `Unusable` — is
@@ -1948,31 +2027,6 @@ fn apply_round(
         Some(fusion_ballot(statics, record)?)
     };
 
-    // The two order-free loops share one dispatch: helpers claim the
-    // fusion chunks while this thread steps the per-AS predictors, whose
-    // state it alone may mutate; then it claims chunks too.
-    let n_chunks = if ballot.is_some() {
-        n_blocks.div_ceil(FUSE_CHUNK_BLOCKS)
-    } else {
-        0
-    };
-    let usable_vantages = ballot.as_deref().unwrap_or_default();
-    let (predictors, ibr_ledgers) = (&mut state.ibr_predictors, &mut state.ibr_ledgers);
-    let ((), chunks) = statics.shard.shard_apply(
-        n_chunks,
-        || step_ibr(predictors, ibr_ledgers, ibr_obs, &lost_as, round),
-        &|slot| {
-            let lo = slot as usize * FUSE_CHUNK_BLOCKS;
-            fuse_chunk(
-                record,
-                usable_vantages,
-                &lost,
-                lo..(lo + FUSE_CHUNK_BLOCKS).min(n_blocks),
-            )
-        },
-    );
-    let chunks = fbs_signals::roster_ordered(chunks, |(slot, _)| *slot);
-
     if !usable {
         if !record.online {
             state.missing_rounds.push(round);
@@ -1995,28 +2049,10 @@ fn apply_round(
         state.cursor.advance();
         return Ok(());
     }
-    // Chunk counts merge in chunk order into the per-vantage dissent and
-    // the campaign disagreement summary.
-    let mut round_disputed = false;
-    for (_, chunk) in &chunks {
-        for (ledger, d) in state.vantage_ledgers.iter_mut().zip(&chunk.dissent) {
-            ledger.dissent_block_rounds += d;
-        }
-        state.disagreement.some_not_all_block_rounds += chunk.disputed;
-        state.disagreement.quorum_suppressed_block_rounds += chunk.suppressed;
-        round_disputed |= chunk.disputed > 0;
-    }
-    if round_disputed {
-        state.disagreement.rounds_with_disagreement += 1;
-    }
-    let parts: Vec<&[BlockObs]> = if ballot.is_some() {
-        chunks.iter().map(|(_, c)| c.blocks.as_slice()).collect()
-    } else {
-        vec![&record.blocks]
-    };
     state.round_quality.push(quality);
 
-    // --- The per-block sweep. ---
+    // --- The per-block sweep, fusing the roster's votes as it goes. ---
+    let mut quorum = ballot.map(|usable| Quorum::new(record, usable));
     let mut as_ips = vec![0u64; n_as];
     let mut as_active = vec![0u32; n_as];
     let mut as_routed = vec![0u32; n_as];
@@ -2025,116 +2061,127 @@ fn apply_round(
     let mut reg_active = [0u32; Oblast::COUNT];
     let mut reg_routed = [0u32; Oblast::COUNT];
 
-    let mut base = 0;
-    for part in &parts {
-        for (offset, obs) in part.iter().enumerate() {
-            let bi = base + offset;
-            if lost[bi] {
-                // The block sat in a lost shard: no measurement exists. Its
-                // placeholder must not reach any aggregate — a zero would read
-                // as an outage — so the tracked series and detector record the
-                // gap and everything else (including the routing carry-forward
-                // memory, which must stay frozen, not absorb the placeholder)
-                // is left untouched. AS- and region-level gaps are handled in
-                // the detector loops below.
-                if let Some(entity) = statics.tracked_block[bi] {
-                    if let Some(series) = state.tracked.get_mut(&entity) {
-                        series.bgp.push(None);
-                        series.fbs.push(None);
-                        series.ips.push(None);
-                    }
-                    if let Some(d) = state.block_detectors.get_mut(&entity) {
-                        d.observe(round, EntityRound::MISSING);
-                    }
-                }
-                continue;
-            }
-            let responsive = obs.responsive;
-            let rtt_ns = obs.rtt_ns;
-            // When the BGP delivery lost this block's record, the collector
-            // carries the last known routing state forward instead of reading
-            // a withdrawal into the gap.
-            let routed = if obs.routed_known {
-                obs.routed
-            } else {
-                state.last_routed[bi]
-            };
-            state.last_routed[bi] = routed;
-            let ai = statics.block_as[bi];
-            if routed {
-                as_routed[ai] += 1;
-            }
-            as_ips[ai] += responsive as u64;
-            let active = responsive > 0;
-            if active && state.fbs_eligible[bi] {
-                as_active[ai] += 1;
-            }
-            if let Some(oi) = statics.block_regional_oblast[bi] {
-                let oi = oi as usize;
-                if routed {
-                    reg_routed[oi] += 1;
-                }
-                reg_ips[oi] += responsive as u64;
-                if active && state.fbs_eligible[bi] {
-                    reg_active[oi] += 1;
-                }
-            }
-            // Tracked block series + detector.
+    for (bi, &in_lost_shard) in lost.iter().enumerate() {
+        if in_lost_shard {
+            // The block sat in a lost shard: no measurement exists. Its
+            // placeholder must not reach any aggregate — a zero would read
+            // as an outage — so the tracked series and detector record the
+            // gap and everything else (including the routing carry-forward
+            // memory, which must stay frozen, not absorb the placeholder)
+            // is left untouched. AS- and region-level gaps are handled in
+            // the detector loops below.
             if let Some(entity) = statics.tracked_block[bi] {
-                let input = EntityRound {
-                    bgp: Some(if routed { 1.0 } else { 0.0 }),
-                    fbs: Some(if active && state.fbs_eligible[bi] {
-                        1.0
-                    } else {
-                        0.0
-                    }),
-                    ips: Some(responsive as f64),
-                };
                 if let Some(series) = state.tracked.get_mut(&entity) {
-                    // A non-fresh BGP feed gaps the tracked BGP series: the
-                    // collector has no dump to read the state from.
-                    series.bgp.push(feed_quality.mask(input).bgp);
-                    series.fbs.push(input.fbs);
-                    series.ips.push(input.ips);
+                    series.bgp.push(None);
+                    series.fbs.push(None);
+                    series.ips.push(None);
                 }
                 if let Some(d) = state.block_detectors.get_mut(&entity) {
-                    d.observe_feeds(round, input, quality, feed_quality);
+                    d.observe(round, EntityRound::MISSING);
                 }
             }
-            // RTT aggregation for tracked ASes.
-            if active {
-                if let Some(asn) = statics.rtt_tracked[ai] {
-                    let agg = state.rtt_monthly.entry((asn, month)).or_default();
-                    agg.sum_ns += rtt_ns;
-                    agg.count += 1;
-                }
+            continue;
+        }
+        let obs = match quorum.as_mut() {
+            Some(quorum) => quorum.fuse(bi),
+            None => record.blocks[bi],
+        };
+        let responsive = obs.responsive;
+        let rtt_ns = obs.rtt_ns;
+        // When the BGP delivery lost this block's record, the collector
+        // carries the last known routing state forward instead of reading
+        // a withdrawal into the gap.
+        let routed = if obs.routed_known {
+            obs.routed
+        } else {
+            state.last_routed[bi]
+        };
+        state.last_routed[bi] = routed;
+        let ai = statics.block_as[bi];
+        if routed {
+            as_routed[ai] += 1;
+        }
+        as_ips[ai] += responsive as u64;
+        let active = responsive > 0;
+        if active && state.fbs_eligible[bi] {
+            as_active[ai] += 1;
+        }
+        if let Some(oi) = statics.block_regional_oblast[bi] {
+            let oi = oi as usize;
+            if routed {
+                reg_routed[oi] += 1;
             }
-            // Trinocular belief update.
-            if state.ioda.is_some() && state.trin_eligible[bi] {
-                // Believed long-term A vs instantaneous reply rate:
-                // during a real dip the probes go silent while the
-                // belief still expects replies — evidence of Down.
-                let p = state.trin_avail[bi];
-                // Trinocular probes a fixed panel of ever-active
-                // addresses; under dynamic addressing the panel is
-                // often stale, so the instantaneous reply rate sits
-                // well below the believed long-term A — the source
-                // of the signal's flapping (paper Fig. 27).
-                let stale = 0.2 + 0.8 * world.rng().uniform3(r as u64, bi as u64, 777);
-                let p_probe = world.trin_availability(round, bi) * stale;
-                let outcome = assess_block(state.beliefs[bi], p, &cfg.trinocular, |probe| {
-                    routed
-                        && world
-                            .rng()
-                            .chance3(p_probe, r as u64, bi as u64, 5000 + probe as u64)
-                });
-                state.beliefs[bi] = outcome.belief;
-                if outcome.state == fbs_trinocular::BlockState::Up {
-                    as_trin_up[ai] += 1;
-                }
+            reg_ips[oi] += responsive as u64;
+            if active && state.fbs_eligible[bi] {
+                reg_active[oi] += 1;
             }
         }
-        base += part.len();
+        // Tracked block series + detector.
+        if let Some(entity) = statics.tracked_block[bi] {
+            let input = EntityRound {
+                bgp: Some(if routed { 1.0 } else { 0.0 }),
+                fbs: Some(if active && state.fbs_eligible[bi] {
+                    1.0
+                } else {
+                    0.0
+                }),
+                ips: Some(responsive as f64),
+            };
+            if let Some(series) = state.tracked.get_mut(&entity) {
+                // A non-fresh BGP feed gaps the tracked BGP series: the
+                // collector has no dump to read the state from.
+                series.bgp.push(feed_quality.mask(input).bgp);
+                series.fbs.push(input.fbs);
+                series.ips.push(input.ips);
+            }
+            if let Some(d) = state.block_detectors.get_mut(&entity) {
+                d.observe_feeds(round, input, quality, feed_quality);
+            }
+        }
+        // RTT aggregation for tracked ASes.
+        if active {
+            if let Some(asn) = statics.rtt_tracked[ai] {
+                let agg = state.rtt_monthly.entry((asn, month)).or_default();
+                agg.sum_ns += rtt_ns;
+                agg.count += 1;
+            }
+        }
+        // Trinocular belief update.
+        if state.ioda.is_some() && state.trin_eligible[bi] {
+            // Believed long-term A vs instantaneous reply rate:
+            // during a real dip the probes go silent while the
+            // belief still expects replies — evidence of Down.
+            let p = state.trin_avail[bi];
+            // Trinocular probes a fixed panel of ever-active
+            // addresses; under dynamic addressing the panel is
+            // often stale, so the instantaneous reply rate sits
+            // well below the believed long-term A — the source
+            // of the signal's flapping (paper Fig. 27).
+            let stale = 0.2 + 0.8 * world.rng().uniform3(r as u64, bi as u64, 777);
+            let p_probe = world.trin_availability(round, bi) * stale;
+            let outcome = assess_block(state.beliefs[bi], p, &cfg.trinocular, |probe| {
+                routed
+                    && world
+                        .rng()
+                        .chance3(p_probe, r as u64, bi as u64, 5000 + probe as u64)
+            });
+            state.beliefs[bi] = outcome.belief;
+            if outcome.state == fbs_trinocular::BlockState::Up {
+                as_trin_up[ai] += 1;
+            }
+        }
+    }
+    // The quorum's counts merge into the per-vantage dissent and the
+    // campaign disagreement summary.
+    if let Some(quorum) = quorum {
+        for (ledger, d) in state.vantage_ledgers.iter_mut().zip(&quorum.dissent) {
+            ledger.dissent_block_rounds += d;
+        }
+        state.disagreement.some_not_all_block_rounds += quorum.disputed;
+        state.disagreement.quorum_suppressed_block_rounds += quorum.suppressed;
+        if quorum.disputed > 0 {
+            state.disagreement.rounds_with_disagreement += 1;
+        }
     }
 
     // --- Feed detectors. ---
@@ -2383,8 +2430,9 @@ fn apply_shards(
 /// [`Campaign::runner_checkpointed`] (journaling) or
 /// [`Campaign::runner_resumed`] (restored from disk). Dropping the runner
 /// mid-campaign is safe: with a checkpoint store attached, every completed
-/// round is already durable, and the drop waits for a snapshot write
-/// still in flight.
+/// round is already durable, the measured look-ahead round was never
+/// journaled and is simply dropped, and the drop waits for a snapshot
+/// write still in flight.
 pub struct CampaignRunner<'a> {
     campaign: &'a Campaign,
     statics: Statics,
@@ -2393,17 +2441,38 @@ pub struct CampaignRunner<'a> {
     state: PipelineState,
     store: Option<CheckpointStore>,
     diagnostics: ResumeDiagnostics,
+    /// The look-ahead: the next round's record and per-shard wall times,
+    /// measured beside the previous round's finish and keyed by the
+    /// record's round. It is never journaled or snapshotted before its
+    /// own step.
+    ahead: Option<(RoundRecord, Vec<u64>)>,
     /// Accumulated wall time per shard slot across the rounds *this
-    /// process* executed (replayed/restored rounds contribute nothing).
-    /// Pure diagnostics for the report's [`ShardLedger`]: never
-    /// journaled, never part of any byte-compared artifact.
+    /// process* measured and applied: a round's shards count when the
+    /// round is applied, so replayed or restored rounds and a dropped
+    /// look-ahead contribute nothing. Pure diagnostics for the report's
+    /// [`ShardLedger`]: never journaled, never part of any byte-compared
+    /// artifact.
     shard_wall_ns: Vec<u64>,
 }
 
 impl CampaignRunner<'_> {
-    /// Measures and applies the next round, journaling it when a
-    /// checkpoint store is attached. Returns `false` once the campaign is
-    /// complete.
+    /// Finishes the next round — applies it, and journals it when a
+    /// checkpoint store is attached — while the round after it is
+    /// measured alongside. Returns `false` once the campaign is complete.
+    ///
+    /// Round r's record is the look-ahead the previous step measured (a
+    /// runner's first step measures it here). The step runs round r + 1's
+    /// serial prelude — its feeds, vantage verdicts and darknet liveness —
+    /// and then makes one shard dispatch: the calling thread finishes
+    /// round r (`apply_round`, the journal append and the snapshot
+    /// hand-off) while `threads − 1` helpers claim round r + 1's shards,
+    /// and then claims what is left. Round r + 1's record becomes the
+    /// look-ahead only if round r finished `Ok`. Measuring ahead is sound
+    /// because a round's measurement never reads the pipeline state, and
+    /// the feeds are still fetched in ascending round order. Round r is
+    /// journaled, and fsynced under the policy, before the step returns;
+    /// an unsupervised genuine panic in round r + 1's shards surfaces from
+    /// this step, after that.
     ///
     /// A round that takes a snapshot hands its write to the store's writer
     /// thread and returns; if that write fails, the error comes back from
@@ -2413,27 +2482,41 @@ impl CampaignRunner<'_> {
         let Some(round) = self.state.cursor.current() else {
             return Ok(false);
         };
-        let (record, wall) = measure_round_timed(
-            &self.campaign.world,
-            &self.campaign.config,
-            &self.statics,
-            self.feeds.as_mut(),
-            round,
-        );
-        for (acc, w) in self.shard_wall_ns.iter_mut().zip(wall) {
+        let CampaignRunner {
+            campaign,
+            statics,
+            feeds,
+            state,
+            store,
+            ahead,
+            shard_wall_ns,
+            ..
+        } = self;
+        let (world, cfg, statics) = (&campaign.world, &campaign.config, &*statics);
+        let (record, wall) = match ahead.take() {
+            Some(measured) if measured.0.round == round => measured,
+            _ => measure_round(world, cfg, statics, feeds.as_mut(), round),
+        };
+        let next = Round(round.0 + 1);
+        let prelude = (next.0 < statics.rounds)
+            .then(|| measure_prelude(world, cfg, statics, feeds.as_mut(), next));
+        let mut finish = || -> fbs_types::Result<()> {
+            apply_round(world, cfg, statics, state, &record)?;
+            if let Some(store) = store.as_mut() {
+                store.append(&record)?;
+                store.maybe_snapshot(state.cursor.completed(), state)?;
+            }
+            Ok(())
+        };
+        let (finished, ordered) = match &prelude {
+            Some(prelude) => measure_beside(world, cfg, statics, prelude, finish),
+            None => (finish(), Vec::new()),
+        };
+        finished?;
+        for (acc, w) in shard_wall_ns.iter_mut().zip(wall) {
             *acc = acc.saturating_add(w);
         }
-        apply_round(
-            &self.campaign.world,
-            &self.campaign.config,
-            &self.statics,
-            &mut self.state,
-            &record,
-        )?;
-        if let Some(store) = self.store.as_mut() {
-            store.append(&record)?;
-            store.maybe_snapshot(self.state.cursor.completed(), &self.state)?;
-        }
+        *ahead = prelude.map(|prelude| assemble_round(statics, prelude, ordered));
         Ok(true)
     }
 
@@ -3059,7 +3142,7 @@ mod tests {
             let darknet = statics.ibr.as_ref().expect("IBR on");
             for r in 0..statics.rounds {
                 let round = Round(r);
-                let record = measure_round(world, cfg, &statics, None, round);
+                let (record, _) = measure_round(world, cfg, &statics, None, round);
                 let outcomes = &record.shards.as_ref().expect("supervised").outcomes;
                 seen[2] += outcomes.iter().filter(|o| !o.completed()).count();
                 let measured = || {
@@ -3208,7 +3291,7 @@ mod tests {
         // (blocks, version-7 bytes, version-6 bytes) over the scanned rounds
         let mut sum = [0usize; 3];
         for r in 0..statics.rounds {
-            let record = measure_round(world, cfg, &statics, None, Round(r));
+            let (record, _) = measure_round(world, cfg, &statics, None, Round(r));
             if record.blocks.is_empty() {
                 continue;
             }

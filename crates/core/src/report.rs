@@ -479,9 +479,12 @@ pub struct ShardLedger {
     pub shards: u32,
     /// One outcome summary per round, in round order.
     pub rounds: Vec<ShardRoundSummary>,
-    /// Cumulative wall time each shard slot held a worker, nanoseconds.
-    /// Diagnostic only: never persisted, and excluded from `Debug` so
-    /// output comparisons across thread counts stay byte-identical.
+    /// Cumulative wall time each shard slot held a worker, nanoseconds,
+    /// over the rounds this process measured: a round's shards count when
+    /// the round is applied, so a measured round the runner never applied
+    /// adds nothing. Diagnostic only: never persisted, and excluded from
+    /// `Debug` so output comparisons across thread counts stay
+    /// byte-identical.
     pub wall_ns: Vec<u64>,
 }
 

@@ -23,15 +23,16 @@
 //!   mirroring the fault machinery's degraded-round handling.
 //!
 //! The claim loop: each dispatch spawns `threads − 1` scoped helpers, and
-//! the calling thread works beside them instead of waiting — while a
-//! helper is still starting, the caller claims the slots it would have
-//! taken. Every worker claims slots from
-//! one shared counter and keeps its outputs; the helpers hand theirs back
-//! through their join handles, and a helper's genuine panic resurfaces on
-//! the caller when it joins. The accumulation half of a round runs
-//! through the same loop ([`ShardExec::shard_apply`]): helpers claim
-//! order-free chunks while the caller first runs the work that needs the
-//! round's `&mut` state.
+//! the calling thread works beside them instead of waiting. It first runs
+//! a step of its own that the dispatch overlaps with the shards — the
+//! campaign runner finishes the previous round there (its accumulation,
+//! journal append and snapshot hand-off) while the helpers measure the
+//! next round's shards — and then claims shards too. Every worker claims
+//! slots from one shared counter and keeps its outputs; the helpers hand
+//! theirs back through their join handles, and a helper's genuine panic
+//! resurfaces on the caller when it joins, after the caller's own step
+//! has finished: an unsupervised panic in round r + 1's shards surfaces
+//! from the runner's step of round r, once round r is journaled.
 //!
 //! Determinism under parallelism: shards are keyed by block coordinates
 //! (never by scheduling), and results are re-sorted into slot order by
@@ -122,44 +123,59 @@ impl ShardExec {
         self.plan.is_some()
     }
 
-    /// Runs `task` once per shard on the claim loop and returns the
-    /// supervised results in *arrival order* — the caller must pass them
-    /// through [`roster_order`] before folding. The task receives the
+    /// Runs `task` once per shard on the claim loop while the calling
+    /// thread first runs `first`, then claims shards too. Returns
+    /// `first`'s value and the supervised results in *arrival order* —
+    /// the caller must pass them through [`roster_order`] before folding.
+    ///
+    /// `first` is the caller's own work, overlapped with the shards; it
+    /// stays on the calling thread, so it may hold `&mut` state that no
+    /// claimant could be handed without a lock. The task receives the
     /// shard's slot and block range and must be a pure function of them
     /// (all RNG draws coordinate-addressed), which is what makes a retry
-    /// bit-identical to a first try. A one-shard partition runs inline.
-    pub fn shard_execute<T, F>(&self, round: Round, task: &F) -> Vec<SupervisedShard<T>>
+    /// bit-identical to a first try. Up to `threads − 1` helpers claim, one
+    /// per shard at most, so even a one-shard partition gets a helper while
+    /// the caller is busy with `first`; `threads = 1` runs `first` and then
+    /// every shard inline, in slot order.
+    pub fn shard_execute<P, T, F>(
+        &self,
+        round: Round,
+        first: impl FnOnce() -> P,
+        task: &F,
+    ) -> (P, Vec<SupervisedShard<T>>)
     where
         T: Send,
         F: Fn(u32, Range<usize>) -> T + Sync,
     {
         let n = self.ranges.len();
-        let helpers = self.threads.min(n).saturating_sub(1);
-        let ((), shards) = claim_loop(n, helpers, || (), &|slot| {
-            self.supervise(round, slot as usize, task)
-        });
-        shards.into_iter().map(|(_, shard)| shard).collect()
-    }
-
-    /// The accumulation dispatch: runs `work(slot)` for each of `n`
-    /// order-free chunks on the claim loop while the calling thread first
-    /// runs `first` — the step that mutates round state in place, which
-    /// stays on the caller because a `&mut` borrow cannot be claimed from
-    /// shared state without a lock. Returns `first`'s value and the chunk
-    /// outputs in arrival order; pass them through a `roster_*` ordering
-    /// step before merging. Even a lone chunk gets a helper, since the
-    /// caller is busy with `first`; `threads = 1` runs everything inline.
-    pub fn shard_apply<P, T, F>(
-        &self,
-        n: usize,
-        first: impl FnOnce() -> P,
-        work: &F,
-    ) -> (P, Vec<(u32, T)>)
-    where
-        T: Send,
-        F: Fn(u32) -> T + Sync,
-    {
-        claim_loop(n, (self.threads - 1).min(n), first, work)
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut out = Vec::new();
+            loop {
+                let slot = next.fetch_add(1, Ordering::SeqCst);
+                if slot >= n {
+                    return out;
+                }
+                out.push(self.supervise(round, slot, task));
+            }
+        };
+        let helpers = (self.threads - 1).min(n);
+        if helpers == 0 {
+            let p = first();
+            return (p, claim());
+        }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(claim)).collect();
+            let p = first();
+            let mut out = claim();
+            for handle in handles {
+                match handle.join() {
+                    Ok(part) => out.extend(part),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+            (p, out)
+        })
     }
 
     /// Supervises one shard: bounded retry around the deadline watchdog
@@ -234,52 +250,6 @@ impl ShardExec {
     }
 }
 
-/// The claim loop: runs `work(slot)` once for each of `n` slots on the
-/// calling thread and `helpers` scoped helpers, which claim slots from one
-/// shared counter. `first` runs on the calling thread while the helpers
-/// already claim; then the caller claims too. Returns `first`'s value and
-/// the `(slot, output)` pairs in arrival order: the caller's own, then each
-/// helper's as its join handle hands them back. A helper's panic is resumed
-/// on the calling thread.
-fn claim_loop<P, T, F>(
-    n: usize,
-    helpers: usize,
-    first: impl FnOnce() -> P,
-    work: &F,
-) -> (P, Vec<(u32, T)>)
-where
-    T: Send,
-    F: Fn(u32) -> T + Sync,
-{
-    if helpers == 0 {
-        let p = first();
-        return (p, (0..n as u32).map(|slot| (slot, work(slot))).collect());
-    }
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut out = Vec::new();
-        loop {
-            let slot = next.fetch_add(1, Ordering::SeqCst);
-            if slot >= n {
-                return out;
-            }
-            out.push((slot as u32, work(slot as u32)));
-        }
-    };
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(claim)).collect();
-        let p = first();
-        let mut out = claim();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        (p, out)
-    })
-}
-
 /// Splits the block index space into contiguous shards cut at AS
 /// boundaries near [`SHARD_TARGET_BLOCKS`] (hard-capped at twice it, so a
 /// giant AS still parallelizes). Depends only on the block→AS map: the
@@ -333,6 +303,15 @@ mod tests {
         ShardExec::build(block_as, threads, plan, WorldRng::new(42), 2, 1_000_000_000)
     }
 
+    /// One dispatch with no first step of the caller's, in slot order.
+    fn execute<T, F>(ex: &ShardExec, round: Round, task: &F) -> Vec<SupervisedShard<T>>
+    where
+        T: Send,
+        F: Fn(u32, Range<usize>) -> T + Sync,
+    {
+        roster_order(ex.shard_execute(round, || (), task).1)
+    }
+
     #[test]
     fn partition_is_as_aligned_and_thread_independent() {
         let blocks = as_map(&[(100, 10), (200, 70), (300, 5), (400, 200)]);
@@ -364,7 +343,7 @@ mod tests {
         };
         let collect = |threads: usize| -> Vec<(u32, Vec<u64>)> {
             let ex = exec(&blocks, threads, None);
-            roster_order(ex.shard_execute(Round(7), &task))
+            execute(&ex, Round(7), &task)
                 .into_iter()
                 .map(|s| {
                     assert!(s.outcome.completed());
@@ -392,7 +371,7 @@ mod tests {
         };
         let ex = exec(&blocks, 4, Some(plan));
         let task = |_slot: u32, range: Range<usize>| range.len();
-        let shards = roster_order(ex.shard_execute(Round(5), &task));
+        let shards = execute(&ex, Round(5), &task);
         assert_eq!(
             shards[0].outcome,
             ShardOutcomeObs::Completed {
@@ -403,7 +382,7 @@ mod tests {
             "one scripted panic, then a clean retry"
         );
         // Other rounds are untouched.
-        let clean = roster_order(ex.shard_execute(Round(6), &task));
+        let clean = execute(&ex, Round(6), &task);
         for s in &clean {
             assert_eq!(
                 s.outcome,
@@ -432,7 +411,7 @@ mod tests {
         };
         let ex = exec(&blocks, 2, Some(plan));
         let task = |_slot: u32, range: Range<usize>| range.len();
-        let shards = roster_order(ex.shard_execute(Round(9), &task));
+        let shards = execute(&ex, Round(9), &task);
         assert!(shards[0].outcome.completed());
         assert_eq!(
             shards[1].outcome,
@@ -463,15 +442,14 @@ mod tests {
                 ShardFaultKind::Jitter { extra_ns: 1_000 },
             )],
         };
-        let clean: Vec<_> = roster_order(exec(&blocks, 4, None).shard_execute(Round(3), &task))
+        let clean: Vec<_> = execute(&exec(&blocks, 4, None), Round(3), &task)
             .into_iter()
             .map(|s| s.output)
             .collect();
-        let slow: Vec<_> =
-            roster_order(exec(&blocks, 4, Some(jittered)).shard_execute(Round(3), &task))
-                .into_iter()
-                .map(|s| s.output)
-                .collect();
+        let slow: Vec<_> = execute(&exec(&blocks, 4, Some(jittered)), Round(3), &task)
+            .into_iter()
+            .map(|s| s.output)
+            .collect();
         assert_eq!(clean, slow, "jitter must not change a byte of output");
     }
 
@@ -480,7 +458,7 @@ mod tests {
         let blocks = as_map(&[(1, 10)]);
         let ex = exec(&blocks, 1, None);
         let task = |_slot: u32, _range: Range<usize>| -> usize { panic!("genuine bug") };
-        let caught = catch_unwind(AssertUnwindSafe(|| ex.shard_execute(Round(0), &task)));
+        let caught = catch_unwind(AssertUnwindSafe(|| execute(&ex, Round(0), &task)));
         assert!(
             caught.is_err(),
             "without a shard plan, a real panic must surface like the serial pipeline"
@@ -520,7 +498,7 @@ mod tests {
             (on_caller, met, range)
         };
         let ex = exec(&blocks, 2, None);
-        let shards = roster_order(ex.shard_execute(Round(4), &task));
+        let shards = execute(&ex, Round(4), &task);
         // Every slot delivered once, in roster order, with its own range.
         let slots: Vec<u32> = shards.iter().map(|s| s.slot).collect();
         assert_eq!(slots, [0, 1]);
@@ -540,42 +518,39 @@ mod tests {
     }
 
     #[test]
-    fn the_caller_runs_its_first_step_while_a_helper_claims_a_chunk() {
-        let ex = exec(&as_map(&[(1, 10)]), 2, None);
+    fn the_caller_runs_its_first_step_while_a_helper_claims_a_shard() {
         let caller = thread::current().id();
-        let (tx, rx) = mpsc::channel::<thread::ThreadId>();
-        let work = |slot: u32| -> (u32, thread::ThreadId) {
-            tx.send(thread::current().id()).unwrap();
-            (slot, thread::current().id())
+        // One shard and three: even a lone shard gets a helper while the
+        // caller is busy with its first step.
+        for sizes in [&[(1, 10)][..], &[(1, 64), (2, 64), (3, 64)]] {
+            let ex = exec(&as_map(sizes), 2, None);
+            let (tx, rx) = mpsc::channel::<thread::ThreadId>();
+            let task = |_slot: u32, range: Range<usize>| -> (Range<usize>, thread::ThreadId) {
+                tx.send(thread::current().id()).unwrap();
+                (range, thread::current().id())
+            };
+            let first = || rx.recv_timeout(RENDEZVOUS).ok();
+            let (met, shards) = ex.shard_execute(Round(4), first, &task);
+            // The first step ran on the caller and saw a helper's shard start.
+            assert!(met.is_some_and(|id| id != caller), "{met:?}");
+            let shards = roster_order(shards);
+            let slots: Vec<u32> = shards.iter().map(|s| s.slot).collect();
+            assert_eq!(slots, (0..ex.n_shards() as u32).collect::<Vec<_>>());
+            for (s, range) in shards.iter().zip(ex.ranges()) {
+                assert_eq!(&s.output.as_ref().unwrap().0, range, "slot {}", s.slot);
+            }
+        }
+        // One thread runs the first step, then every shard, inline.
+        let inline = exec(&as_map(&[(1, 64), (2, 64), (3, 64)]), 1, None);
+        let (tx, rx) = mpsc::channel::<u32>();
+        let task = |slot: u32, _range: Range<usize>| {
+            tx.send(slot).unwrap();
+            thread::current().id()
         };
-        let first = || rx.recv_timeout(RENDEZVOUS).ok();
-        let (met, chunks) = ex.shard_apply(3, first, &work);
-        // The first step ran on the caller and saw a helper's chunk start.
-        assert!(met.is_some_and(|id| id != caller), "{met:?}");
-        let ordered = fbs_signals::roster_ordered(chunks, |(slot, _)| *slot);
-        let slots: Vec<u32> = ordered
-            .iter()
-            .map(|(slot, out)| {
-                assert_eq!(*slot, out.0);
-                *slot
-            })
-            .collect();
-        assert_eq!(
-            slots,
-            [0, 1, 2],
-            "every chunk delivered once, in roster order"
-        );
-        // One thread runs everything inline, in order.
-        let inline = exec(&as_map(&[(1, 10)]), 1, None);
-        let (ran_first, chunks) = inline.shard_apply(3, || thread::current().id(), &|slot| {
-            (slot, thread::current().id())
-        });
-        assert_eq!(ran_first, caller);
-        assert_eq!(
-            chunks.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            [0, 1, 2]
-        );
-        assert!(chunks.iter().all(|(_, (_, id))| *id == caller));
+        let (before, shards) = inline.shard_execute(Round(4), || rx.try_recv().ok(), &task);
+        assert_eq!(before, None, "no shard ran before the first step");
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [0, 1, 2]);
+        assert!(shards.iter().all(|s| s.output == Some(caller)));
     }
 
     /// Runs `dispatch` with a task that panics on any helper thread and,
@@ -606,19 +581,29 @@ mod tests {
     }
 
     #[test]
-    fn a_helper_threads_genuine_panic_propagates_out_of_both_dispatches() {
+    fn a_helper_threads_genuine_panic_propagates_past_the_callers_first_step() {
+        // The caller's own shard waits for the helper's.
         let ex = exec(&as_map(&[(1, 64), (2, 64)]), 2, None);
         let payload = helper_panic_payload(|step| {
-            ex.shard_execute(Round(0), &|_slot: u32, range: Range<usize>| {
+            ex.shard_execute(Round(0), || (), &|_slot: u32, range: Range<usize>| {
                 step();
                 range.len()
             });
         });
         assert_eq!(payload, "genuine bug on a helper");
+        // The caller's first step waits for the helper's lone shard, and
+        // finishes before the panic comes out of the dispatch.
+        let ex = exec(&as_map(&[(1, 10)]), 2, None);
+        let mut finished = false;
         let payload = helper_panic_payload(|step| {
-            ex.shard_apply(1, step, &|_slot: u32| step());
+            let first = || {
+                step();
+                finished = true;
+            };
+            ex.shard_execute(Round(0), first, &|_slot: u32, _range: Range<usize>| step());
         });
         assert_eq!(payload, "genuine bug on a helper");
+        assert!(finished, "the first step ran to its end");
     }
 
     #[test]
@@ -640,11 +625,11 @@ mod tests {
                 ShardFaultKind::Panic,
             )],
         };
-        let clean: Vec<_> = roster_order(exec(&blocks, 2, None).shard_execute(Round(3), &task))
+        let clean: Vec<_> = execute(&exec(&blocks, 2, None), Round(3), &task)
             .into_iter()
             .map(|s| s.output)
             .collect();
-        let retried = roster_order(exec(&blocks, 2, Some(flaky)).shard_execute(Round(3), &task));
+        let retried = execute(&exec(&blocks, 2, Some(flaky)), Round(3), &task);
         assert_eq!(
             retried[0].outcome,
             ShardOutcomeObs::Completed {

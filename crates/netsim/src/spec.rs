@@ -69,11 +69,23 @@ pub struct BlockSpec {
 }
 
 impl BlockSpec {
-    /// Responder-pool size `months` months into the campaign.
+    /// Responder-pool size `months` months into the campaign: the month's
+    /// [`decay_factor`] applied by [`BlockSpec::pool_with`].
     pub fn responders_at(&self, months: u32) -> u16 {
-        let factor = self.annual_decay.powf(months as f64 / 12.0);
+        self.pool_with(decay_factor(self.annual_decay, months))
+    }
+
+    /// The responder pool under a decay `factor`: the base pool scaled and
+    /// rounded.
+    pub fn pool_with(&self, factor: f64) -> u16 {
         ((self.base_responders as f64) * factor).round() as u16
     }
+}
+
+/// The fraction of a responder pool left `months` months into the
+/// campaign under an `annual_decay`.
+pub fn decay_factor(annual_decay: f64, months: u32) -> f64 {
+    annual_decay.powf(months as f64 / 12.0)
 }
 
 /// One AS of the world.

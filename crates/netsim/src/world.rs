@@ -12,12 +12,13 @@
 //! * **a per-(month, block) responder-pool table** and **a per-block
 //!   Trinocular address factor** — constants the queries would otherwise
 //!   recompute on every call (a `powf` and a hash draw), each evaluated
-//!   once with the same expression, so every value is bit-identical.
+//!   once with the same expression, so every value is bit-identical; the
+//!   table's `powf` runs once per distinct decay and month.
 
 use crate::power::{PowerCalendar, StrikeEvent};
 use crate::rng::WorldRng;
 use crate::script::{EventKind, EventTarget, Script};
-use crate::spec::{BlockSpec, WorldConfig};
+use crate::spec::{decay_factor, BlockSpec, WorldConfig};
 use fbs_bgp::EventLog;
 use fbs_prober::ResponderBitmap;
 use fbs_types::{Asn, BlockId, MonthId, Oblast, Result, Round};
@@ -239,9 +240,30 @@ impl World {
 
         // --- Per-block constants, each evaluated once with the expression
         // the truth queries read it through. ---
+        // The pool's decay factor is one `powf` per distinct decay and
+        // month, not per block: the scenarios share one decay across each
+        // home oblast's blocks.
         let months = month_of_round.last().map_or(0, |&m| u32::from(m) + 1);
-        let pools: Vec<u16> = (0..months)
-            .flat_map(|m| blocks.iter().map(move |b| b.responders_at(m)))
+        let mut decays: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut factors: Vec<f64> = Vec::new();
+        let block_decay: Vec<usize> = blocks
+            .iter()
+            .map(|b| {
+                *decays.entry(b.annual_decay.to_bits()).or_insert_with(|| {
+                    let first = factors.len();
+                    factors.extend((0..months).map(|m| decay_factor(b.annual_decay, m)));
+                    first
+                })
+            })
+            .collect();
+        let pools: Vec<u16> = (0..months as usize)
+            .flat_map(|m| {
+                let factors = &factors;
+                blocks
+                    .iter()
+                    .zip(&block_decay)
+                    .map(move |(b, &first)| b.pool_with(factors[first + m]))
+            })
             .collect();
         let trin_factor: Vec<f64> = blocks
             .iter()

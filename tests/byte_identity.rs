@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use ukraine_fbs::core::checkpoint::{JOURNAL_FILE, SNAPSHOT_FILE};
+use ukraine_fbs::core::classify::campaign_months;
 use ukraine_fbs::core::dataset::{availability_csv, availability_rows, outage_csv, outage_rows};
 use ukraine_fbs::core::CheckpointPolicy;
 use ukraine_fbs::journal;
@@ -20,7 +21,7 @@ use ukraine_fbs::netsim::{
 };
 use ukraine_fbs::prelude::*;
 use ukraine_fbs::signals::IbrRoundStatus;
-use ukraine_fbs::types::{FeedKind, Oblast, Prefix};
+use ukraine_fbs::types::{FeedKind, FeedStatus, Oblast, Prefix};
 
 const ROUNDS: u32 = 240; // 20 days at 12 rounds/day
 
@@ -96,10 +97,9 @@ fn two_runs_write_identical_checkpoint_bytes() {
 
 /// A world the shard executor really splits: four ASes of 300, 150, 100
 /// and 50 blocks. The 300-block AS is above the executor's 128-block shard
-/// cap, so it spans three shards; the world cuts into six shards and its
-/// 600 blocks into two quorum-fusion chunks. A BGP outage on one AS feeds
-/// the detectors, and a vantage outage makes a run of unusable rounds on
-/// which only the darknet is heard.
+/// cap, so it spans three shards, and the world cuts into six. A BGP
+/// outage on one AS feeds the detectors, and a vantage outage makes a run
+/// of unusable rounds on which only the darknet is heard.
 fn multi_shard_world() -> World {
     let sizes = [
         (301u32, Oblast::Kharkiv, 300usize),
@@ -171,8 +171,12 @@ fn multi_shard_world() -> World {
 /// The multi-shard campaign at `threads`: the darknet with a dark window,
 /// tracked blocks and ASes, an RTT-tracked AS, and the Trinocular/IODA
 /// baseline on; with `roster`, three vantages — one clean, one behind
-/// path latency and reply loss, one blacked out mid-campaign.
+/// path latency and reply loss, one blacked out mid-campaign — plus feed
+/// faults (a corrupted and a dark BGP window, a delayed geolocation
+/// month) and shard faults (a panic that a retry recovers, a lost shard)
+/// around the round the thread-count test kills the campaign at.
 fn multi_shard_campaign(threads: usize, roster: bool) -> Campaign {
+    let world = multi_shard_world();
     let mut cfg = CampaignConfig::default();
     assert!(cfg.run_baseline);
     cfg.tracked = vec![
@@ -219,9 +223,80 @@ fn multi_shard_campaign(threads: usize, roster: bool) -> Campaign {
                 ..VantageSpec::new("frankfurt")
             },
         ];
+        let none = FeedFaultIntensity::default();
+        // The campaign spans one month, whose delivery is due at round 0.
+        let geo_due = world.month_rounds(campaign_months(&world)[0]).start;
+        cfg.feed_plan = Some(FeedFaultPlan {
+            windows: vec![
+                FeedFaultWindow::over_rounds(
+                    "bgp-corrupt",
+                    FeedKind::Bgp,
+                    30..60,
+                    FeedFaultIntensity {
+                        corrupt_records: 0.05,
+                        ..none
+                    },
+                ),
+                FeedFaultWindow::over_rounds(
+                    "bgp-dark",
+                    FeedKind::Bgp,
+                    200..210,
+                    FeedFaultIntensity { drop: 1.0, ..none },
+                ),
+                FeedFaultWindow::over_rounds(
+                    "geo-late",
+                    FeedKind::Geo,
+                    geo_due..geo_due + 1,
+                    FeedFaultIntensity {
+                        delay_attempts: 2,
+                        ..none
+                    },
+                ),
+            ],
+        });
+        cfg.shard_plan = Some(ShardFaultPlan {
+            windows: vec![
+                ShardFaultWindow::scripted("retried", 128..132, vec![1], 1, ShardFaultKind::Panic),
+                ShardFaultWindow::scripted(
+                    "lost",
+                    125..135,
+                    vec![4],
+                    cfg.shard_retries + 1,
+                    ShardFaultKind::Panic,
+                ),
+            ],
+        });
     }
     cfg.threads = threads;
-    Campaign::new(multi_shard_world(), cfg).expect("valid config")
+    Campaign::new(world, cfg).expect("valid config")
+}
+
+/// Length and CRC-32 of every export, the journal and the last snapshot
+/// of the roster's multi-shard campaign at one thread, in name order.
+/// Recorded when each round's accumulation and the next round's
+/// measurement still ran back to back, so these pin that measuring ahead
+/// moves no byte, with the feed and shard faults applied in their rounds.
+const ROSTER_MULTI_SHARD_BYTES: [(&str, u64, u32); 8] = [
+    ("export/block_availability.csv", 928, 0x9cc8_d36e),
+    ("export/block_availability.json", 4_545, 0xb1b2_bebf),
+    ("export/ibr_signal.csv", 261, 0x4e02_8a7d),
+    ("export/outages.csv", 211, 0x7a3e_a353),
+    ("export/outages.json", 479, 0xed9f_366a),
+    ("export/vantage_disagreement.csv", 273, 0x4f5f_a4ee),
+    ("rounds.wal", 1_565_337, 0xb0e1_2829),
+    ("state.snap", 166_663, 0xfd2a_0a9b),
+];
+
+/// The `(name, length, CRC-32)` of each pinned file among `files`: the
+/// journal, the snapshot and the exports.
+fn pinned(files: &[(String, Vec<u8>)]) -> Vec<(String, u64, u32)> {
+    files
+        .iter()
+        .filter(|(name, _)| {
+            name == JOURNAL_FILE || name == SNAPSHOT_FILE || name.starts_with("export/")
+        })
+        .map(|(name, bytes)| (name.clone(), bytes.len() as u64, journal::crc32(bytes)))
+        .collect()
 }
 
 /// Everything a finished checkpointed campaign leaves behind: the report,
@@ -252,9 +327,9 @@ fn output_bytes(
 }
 
 /// Runs the multi-shard campaign to the end at threads 1, 2 and 8, and at
-/// threads 2 and 8 also kills it between two snapshots and resumes it, so
-/// replay runs through the pooled accumulation too. Every run must leave
-/// the threads-1 run's report, journal, snapshot and export bytes.
+/// threads 2 and 8 also kills it between two snapshots, with a measured
+/// round not yet journaled, and resumes it through replay. Every run must
+/// leave the threads-1 run's report, journal, snapshot and export bytes.
 fn assert_thread_count_never_reaches_bytes(roster: bool) {
     let tag = if roster { "roster" } else { "implicit" };
     let run = |threads: usize| {
@@ -275,10 +350,34 @@ fn assert_thread_count_never_reaches_bytes(roster: bool) {
             assert!(statuses.contains(&&IbrRoundStatus::Observed), "{tag}");
             assert_eq!(report.vantages.len(), if roster { 3 } else { 0 });
             assert_eq!(report.disagreement.some_not_all_block_rounds > 0, roster);
+            if roster {
+                // Every injected fault took effect: quarantined BGP
+                // records, a stale BGP feed, a retried geolocation
+                // delivery, and a shard retried and a shard lost.
+                assert!(report
+                    .feed_quarantines
+                    .iter()
+                    .any(|q| q.kind == FeedKind::Bgp && (30..60).contains(&q.round.0)));
+                assert!(matches!(
+                    report.feed_ledger.status_of(FeedKind::Bgp, Round(205)),
+                    Some(FeedStatus::Stale(_))
+                ));
+                let geo = report.feed_health_of(FeedKind::Geo).expect("geo feed");
+                assert_eq!(geo.retries, 2);
+                let shards = report.shard.as_ref().expect("supervised");
+                assert!(shards.total_retried() > 0 && shards.total_lost() > 0);
+            }
         }
         output_bytes(&report, &dir)
     };
     let serial = run(1);
+    if roster {
+        let want: Vec<(String, u64, u32)> = ROSTER_MULTI_SHARD_BYTES
+            .iter()
+            .map(|&(name, len, crc)| (name.to_string(), len, crc))
+            .collect();
+        assert_eq!(pinned(&serial.1), want, "{tag}");
+    }
     assert!(serial.1.iter().any(|(name, _)| name == JOURNAL_FILE));
     assert!(serial.1.iter().any(|(name, _)| name == SNAPSHOT_FILE));
     assert!(serial
@@ -311,9 +410,8 @@ fn assert_thread_count_never_reaches_bytes(roster: bool) {
 #[test]
 fn thread_count_never_reaches_output_bytes() {
     // The sharded executor's worker count is pure mechanism: every block's
-    // observation is derived from coordinate-addressed RNG, the shard
-    // merge is a roster-ordered reduce, and the accumulation half's chunk
-    // counts merge in chunk order, so the same campaign at 1, 2 and 8
+    // observation is derived from coordinate-addressed RNG and the shard
+    // merge is a roster-ordered reduce, so the same campaign at 1, 2 and 8
     // threads — killed and resumed or not — writes byte-identical
     // checkpoints and datasets. One thread runs everything inline on the
     // calling thread, so this also pins parallel == serial. This campaign
@@ -324,10 +422,11 @@ fn thread_count_never_reaches_output_bytes() {
 #[test]
 fn thread_count_never_reaches_fanned_out_surfaces() {
     // Same property with every measurement surface live at once: a
-    // three-vantage roster (per-vantage fan-out shards, quorum fusion over
-    // two chunks) and the passive IBR signal both ride the shard executor,
-    // and none of their bytes may depend on how many workers carried the
-    // round.
+    // three-vantage roster (per-vantage fan-out shards, quorum fusion)
+    // and the passive IBR signal both ride the shard executor, under feed
+    // and shard faults, and none of their bytes may depend on how many
+    // workers carried the round. The one-thread bytes are pinned too: a
+    // look-ahead mistake every thread count shares still moves them.
     assert_thread_count_never_reaches_bytes(true);
 }
 
