@@ -49,6 +49,7 @@ use fbs_journal::{quarantine_snapshot, read_snapshot, write_snapshot, Journal, J
 use fbs_types::codec::{decode_varint, ByteReader, ByteWriter, Persist};
 use fbs_types::{FbsError, Result, Round, RoundQuality};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 /// The union schema version, the only one any campaign writes, for both
@@ -104,8 +105,12 @@ pub struct CheckpointPolicy {
     /// Snapshot the full pipeline state every this many rounds
     /// (`0` disables snapshots; the journal alone still allows resume).
     pub snapshot_every: u32,
-    /// Fsync the journal after every appended round. Disabling trades the
-    /// last round's durability for throughput.
+    /// Fsync the journal after every appended round, before the round's
+    /// step returns. The fsync runs on the store's journal syncer beside the
+    /// next round's measurement, so a round waits only for the part of it
+    /// that outlasts that measurement. Disabling it starts no syncer and
+    /// gives up the durability of the rounds the operating system has not
+    /// yet written back, for that remaining wait.
     pub fsync: bool,
 }
 
@@ -117,7 +122,11 @@ impl Default for CheckpointPolicy {
         // fsyncs run on the writer thread. The encode grows with the
         // payload, from 1.79 MB at round 84 to 4.38 MB at round 2,016 of
         // campaignbench's `small-durable`. See EXPERIMENTS.md for the
-        // cadence trade-off and the measured per-snapshot cost.
+        // cadence trade-off and the measured per-snapshot cost. Every
+        // round is fsynced; the journal syncer overlaps each fsync with the
+        // next round's shards, so a round waits only for the part of its
+        // fsync that outlasts them (EXPERIMENTS.md, "The journal's fsync
+        // beside the next round's measurement").
         CheckpointPolicy {
             snapshot_every: 84,
             fsync: true,
@@ -811,13 +820,70 @@ pub struct ResumeDiagnostics {
 /// write's result and hands the payload buffer back for the next encode.
 type SnapshotWriter = JoinHandle<(Result<()>, Vec<u8>)>;
 
+/// The journal's fsync thread, `fbs-journal-sync`. It fsyncs `rounds.wal`
+/// through a second handle on the file, one fsync per request, and answers
+/// each request in order. Closing the request channel ends it.
+struct JournalSyncer {
+    requests: Sender<()>,
+    answers: Receiver<std::io::Result<()>>,
+    /// The journal's record count when the fsync in flight was asked for;
+    /// `None` when no fsync is in flight.
+    pending: Option<u64>,
+    thread: JoinHandle<()>,
+}
+
+impl JournalSyncer {
+    /// Starts the thread over a second handle on `journal`'s file.
+    fn start(journal: &Journal) -> Result<Self> {
+        let file = journal.sync_handle()?;
+        let (requests, asked) = channel::<()>();
+        let (answer, answers) = channel();
+        let thread = std::thread::Builder::new()
+            .name("fbs-journal-sync".to_string())
+            .spawn(move || {
+                for () in asked {
+                    if answer.send(file.sync_all()).is_err() {
+                        return;
+                    }
+                }
+            })
+            .map_err(|e| FbsError::Io {
+                reason: format!(
+                    "cannot start the syncer of journal {}: {e}",
+                    journal.path().display()
+                ),
+            })?;
+        Ok(JournalSyncer {
+            requests,
+            answers,
+            pending: None,
+            thread,
+        })
+    }
+
+    /// Closes the request channel and joins the thread.
+    fn stop(self) {
+        drop(self.requests);
+        let _ = self.thread.join();
+    }
+}
+
 /// The open checkpoint directory a running campaign appends to.
+///
+/// Under [`CheckpointPolicy::fsync`] the journal's fsyncs run on a syncer
+/// thread that the first append starts: [`CheckpointStore::append`] waits
+/// for the previous record's fsync, writes the frame on the calling thread
+/// and asks the syncer for the next one, and [`CheckpointStore::synced`]
+/// waits for that answer. So a round's fsync runs while its caller goes on
+/// to other work, and at most one is in flight.
 ///
 /// Snapshots are encoded on the round, then checksummed, written, fsynced
 /// and renamed into place on a writer thread, so the round does not wait
 /// for the disk. At most one write is in flight: the next snapshot,
 /// [`CheckpointStore::join_writer`] and `Drop` each wait for it. A failed
-/// write is returned by whichever of the first two comes first.
+/// write is returned by whichever of the first two comes first. A snapshot
+/// reaches its writer only after its round's record is fsynced, and
+/// `Drop` waits for both threads and stops the syncer.
 pub(crate) struct CheckpointStore {
     journal: Journal,
     snapshot_path: PathBuf,
@@ -827,6 +893,10 @@ pub(crate) struct CheckpointStore {
     buffer: Vec<u8>,
     /// The snapshot write in flight, if any.
     writer: Option<SnapshotWriter>,
+    /// The journal syncer, once an append under `fsync` has started it.
+    syncer: Option<JournalSyncer>,
+    /// The journal's record count at the last fsync the syncer confirmed.
+    synced_records: u64,
 }
 
 impl CheckpointStore {
@@ -838,6 +908,8 @@ impl CheckpointStore {
             policy,
             buffer: Vec::new(),
             writer: None,
+            syncer: None,
+            synced_records: 0,
         }
     }
 
@@ -912,12 +984,60 @@ impl CheckpointStore {
         ))
     }
 
-    /// Appends one round record, fsyncing per policy.
+    /// Appends one round record and, under the policy's `fsync`, asks the
+    /// syncer to fsync it; [`CheckpointStore::synced`] waits for that.
+    ///
+    /// First waits for the previous record's fsync and returns its error,
+    /// if it failed. The record must describe the journal's next round: a
+    /// runner whose step failed after applying its round would otherwise
+    /// journal past the gap and leave a directory no resume accepts.
     pub fn append(&mut self, record: &RoundRecord) -> Result<()> {
+        self.synced()?;
+        let next = self.journal.records();
+        if u64::from(record.round.0) != next {
+            return Err(FbsError::Io {
+                reason: format!(
+                    "journal {} expects round {next} next, not round {}: an earlier \
+                     step failed; drop the runner and resume from the directory",
+                    self.journal.path().display(),
+                    record.round.0
+                ),
+            });
+        }
         self.journal.append(&record.encode())?;
         if self.policy.fsync {
-            self.journal.sync()?;
+            let syncer = match &mut self.syncer {
+                Some(syncer) => syncer,
+                none => none.insert(JournalSyncer::start(&self.journal)?),
+            };
+            syncer.requests.send(()).map_err(|_| FbsError::Io {
+                reason: format!(
+                    "the syncer of journal {} stopped",
+                    self.journal.path().display()
+                ),
+            })?;
+            syncer.pending = Some(self.journal.records());
         }
+        Ok(())
+    }
+
+    /// Waits for the journal fsync in flight, if any, and returns its
+    /// result. A failed fsync leaves its record written.
+    pub fn synced(&mut self) -> Result<()> {
+        let Some(syncer) = self.syncer.as_mut() else {
+            return Ok(());
+        };
+        let Some(records) = syncer.pending.take() else {
+            return Ok(());
+        };
+        let path = self.journal.path().display();
+        let answer = syncer.answers.recv().map_err(|_| FbsError::Io {
+            reason: format!("the syncer of journal {path} stopped"),
+        })?;
+        answer.map_err(|e| FbsError::Io {
+            reason: format!("fsyncing journal {path}: {e}"),
+        })?;
+        self.synced_records = records;
         Ok(())
     }
 
@@ -945,14 +1065,20 @@ impl CheckpointStore {
 
     /// Unconditionally snapshots the current state in the union layout.
     ///
-    /// First waits for the previous snapshot's write and returns its error,
-    /// if it failed. Then encodes `state` into the reused buffer, whose
-    /// capacity is at least the previous payload's length, and hands the
-    /// bytes to a writer thread that runs [`write_snapshot`]: checksum,
-    /// temp file, fsync, rename, directory fsync. The caller has already
-    /// journaled the round, so the snapshot never gets ahead of the
-    /// journal; a crash mid-write leaves the previous snapshot in place.
+    /// First waits for the journal's fsync and then for the previous
+    /// snapshot's write, and returns the first error. Then encodes `state`
+    /// into the reused buffer, whose capacity is at least the previous
+    /// payload's length, and hands the bytes to a writer thread that runs
+    /// [`write_snapshot`]: checksum, temp file, fsync, rename, directory
+    /// fsync. The caller has already journaled the round, so the snapshot
+    /// never gets ahead of the durable journal; a crash mid-write leaves
+    /// the previous snapshot in place.
     pub fn write_snapshot_now(&mut self, state: &PipelineState) -> Result<()> {
+        self.synced()?;
+        debug_assert!(
+            self.syncer.is_none() || self.synced_records == self.journal.records(),
+            "a snapshot would reach its writer ahead of the fsynced journal"
+        );
         self.join_writer()?;
         let mut w = ByteWriter::reusing(std::mem::take(&mut self.buffer));
         state.persist_into(&mut w);
@@ -997,14 +1123,26 @@ impl CheckpointStore {
         self.buffer = buffer;
         result
     }
+
+    /// The journal's record count at the last fsync the syncer confirmed.
+    #[cfg(test)]
+    pub(crate) fn synced_records(&self) -> u64 {
+        self.synced_records
+    }
 }
 
 impl Drop for CheckpointStore {
-    /// Waits for the snapshot write in flight, so a runner dropped
-    /// mid-campaign leaves its last snapshot in place, not a temp file.
-    /// Nobody is left to hear a failure, and the journal still covers it.
+    /// Waits for the journal fsync and the snapshot write in flight and
+    /// stops the syncer, so a runner dropped mid-campaign leaves its last
+    /// record fsynced and its last snapshot in place, not a temp file, and
+    /// no thread behind. Nobody is left to hear a failure, and the journal
+    /// still covers a failed snapshot.
     fn drop(&mut self) {
+        let _ = self.synced();
         let _ = self.join_writer();
+        if let Some(syncer) = self.syncer.take() {
+            syncer.stop();
+        }
     }
 }
 
@@ -1614,6 +1752,73 @@ mod tests {
         assert_eq!(version, UNION_STATE_VERSION);
         assert_eq!(payload, expected);
         assert!(!dir.join(format!("{SNAPSHOT_FILE}.tmp")).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The canonical v7 record, describing `round`.
+    fn record_of(round: u32) -> RoundRecord {
+        RoundRecord {
+            round: Round(round),
+            ..wire_fixture_record(UNION_STATE_VERSION)
+        }
+    }
+
+    #[test]
+    fn an_append_that_skips_a_round_is_refused() {
+        for fsync in [false, true] {
+            let dir = scratch_dir("gap");
+            let policy = CheckpointPolicy {
+                snapshot_every: 0,
+                fsync,
+            };
+            let mut store = CheckpointStore::fresh(&dir, policy).unwrap();
+            store.append(&record_of(0)).unwrap();
+            store.append(&record_of(1)).unwrap();
+            // A step that failed after applying round 2 hands round 3 next.
+            let err = store.append(&record_of(3)).unwrap_err().to_string();
+            assert!(
+                err.contains("round 2") && err.contains("round 3") && err.contains("resume"),
+                "{err}"
+            );
+            assert_eq!(store.journal.records(), 2);
+            store.append(&record_of(2)).unwrap();
+            // Only `fsync` starts the syncer.
+            assert_eq!(store.syncer.is_some(), fsync);
+            drop(store);
+            let (_, records, recovery) = Journal::open(dir.join(JOURNAL_FILE)).unwrap();
+            assert!(recovery.was_clean());
+            let rounds: Vec<u32> = records
+                .iter()
+                .map(|raw| RoundRecord::decode(raw).unwrap().round.0)
+                .collect();
+            assert_eq!(rounds, [0, 1, 2]);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_snapshot_reaches_its_writer_only_after_its_rounds_fsync() {
+        let campaign = compat_campaign(UNION_STATE_VERSION);
+        let statics = crate::pipeline::Statics::build(&campaign).unwrap();
+        let state = crate::pipeline::initial_state(campaign.world(), campaign.config(), &statics);
+        let dir = scratch_dir("synced");
+        let policy = CheckpointPolicy {
+            snapshot_every: 2,
+            fsync: true,
+        };
+        let mut store = CheckpointStore::fresh(&dir, policy).unwrap();
+        for round in 0..6 {
+            store.append(&record_of(round)).unwrap();
+            // The append waited for the previous round's fsync, not its own.
+            assert_eq!(store.synced_records(), u64::from(round));
+            store.maybe_snapshot(round + 1, &state).unwrap();
+            if (round + 1) % 2 == 0 {
+                assert_eq!(store.synced_records(), store.journal.records());
+            }
+        }
+        store.synced().unwrap();
+        assert_eq!(store.synced_records(), 6);
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -284,6 +284,7 @@ impl Campaign {
                 store.append(&record)?;
                 diagnostics.healed_rounds += 1;
             }
+            store.synced()?;
         } else {
             for record in &records {
                 apply_round(&self.world, &self.config, &statics, &mut state, record)?;
@@ -2432,7 +2433,7 @@ fn apply_shards(
 /// mid-campaign is safe: with a checkpoint store attached, every completed
 /// round is already durable, the measured look-ahead round was never
 /// journaled and is simply dropped, and the drop waits for a snapshot
-/// write still in flight.
+/// write still in flight and stops the store's journal syncer.
 pub struct CampaignRunner<'a> {
     campaign: &'a Campaign,
     statics: Statics,
@@ -2470,14 +2471,21 @@ impl CampaignRunner<'_> {
     /// look-ahead only if round r finished `Ok`. Measuring ahead is sound
     /// because a round's measurement never reads the pipeline state, and
     /// the feeds are still fetched in ascending round order. Round r is
-    /// journaled, and fsynced under the policy, before the step returns;
-    /// an unsupervised genuine panic in round r + 1's shards surfaces from
-    /// this step, after that.
+    /// journaled before the step returns, and fsynced under the policy:
+    /// the append hands the fsync to the store's journal syncer, and the
+    /// step waits for it after the dispatch, so it runs beside round
+    /// r + 1's shards; a failed fsync is this step's error. An
+    /// unsupervised genuine panic in round r + 1's shards surfaces from
+    /// this step, after round r is journaled.
     ///
     /// A round that takes a snapshot hands its write to the store's writer
-    /// thread and returns; if that write fails, the error comes back from
-    /// the `step_round` that takes the next snapshot, or from
-    /// [`CampaignRunner::finish`].
+    /// thread, once the round's fsync is done, and returns; if that write
+    /// fails, the error comes back from the `step_round` that takes the
+    /// next snapshot, or from [`CampaignRunner::finish`].
+    ///
+    /// A runner whose step returned `Err` may already have applied its
+    /// round without journaling it. Drop it and resume from the checkpoint
+    /// directory; the store refuses to journal past the gap.
     pub fn step_round(&mut self) -> fbs_types::Result<bool> {
         let Some(round) = self.state.cursor.current() else {
             return Ok(false);
@@ -2516,7 +2524,11 @@ impl CampaignRunner<'_> {
         for (acc, w) in shard_wall_ns.iter_mut().zip(wall) {
             *acc = acc.saturating_add(w);
         }
-        *ahead = prelude.map(|prelude| assemble_round(statics, prelude, ordered));
+        let next_record = prelude.map(|prelude| assemble_round(statics, prelude, ordered));
+        if let Some(store) = store.as_mut() {
+            store.synced()?;
+        }
+        *ahead = next_record;
         Ok(true)
     }
 
@@ -2542,7 +2554,7 @@ impl CampaignRunner<'_> {
     }
 
     /// Collects events and assembles the report. Fails if rounds remain,
-    /// or if the last snapshot write failed.
+    /// or if the last journal fsync or snapshot write failed.
     pub fn finish(mut self) -> fbs_types::Result<CampaignReport> {
         if !self.state.cursor.is_done() {
             return Err(FbsError::config(format!(
@@ -2552,6 +2564,7 @@ impl CampaignRunner<'_> {
             )));
         }
         if let Some(store) = self.store.as_mut() {
+            store.synced()?;
             store.join_writer()?;
         }
         let statics = self.statics;
@@ -3333,5 +3346,34 @@ mod tests {
         assert!(dir.join(crate::checkpoint::JOURNAL_FILE).exists());
         assert!(dir.join(crate::checkpoint::SNAPSHOT_FILE).exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_round_is_fsynced_before_its_step_returns() {
+        let policy = CheckpointPolicy {
+            snapshot_every: 6,
+            fsync: true,
+        };
+        for threads in [1, 2] {
+            let scenario = fbs_scenarios::ukraine_with_rounds(WorldScale::Tiny, 21, 40);
+            let config = CampaignConfig {
+                threads,
+                ..CampaignConfig::default()
+            };
+            let campaign = Campaign::new(scenario.into_world().unwrap(), config).unwrap();
+            let dir = std::env::temp_dir()
+                .join(format!("fbs-fsync-order-{threads}-{}", std::process::id()));
+            let mut runner = campaign.runner_checkpointed(&dir, policy).unwrap();
+            while runner.step_round().unwrap() {
+                let synced = runner.store.as_ref().map(CheckpointStore::synced_records);
+                assert_eq!(
+                    synced,
+                    Some(u64::from(runner.completed_rounds())),
+                    "threads {threads}"
+                );
+            }
+            runner.finish().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

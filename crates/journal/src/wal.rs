@@ -230,6 +230,13 @@ impl Journal {
         Ok(())
     }
 
+    /// A second handle on the journal file, so another thread can fsync it
+    /// while this one keeps the journal. `sync_all` on the handle forces
+    /// every record appended before the call, as [`Journal::sync`] does.
+    pub fn sync_handle(&self) -> Result<File> {
+        Ok(self.file.try_clone()?)
+    }
+
     /// Number of records in the journal (recovered + appended).
     pub fn records(&self) -> u64 {
         self.records

@@ -330,12 +330,18 @@ fn output_bytes(
 /// threads 2 and 8 also kills it between two snapshots, with a measured
 /// round not yet journaled, and resumes it through replay. Every run must
 /// leave the threads-1 run's report, journal, snapshot and export bytes.
+/// Threads 2 and 8 fsync every round on the journal syncer, so the fsync
+/// policy is held to the same bytes.
 fn assert_thread_count_never_reaches_bytes(roster: bool) {
     let tag = if roster { "roster" } else { "implicit" };
+    let policy_at = |threads: usize| CheckpointPolicy {
+        fsync: threads > 1,
+        ..policy()
+    };
     let run = |threads: usize| {
         let dir = fresh_dir(&format!("{tag}-t{threads}"));
         let report = multi_shard_campaign(threads, roster)
-            .run_checkpointed(&dir, policy())
+            .run_checkpointed(&dir, policy_at(threads))
             .expect("checkpointed run");
         if threads == 1 {
             // The campaign exercises what it claims to: detections, the
@@ -392,13 +398,15 @@ fn assert_thread_count_never_reaches_bytes(roster: bool) {
         let campaign = multi_shard_campaign(threads, roster);
         let dir = fresh_dir(&format!("{tag}-kill{threads}"));
         let mut runner = campaign
-            .runner_checkpointed(&dir, policy())
+            .runner_checkpointed(&dir, policy_at(threads))
             .expect("checkpoint dir");
         for _ in 0..130 {
             assert!(runner.step_round().expect("step"));
         }
         drop(runner);
-        let (report, diag) = campaign.resume_with(&dir, policy()).expect("resume");
+        let (report, diag) = campaign
+            .resume_with(&dir, policy_at(threads))
+            .expect("resume");
         assert_eq!(diag.replayed_rounds, 130 - 84, "{tag}: {diag:?}");
         assert!(
             output_bytes(&report, &dir) == serial,
