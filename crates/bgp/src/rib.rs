@@ -131,11 +131,6 @@ impl Rib {
         blocks.len() as u64
     }
 
-    /// The prefixes originated by `asn`.
-    pub fn prefixes_of(&self, asn: Asn) -> impl Iterator<Item = Prefix> + '_ {
-        self.by_origin.get(&asn).into_iter().flatten().copied()
-    }
-
     /// All origins present in the table.
     pub fn origins(&self) -> impl Iterator<Item = Asn> + '_ {
         self.by_origin.keys().copied()

@@ -1640,10 +1640,7 @@ mod tests {
         ];
         let ibr = IbrConfig::with_dark_windows(vec![IbrDarkWindow { start: 12, end: 16 }]);
         let stall = |name: &str, rounds, attempts| {
-            let kind = ShardFaultKind::Stall {
-                extra_ns: 2_000_000_000,
-            };
-            ShardFaultWindow::scripted(name, rounds, vec![], attempts, kind)
+            ShardFaultWindow::scripted(name, rounds, vec![], attempts, ShardFaultKind::Stall)
         };
         let mut cfg = crate::config::CampaignConfig {
             tracked: vec![

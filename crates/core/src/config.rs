@@ -1,8 +1,7 @@
 //! Campaign configuration.
 
-use fbs_feeds::{LossyTolerance, RetryPolicy};
+use fbs_feeds::LossyTolerance;
 use fbs_netsim::{FaultPlan, FeedFaultPlan, IbrConfig, ShardFaultPlan, VantageSpec};
-use fbs_prober::QualityConfig;
 use fbs_regional::RegionalityConfig;
 use fbs_signals::{EligibilityConfig, EntityId, Thresholds};
 use fbs_trinocular::{IodaConfig, TrinocularConfig};
@@ -37,14 +36,6 @@ pub struct CampaignConfig {
     /// `None` = clean vantage (the default).
     #[serde(default)]
     pub fault_plan: Option<FaultPlan>,
-    /// How round quality (`Ok`/`Degraded`/`Unusable`) is judged from the
-    /// measurement loss a round suffered.
-    #[serde(default)]
-    pub quality: QualityConfig,
-    /// Scanner re-probe budget per round (ZMap's `--retries`); raises the
-    /// delivery rate under loss before a round is declared degraded.
-    #[serde(default)]
-    pub scan_retries: u32,
     /// Optional feed-fault schedule for the three metadata feeds (BGP RIB
     /// dumps, monthly geolocation snapshots, RIR delegation files).
     /// `None` disables the feed-delivery layer entirely: the pipeline
@@ -56,9 +47,6 @@ pub struct CampaignConfig {
     /// Lossy-parse acceptance thresholds for feed deliveries.
     #[serde(default)]
     pub feed_tolerance: LossyTolerance,
-    /// Deterministic fetch retry/backoff budget per feed per round.
-    #[serde(default)]
-    pub feed_retry: RetryPolicy,
     /// The vantage roster. Empty (the default) scans through the paper's
     /// single vantage as an implicit one-vantage roster: the campaign-wide
     /// `fault_plan` on the plain `"faults"` RNG stream, no path latency,
@@ -83,11 +71,13 @@ pub struct CampaignConfig {
     /// shards are keyed by block coordinates, not by scheduling — so this
     /// knob trades wall time only. `0` is rejected by [`validate`][Self::validate].
     /// It bounds the shard workers only: a checkpointed campaign also runs
-    /// at most one snapshot writer thread, whatever this is set to.
+    /// at most one snapshot writer thread and, under
+    /// [`CheckpointPolicy::fsync`](crate::CheckpointPolicy), the store's
+    /// journal syncer (`fbs-journal-sync`), whatever this is set to.
     #[serde(default = "default_threads")]
     pub threads: usize,
-    /// Optional scripted shard-fault schedule (panic / stall / jitter)
-    /// exercising the shard supervisor. `None` (the default) keeps the
+    /// Optional scripted shard-fault schedule (panic / stall) exercising
+    /// the shard supervisor. `None` (the default) keeps the
     /// executor transparent: no supervision ledger is journaled, and a
     /// genuine shard panic propagates exactly as the serial pipeline
     /// would. `Some` — even of an empty plan — turns on supervised mode:
@@ -95,31 +85,12 @@ pub struct CampaignConfig {
     /// the report carries a [`ShardLedger`](crate::report::ShardLedger).
     #[serde(default)]
     pub shard_plan: Option<ShardFaultPlan>,
-    /// Bounded retry budget per shard per round in supervised mode: a
-    /// panicked or timed-out shard is re-run at most this many times
-    /// before it is declared lost and its blocks degrade the round.
-    #[serde(default = "default_shard_retries")]
-    pub shard_retries: u32,
-    /// Per-shard deadline in *virtual* nanoseconds, compared against the
-    /// shard's deterministic cost model (blocks × per-block budget, plus
-    /// any injected stall). Virtual time keeps the watchdog deterministic:
-    /// a loaded CI machine never times a shard out spuriously.
-    #[serde(default = "default_shard_deadline_ns")]
-    pub shard_deadline_ns: u64,
 }
 
 fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-fn default_shard_retries() -> u32 {
-    2
-}
-
-fn default_shard_deadline_ns() -> u64 {
-    1_000_000_000 // 1 virtual second; a clean shard costs microseconds
 }
 
 /// Resolves the effective worker-thread count from the configured value
@@ -166,17 +137,12 @@ impl Default for CampaignConfig {
             tracked,
             rtt_tracked: kherson_ases,
             fault_plan: None,
-            quality: QualityConfig::default(),
-            scan_retries: 0,
             feed_plan: None,
             feed_tolerance: LossyTolerance::default(),
-            feed_retry: RetryPolicy::default(),
             vantages: Vec::new(),
             ibr: None,
             threads: default_threads(),
             shard_plan: None,
-            shard_retries: default_shard_retries(),
-            shard_deadline_ns: default_shard_deadline_ns(),
         }
     }
 }
@@ -195,7 +161,6 @@ impl CampaignConfig {
         self.thresholds_as.validate()?;
         self.thresholds_region.validate()?;
         self.regionality.validate()?;
-        self.quality.validate()?;
         if let Some(plan) = &self.fault_plan {
             plan.validate()?;
         }
@@ -233,34 +198,10 @@ impl CampaignConfig {
         self.shard_plan.is_some()
     }
 
-    /// A configuration supervising shards under `plan`.
-    pub fn with_shard_plan(plan: ShardFaultPlan) -> Self {
-        CampaignConfig {
-            shard_plan: Some(plan),
-            ..CampaignConfig::default()
-        }
-    }
-
-    /// A configuration observing passive background radiation with `ibr`.
-    pub fn with_ibr(ibr: IbrConfig) -> Self {
-        CampaignConfig {
-            ibr: Some(ibr),
-            ..CampaignConfig::default()
-        }
-    }
-
     /// A configuration scanning from the given vantage roster.
     pub fn with_vantages(vantages: Vec<VantageSpec>) -> Self {
         CampaignConfig {
             vantages,
-            ..CampaignConfig::default()
-        }
-    }
-
-    /// A configuration routing the metadata feeds through `plan`.
-    pub fn with_feed_plan(plan: FeedFaultPlan) -> Self {
-        CampaignConfig {
-            feed_plan: Some(plan),
             ..CampaignConfig::default()
         }
     }
@@ -311,15 +252,17 @@ mod tests {
     fn ibr_defaults_off_and_validates() {
         let cfg = CampaignConfig::default();
         assert!(cfg.ibr.is_none(), "passive signal must default off");
-        assert!(CampaignConfig::with_ibr(IbrConfig::default())
-            .validate()
-            .is_ok());
-        let bad = CampaignConfig::with_ibr(IbrConfig {
+        let with_ibr = |ibr| CampaignConfig {
+            ibr: Some(ibr),
+            ..CampaignConfig::default()
+        };
+        assert!(with_ibr(IbrConfig::default()).validate().is_ok());
+        let bad = with_ibr(IbrConfig {
             rate_per_responder: -1.0,
             ..IbrConfig::default()
         });
         assert!(bad.validate().is_err());
-        let bad = CampaignConfig::with_ibr(IbrConfig::with_dark_windows(vec![
+        let bad = with_ibr(IbrConfig::with_dark_windows(vec![
             fbs_netsim::IbrDarkWindow { start: 5, end: 5 },
         ]));
         assert!(bad.validate().is_err());
@@ -366,11 +309,14 @@ mod tests {
     fn shard_plan_defaults_off_and_validates() {
         let cfg = CampaignConfig::default();
         assert!(!cfg.shard_mode(), "supervised mode must default off");
-        assert_eq!(cfg.shard_retries, 2);
-        let with = CampaignConfig::with_shard_plan(ShardFaultPlan::none());
+        let with_plan = |plan| CampaignConfig {
+            shard_plan: Some(plan),
+            ..CampaignConfig::default()
+        };
+        let with = with_plan(ShardFaultPlan::none());
         assert!(with.shard_mode());
         assert!(with.validate().is_ok());
-        let bad = CampaignConfig::with_shard_plan(ShardFaultPlan {
+        let bad = with_plan(ShardFaultPlan {
             windows: vec![fbs_netsim::ShardFaultWindow {
                 name: "bad".into(),
                 start_round: 0,
@@ -388,8 +334,10 @@ mod tests {
     fn feed_layer_defaults_off_and_validates() {
         let cfg = CampaignConfig::default();
         assert!(cfg.feed_plan.is_none(), "feed layer must default off");
-        let with = CampaignConfig::with_feed_plan(FeedFaultPlan::none());
-        assert!(with.feed_plan.is_some());
+        let with = CampaignConfig {
+            feed_plan: Some(FeedFaultPlan::none()),
+            ..CampaignConfig::default()
+        };
         assert!(with.validate().is_ok());
         let bad = CampaignConfig {
             feed_tolerance: LossyTolerance {

@@ -50,3 +50,4 @@ pub use report::{
     CampaignReport, DisagreementSummary, EntitySeries, FeedLedger, IbrLedger, MonthlyRtt,
     ShardLedger, ShardRoundSummary, VantageLedger,
 };
+pub use shard::SHARD_RETRIES;

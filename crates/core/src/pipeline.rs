@@ -39,14 +39,16 @@ use crate::report::{
     OblastMonth, ShardLedger, ShardRoundSummary, VantageLedger,
 };
 use crate::shard::{self, ShardExec};
-use fbs_feeds::{FeedHealth, FeedLoader, FeedOutcome, FeedQuarantine, TaggedQuarantine};
+use fbs_feeds::{
+    FeedHealth, FeedLoader, FeedOutcome, FeedQuarantine, RetryPolicy, TaggedQuarantine,
+};
 use fbs_geodb::GeoSnapshot;
 use fbs_netsim::feedfaults::{self, BgpDumps};
 use fbs_netsim::{
     faults, geo, ibr, BlockSpec, BlockTruth, FaultIntensity, FaultPlan, FeedFaultPlan, IbrConfig,
     VantageSpec, World, WorldRng,
 };
-use fbs_prober::RoundCursor;
+use fbs_prober::{QualityConfig, RoundCursor};
 use fbs_regional::Regionality;
 use fbs_signals::{
     fuse_block, fuse_round_quality, ips_signal_usable, vantage_usable, BlockVote, Detector,
@@ -274,13 +276,8 @@ impl Campaign {
             // the state; re-measure them — determinism makes the records
             // identical — and heal the journal so it stays authoritative.
             for i in journaled..completed {
-                let (record, _) = measure_round(
-                    &self.world,
-                    &self.config,
-                    &statics,
-                    feeds.as_mut(),
-                    Round(i as u32),
-                );
+                let (record, _) =
+                    measure_round(&self.world, &statics, feeds.as_mut(), Round(i as u32));
                 store.append(&record)?;
                 diagnostics.healed_rounds += 1;
             }
@@ -379,7 +376,7 @@ impl FeedState {
         let cfg = &campaign.config;
         cfg.feed_plan.is_some().then(|| FeedState {
             bgp: BgpDumps::new(&campaign.world),
-            loader: FeedLoader::new(cfg.feed_retry, cfg.feed_tolerance),
+            loader: FeedLoader::new(RetryPolicy::default(), cfg.feed_tolerance),
         })
     }
 }
@@ -430,7 +427,7 @@ impl Statics {
                 for (mi, month) in month_list.iter().enumerate() {
                     let due = Round(world.month_rounds(*month).start);
                     let mut delivered = None;
-                    for attempt in 0..cfg.feed_retry.attempts_allowed() {
+                    for attempt in 0..RetryPolicy::default().attempts_allowed() {
                         if let Some(text) = feedfaults::deliver(
                             plan,
                             &feed_rng,
@@ -587,14 +584,7 @@ impl Statics {
             std::env::var("FBS_THREADS").ok().as_deref(),
         )?;
         let owners: Vec<Asn> = blocks.iter().map(|b| b.owner).collect();
-        let shard = ShardExec::build(
-            &owners,
-            threads,
-            cfg.shard_plan.clone(),
-            world.rng(),
-            cfg.shard_retries,
-            cfg.shard_deadline_ns,
-        );
+        let shard = ShardExec::build(&owners, threads, cfg.shard_plan.clone(), world.rng());
 
         let months = classification.months.clone();
         Ok(Statics {
@@ -1166,6 +1156,11 @@ struct ShardChunk {
     ibr: Vec<u64>,
 }
 
+/// Scanner re-probe passes per round (ZMap's `--retries`): none, so a
+/// round's delivery rate and its quality verdict are those of a single
+/// probe per address.
+const SCAN_REPROBES: u32 = 0;
+
 /// One block's scan through a vantage's fault-modelled path, the implicit
 /// vantage's and each roster entry's alike: the block's true responsive
 /// count (`truth`, evaluated once per block and round and shared by every
@@ -1180,7 +1175,6 @@ struct ShardChunk {
 #[allow(clippy::too_many_arguments)]
 fn scan_block(
     truth: &BlockTruth,
-    scan_retries: u32,
     rng: &WorldRng,
     path_rtt_ns: u64,
     intensity: &FaultIntensity,
@@ -1190,7 +1184,7 @@ fn scan_block(
     keep_rtt: bool,
 ) -> BlockObs {
     let r = round.0 as u64;
-    let responsive = intensity.thin_responsive(truth.responsive, scan_retries, rng, r, bi as u64);
+    let responsive = intensity.thin_responsive(truth.responsive, SCAN_REPROBES, rng, r, bi as u64);
     let rtt_ns = if keep_rtt {
         truth
             .rtt_ns
@@ -1222,13 +1216,12 @@ fn scan_block(
 /// only: never journaled, never compared.
 fn measure_round(
     world: &World,
-    cfg: &CampaignConfig,
     statics: &Statics,
     feeds: Option<&mut FeedState>,
     round: Round,
 ) -> (RoundRecord, Vec<u64>) {
-    let prelude = measure_prelude(world, cfg, statics, feeds, round);
-    let ((), ordered) = measure_beside(world, cfg, statics, &prelude, || ());
+    let prelude = measure_prelude(world, statics, feeds, round);
+    let ((), ordered) = measure_beside(world, statics, &prelude, || ());
     assemble_round(statics, prelude, ordered)
 }
 
@@ -1239,7 +1232,6 @@ fn measure_round(
 /// the skip is itself the observation.
 fn measure_beside<P>(
     world: &World,
-    cfg: &CampaignConfig,
     statics: &Statics,
     prelude: &RoundPrelude,
     first: impl FnOnce() -> P,
@@ -1247,9 +1239,8 @@ fn measure_beside<P>(
     if prelude.no_block_work() && !statics.shard.supervised() {
         return (first(), Vec::new());
     }
-    let task = |_slot: u32, range: std::ops::Range<usize>| {
-        measure_range(world, cfg, statics, prelude, range)
-    };
+    let task =
+        |_slot: u32, range: std::ops::Range<usize>| measure_range(world, statics, prelude, range);
     let (p, shards) = statics.shard.shard_execute(prelude.round, first, &task);
     (p, shard::roster_order(shards))
 }
@@ -1289,7 +1280,6 @@ impl RoundPrelude {
 /// measure, and fetched once, not per shard.
 fn measure_prelude(
     world: &World,
-    cfg: &CampaignConfig,
     statics: &Statics,
     feed_state: Option<&mut FeedState>,
     round: Round,
@@ -1302,9 +1292,12 @@ fn measure_prelude(
     let mut vantage_quality: Vec<RoundQuality> = Vec::new();
     let mut vantage_scan: Vec<Option<FaultIntensity>> = Vec::new();
     for vs in &statics.vantages {
-        let q = vs
-            .plan
-            .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
+        let q = vs.plan.quality_at(
+            round,
+            statics.rounds,
+            SCAN_REPROBES,
+            &QualityConfig::default(),
+        );
         vantage_quality.push(q);
         vantage_scan
             .push(vantage_usable(online, q).then(|| vs.plan.intensity_at(round, statics.rounds)));
@@ -1337,7 +1330,6 @@ fn measure_prelude(
 /// the first try, and any worker interleaving produces the same chunk.
 fn measure_range(
     world: &World,
-    cfg: &CampaignConfig,
     statics: &Statics,
     prelude: &RoundPrelude,
     range: std::ops::Range<usize>,
@@ -1382,7 +1374,6 @@ fn measure_range(
             if let Some(intensity) = scan {
                 out.push(scan_block(
                     &truth,
-                    cfg.scan_retries,
                     &vs.rng,
                     vs.spec.path_rtt_ns,
                     intensity,
@@ -2503,11 +2494,11 @@ impl CampaignRunner<'_> {
         let (world, cfg, statics) = (&campaign.world, &campaign.config, &*statics);
         let (record, wall) = match ahead.take() {
             Some(measured) if measured.0.round == round => measured,
-            _ => measure_round(world, cfg, statics, feeds.as_mut(), round),
+            _ => measure_round(world, statics, feeds.as_mut(), round),
         };
         let next = Round(round.0 + 1);
         let prelude = (next.0 < statics.rounds)
-            .then(|| measure_prelude(world, cfg, statics, feeds.as_mut(), next));
+            .then(|| measure_prelude(world, statics, feeds.as_mut(), next));
         let mut finish = || -> fbs_types::Result<()> {
             apply_round(world, cfg, statics, state, &record)?;
             if let Some(store) = store.as_mut() {
@@ -2517,7 +2508,7 @@ impl CampaignRunner<'_> {
             Ok(())
         };
         let (finished, ordered) = match &prelude {
-            Some(prelude) => measure_beside(world, cfg, statics, prelude, finish),
+            Some(prelude) => measure_beside(world, statics, prelude, finish),
             None => (finish(), Vec::new()),
         };
         finished?;
@@ -3143,19 +3134,19 @@ mod tests {
                     "lose-shard",
                     190..210,
                     vec![1],
-                    cfg.shard_retries + 1,
+                    crate::SHARD_RETRIES + 1,
                     ShardFaultKind::Panic,
                 )],
             });
             let world = outage_world(23, &[100, 200, 300], 64, &[(200, 30..60)]);
             let campaign = Campaign::new(world, cfg).expect("valid config");
-            let (world, cfg) = (campaign.world(), &campaign.config);
+            let world = campaign.world();
             let statics = Statics::build(&campaign).expect("statics");
             assert!(statics.shard.n_shards() >= 3);
             let darknet = statics.ibr.as_ref().expect("IBR on");
             for r in 0..statics.rounds {
                 let round = Round(r);
-                let (record, _) = measure_round(world, cfg, &statics, None, round);
+                let (record, _) = measure_round(world, &statics, None, round);
                 let outcomes = &record.shards.as_ref().expect("supervised").outcomes;
                 seen[2] += outcomes.iter().filter(|o| !o.completed()).count();
                 let measured = || {
@@ -3168,9 +3159,12 @@ mod tests {
                         .flat_map(|(range, _)| range.clone())
                 };
                 for (vs, obs) in statics.vantages.iter().zip(&record.vantages) {
-                    let q =
-                        vs.plan
-                            .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
+                    let q = vs.plan.quality_at(
+                        round,
+                        statics.rounds,
+                        SCAN_REPROBES,
+                        &QualityConfig::default(),
+                    );
                     if !vantage_usable(record.online, q) {
                         assert!(obs.blocks.is_empty(), "round {r}: {}", vs.spec.name);
                         seen[0] += 1;
@@ -3181,7 +3175,6 @@ mod tests {
                         let truth = world.block_truth(round, bi);
                         let want = scan_block(
                             &truth,
-                            cfg.scan_retries,
                             &vs.rng,
                             vs.spec.path_rtt_ns,
                             &intensity,
@@ -3299,12 +3292,12 @@ mod tests {
         let scenario = fbs_scenarios::ukraine_with_rounds(WorldScale::Small, 42, 48);
         let campaign = Campaign::new(scenario.into_world().unwrap(), CampaignConfig::default())
             .expect("valid config");
-        let (world, cfg) = (campaign.world(), &campaign.config);
+        let world = campaign.world();
         let statics = Statics::build(&campaign).expect("statics");
         // (blocks, version-7 bytes, version-6 bytes) over the scanned rounds
         let mut sum = [0usize; 3];
         for r in 0..statics.rounds {
-            let (record, _) = measure_round(world, cfg, &statics, None, Round(r));
+            let (record, _) = measure_round(world, &statics, None, Round(r));
             if record.blocks.is_empty() {
                 continue;
             }

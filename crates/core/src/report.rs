@@ -190,11 +190,6 @@ impl FeedLedger {
             .map(|(r, _)| Round(r as u32))
             .collect()
     }
-
-    /// Rounds where `kind` was not served fresh.
-    pub fn degraded_rounds_of(&self, kind: FeedKind) -> Vec<Round> {
-        self.rounds_where(kind, |s| !s.is_fresh())
-    }
 }
 
 impl Persist for FeedLedger {

@@ -9,14 +9,14 @@
 //!
 //! * **panic isolation** — the shard task runs under `catch_unwind`; a
 //!   panicking shard costs a retry, never the campaign;
-//! * **deadline watchdog** — each attempt is billed against a per-shard
-//!   budget in *virtual* nanoseconds (blocks × [`SHARD_BLOCK_BUDGET_NS`],
-//!   plus any injected stall). An attempt whose modeled cost exceeds
-//!   [`CampaignConfig::shard_deadline_ns`](crate::CampaignConfig) is
-//!   declared timed out, exactly as a watchdog abandons a wedged worker —
-//!   virtual time keeps the verdict independent of machine load;
+//! * **deadline watchdog** — an attempt struck by a scripted
+//!   [`ShardFaultKind::Stall`] is one that misses its deadline: the
+//!   watchdog abandons it as a timeout without running the task, exactly
+//!   as it would abandon a wedged worker. The verdict comes from the
+//!   fault plan, never from a clock, so machine load cannot time a shard
+//!   out;
 //! * **bounded deterministic retry** — a failed attempt is re-run up to
-//!   `shard_retries` times. Every per-block draw is coordinate-addressed,
+//!   [`SHARD_RETRIES`] times. Every per-block draw is coordinate-addressed,
 //!   so a retried shard is bit-identical to a first-try shard;
 //! * **graceful loss** — a shard that exhausts its budget is `Lost`: its
 //!   blocks are marked missing and the round is downgraded by the caller,
@@ -48,10 +48,10 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Virtual cost budget per block, in nanoseconds — the deadline currency.
-/// Generous against the real ~20–100 ns of oracle-path work per block, so
-/// a clean shard can never time out; only an injected stall can.
-pub(crate) const SHARD_BLOCK_BUDGET_NS: u64 = 50_000;
+/// Retries per shard per round in supervised mode: a panicked or
+/// timed-out shard is re-run at most this many times before it is
+/// declared lost and its blocks degrade the round.
+pub const SHARD_RETRIES: u32 = 2;
 
 /// Target shard size in blocks. Shards are cut at AS boundaries near this
 /// size (hard-capped at twice it), so one shard never splits a small AS
@@ -80,13 +80,11 @@ pub(crate) struct ShardExec {
     threads: usize,
     plan: Option<ShardFaultPlan>,
     rng: WorldRng,
-    retries: u32,
-    deadline_ns: u64,
 }
 
 impl ShardExec {
     /// Builds the executor for a campaign: the AS-aligned partition of
-    /// `block_as`, the resolved worker count, and the supervision budget.
+    /// `block_as`, the resolved worker count, and the shard-fault plan.
     /// `world_rng` is the *world* RNG; the `"shards"` fault domain is
     /// derived internally so injected shard faults never correlate with
     /// world truth or wire faults.
@@ -95,16 +93,12 @@ impl ShardExec {
         threads: usize,
         plan: Option<ShardFaultPlan>,
         world_rng: WorldRng,
-        retries: u32,
-        deadline_ns: u64,
     ) -> Self {
         ShardExec {
             ranges: partition(block_as),
             threads: threads.max(1),
             plan,
             rng: shards_domain(world_rng),
-            retries,
-            deadline_ns,
         }
     }
 
@@ -190,25 +184,14 @@ impl ShardExec {
         let mut timeouts = 0u32;
         // fbs-lint: allow(wall-clock) per-shard wall time is a report diagnostic, never persisted or compared
         let started = std::time::Instant::now();
-        for attempt in 0..=self.retries {
+        for attempt in 0..=SHARD_RETRIES {
             let fault = self
                 .plan
                 .as_ref()
                 .and_then(|p| p.fault_at(&self.rng, round, slot32, attempt));
-            let cost = (range.len() as u64)
-                .saturating_mul(SHARD_BLOCK_BUDGET_NS)
-                .saturating_add(match fault {
-                    Some(ShardFaultKind::Stall { extra_ns })
-                    | Some(ShardFaultKind::Jitter { extra_ns }) => extra_ns,
-                    _ => 0,
-                });
-            if self.plan.is_some() && cost > self.deadline_ns {
-                // The watchdog's virtual-time verdict: this attempt would
-                // not finish inside its budget, so it is abandoned without
-                // letting it wedge a worker. The watchdog only arms under
-                // a shard plan — without one there is nothing that can
-                // stall, no ledger to record a timeout in, and a `Lost`
-                // shard would have no journaled outcome to replay.
+            if fault == Some(ShardFaultKind::Stall) {
+                // The watchdog's verdict: this attempt misses its deadline,
+                // so it is abandoned without letting it wedge a worker.
                 timeouts += 1;
                 continue;
             }
@@ -300,7 +283,7 @@ mod tests {
     }
 
     fn exec(block_as: &[Asn], threads: usize, plan: Option<ShardFaultPlan>) -> ShardExec {
-        ShardExec::build(block_as, threads, plan, WorldRng::new(42), 2, 1_000_000_000)
+        ShardExec::build(block_as, threads, plan, WorldRng::new(42))
     }
 
     /// One dispatch with no first step of the caller's, in slot order.
@@ -404,9 +387,7 @@ mod tests {
                 9..10,
                 vec![1],
                 u32::MAX,
-                ShardFaultKind::Stall {
-                    extra_ns: 10_000_000_000,
-                },
+                ShardFaultKind::Stall,
             )],
         };
         let ex = exec(&blocks, 2, Some(plan));
@@ -428,29 +409,28 @@ mod tests {
     }
 
     #[test]
-    fn jitter_slows_but_completes_identically() {
-        let blocks = as_map(&[(1, 64), (2, 64)]);
-        let task = |slot: u32, range: Range<usize>| -> Vec<u64> {
-            range.map(|bi| slot as u64 + bi as u64).collect()
+    fn a_panic_over_a_stall_costs_one_attempt_of_each() {
+        // The first covering window wins: attempt 0 panics, attempt 1
+        // stalls, attempt 2 runs clean.
+        let plan = ShardFaultPlan {
+            windows: vec![
+                ShardFaultWindow::scripted("panic", 4..5, vec![0], 1, ShardFaultKind::Panic),
+                ShardFaultWindow::scripted("stall", 4..5, vec![0], 2, ShardFaultKind::Stall),
+            ],
         };
-        let jittered = ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
-                "slow",
-                0..100,
-                Vec::new(),
-                u32::MAX,
-                ShardFaultKind::Jitter { extra_ns: 1_000 },
-            )],
-        };
-        let clean: Vec<_> = execute(&exec(&blocks, 4, None), Round(3), &task)
-            .into_iter()
-            .map(|s| s.output)
-            .collect();
-        let slow: Vec<_> = execute(&exec(&blocks, 4, Some(jittered)), Round(3), &task)
-            .into_iter()
-            .map(|s| s.output)
-            .collect();
-        assert_eq!(clean, slow, "jitter must not change a byte of output");
+        let ex = exec(&as_map(&[(1, 64)]), 1, Some(plan));
+        let shards = execute(&ex, Round(4), &|_slot: u32, range: Range<usize>| {
+            range.len()
+        });
+        assert_eq!(
+            shards[0].outcome,
+            ShardOutcomeObs::Completed {
+                attempt: 2,
+                panics: 1,
+                timeouts: 1
+            }
+        );
+        assert_eq!(shards[0].output, Some(64));
     }
 
     #[test]

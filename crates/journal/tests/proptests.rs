@@ -15,24 +15,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-fn fresh_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fbs-journal-prop-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{tag}-{}.wal",
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ))
+/// One case's journal, alone in a directory of its own. Dropping it at the
+/// end of the case, or on a failed assertion, removes the directory with
+/// the journal and any copy that recovery quarantined beside it.
+struct CaseJournal {
+    dir: PathBuf,
+    path: PathBuf,
 }
 
-/// Writes `records` to a fresh journal and returns its path.
-fn build_journal(tag: &str, records: &[Vec<u8>]) -> PathBuf {
-    let path = fresh_path(tag);
+impl Drop for CaseJournal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Writes `records` to a fresh journal.
+fn build_journal(tag: &str, records: &[Vec<u8>]) -> CaseJournal {
+    let dir = std::env::temp_dir().join(format!(
+        "fbs-journal-prop-{}-{tag}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rounds.wal");
     let mut journal = Journal::create(&path).unwrap();
     for record in records {
         journal.append(record).unwrap();
     }
     journal.sync().unwrap();
-    path
+    CaseJournal { dir, path }
 }
 
 /// Asserts `recovered` is a byte-exact prefix of `original`.
@@ -54,23 +65,23 @@ proptest! {
         records in vec(vec(any::<u8>(), 0..48usize), 0..16usize),
         cut_seed in any::<u64>(),
     ) {
-        let path = build_journal("trunc", &records);
-        let full = std::fs::read(&path).unwrap();
+        let case = build_journal("trunc", &records);
+        let path = &case.path;
+        let full = std::fs::read(path).unwrap();
         let cut = (cut_seed % (full.len() as u64 + 1)) as usize;
-        std::fs::write(&path, &full[..cut]).unwrap();
+        std::fs::write(path, &full[..cut]).unwrap();
 
-        let (_, recovered, recovery) = Journal::open(&path).unwrap();
+        let (_, recovered, recovery) = Journal::open(path).unwrap();
         assert_prefix(&recovered, &records);
         prop_assert_eq!(recovery.records, recovered.len() as u64);
         // Cutting inside the 8-byte magic quarantines; otherwise the file
         // is repaired in place and a reopen must be clean.
         if cut >= 8 {
             prop_assert!(recovery.quarantined.is_none());
-            let (_, again, recovery2) = Journal::open(&path).unwrap();
+            let (_, again, recovery2) = Journal::open(path).unwrap();
             prop_assert!(recovery2.was_clean());
             prop_assert_eq!(again.len(), recovered.len());
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -79,13 +90,14 @@ proptest! {
         offset_seed in any::<u64>(),
         bit in 0u32..8,
     ) {
-        let path = build_journal("flip", &records);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let case = build_journal("flip", &records);
+        let path = &case.path;
+        let mut bytes = std::fs::read(path).unwrap();
         let offset = (offset_seed % bytes.len() as u64) as usize;
         bytes[offset] ^= 1u8 << bit;
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(path, &bytes).unwrap();
 
-        let (_, recovered, recovery) = Journal::open(&path).unwrap();
+        let (_, recovered, recovery) = Journal::open(path).unwrap();
         assert_prefix(&recovered, &records);
         prop_assert_eq!(recovery.records, recovered.len() as u64);
         if offset >= 8 {
@@ -107,17 +119,16 @@ proptest! {
                 damaged_index - recovered.len()
             );
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn undamaged_journals_always_roundtrip(
         records in vec(vec(any::<u8>(), 0..128usize), 0..24usize),
     ) {
-        let path = build_journal("clean", &records);
-        let (_, recovered, recovery) = Journal::open(&path).unwrap();
+        let case = build_journal("clean", &records);
+        let path = &case.path;
+        let (_, recovered, recovery) = Journal::open(path).unwrap();
         prop_assert!(recovery.was_clean());
         prop_assert_eq!(recovered, records);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -99,16 +99,16 @@ pub const RNG_DOMAINS: &[&str] = &[
 /// output bytes, so `unordered-persist` covers them too.
 pub const RENDER_FILES: &[&str] = &["crates/analysis/src/emit.rs", "crates/core/src/report.rs"];
 
-/// The ordered-merge surface: files that fold per-vantage observations
-/// into one fused result. The fold must be order-free or roster-ordered —
-/// never keyed on a hash-ordered container — or vantage order leaks into
-/// detection input, checkpoints and reports, so `unordered-persist`
-/// covers these files even when they never name the codec.
-pub const MERGE_FILES: &[&str] = &[
-    "crates/core/src/shard.rs",
-    "crates/signals/src/fusion.rs",
-    "crates/netsim/src/vantage.rs",
-];
+/// The ordered-merge surface: files that fold per-shard or per-vantage
+/// results into one and never name the codec. The fold must be order-free
+/// or roster-ordered — never keyed on a hash-ordered container — or shard
+/// or vantage order leaks into detection input, checkpoints and reports,
+/// so `unordered-persist` covers these files too. `shard.rs` reduces the
+/// supervised shards' outcomes and `fusion.rs` holds `fuse_block`; the
+/// roster fold that calls it, `Quorum::fuse` in `pipeline.rs`, is covered
+/// because that file names `Persist`. Nothing checks this list against
+/// the code, so an entry must name a file that folds.
+pub const MERGE_FILES: &[&str] = &["crates/core/src/shard.rs", "crates/signals/src/fusion.rs"];
 
 /// The registry, in diagnostic-priority order.
 pub const RULES: &[Rule] = &[

@@ -439,11 +439,6 @@ impl<T: Transport> FaultyTransport<T> {
         &self.intensity
     }
 
-    /// Unwraps the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     /// Crafts a deterministic unsolicited packet for probe `seq`: odd
     /// hashes produce raw garbage, even ones a spoofed echo reply from the
     /// probed address that fails stateless validation.

@@ -159,19 +159,6 @@ impl PowerCalendar {
         }
         out
     }
-
-    /// Total blackout hours over an inclusive range, summed across oblasts
-    /// (the paper's "1,951 hours in 2024" is the Ukrenergo-reported mean
-    /// aggregate; we expose the raw sum and let callers normalize).
-    pub fn total_hours(&self, from: CivilDate, to: CivilDate) -> f64 {
-        let mut total = 0.0;
-        let mut d = from;
-        while d <= to {
-            total += self.day_row(d).iter().sum::<f64>();
-            d = d.plus_days(1);
-        }
-        total
-    }
 }
 
 #[cfg(test)]

@@ -3,17 +3,14 @@
 //! [`faults`](crate::faults) injects hostility into the *measured network*;
 //! this module injects hostility into the *measurement machinery itself*.
 //! The shard supervisor in `fbs-core` splits each round's per-block work
-//! into deterministic shards and must survive a worker that crashes, wedges
-//! past its deadline, or merely runs slow. Those failure modes cannot be
-//! provoked on demand from real hardware, so the chaos matrix scripts them:
+//! into deterministic shards and must survive a worker that crashes or
+//! wedges past its deadline. Those failure modes cannot be provoked on
+//! demand from real hardware, so the chaos matrix scripts them:
 //!
 //! * [`ShardFaultKind::Panic`] — the shard task panics outright and the
 //!   supervisor must contain it with `catch_unwind`;
-//! * [`ShardFaultKind::Stall`] — the shard's virtual execution cost is
-//!   inflated past its deadline budget, tripping the watchdog;
-//! * [`ShardFaultKind::Jitter`] — the shard runs slow but finishes inside
-//!   its budget: no supervision action, just schedule skew, which the
-//!   deterministic merge must absorb without changing a single byte.
+//! * [`ShardFaultKind::Stall`] — the attempt misses its deadline, and the
+//!   supervisor's watchdog abandons it as a timeout.
 //!
 //! Determinism follows the same contract as every other noise source: each
 //! trigger decision is a pure hash of `(round, shard, attempt)` under the
@@ -36,20 +33,9 @@ pub enum ShardFaultKind {
     /// The shard task panics mid-flight; the supervisor must isolate the
     /// unwind and schedule a retry.
     Panic,
-    /// The shard wedges: its virtual execution cost is inflated by
-    /// `extra_ns`, pushing it past the per-shard deadline so the watchdog
-    /// declares a timeout.
-    Stall {
-        /// Virtual nanoseconds added to the shard's execution cost.
-        extra_ns: u64,
-    },
-    /// The shard runs slow but completes: `extra_ns` is added to its
-    /// virtual cost without (by construction of the test plan) crossing
-    /// the deadline. Exercises merge determinism under schedule skew.
-    Jitter {
-        /// Virtual nanoseconds added to the shard's execution cost.
-        extra_ns: u64,
-    },
+    /// The shard wedges past its deadline; the watchdog abandons the
+    /// attempt as a timeout without running it.
+    Stall,
 }
 
 /// One scripted shard-fault window: a fault striking specific shards over
@@ -125,7 +111,7 @@ impl ShardFaultWindow {
 /// A serde-loadable schedule of shard faults over the campaign.
 ///
 /// The first window covering a `(round, shard, attempt)` coordinate wins,
-/// so a plan can layer a broad low-probability jitter window under a
+/// so a plan can layer a broad low-probability stall window under a
 /// pinpoint scripted panic without the two compounding.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
@@ -272,7 +258,7 @@ mod tests {
                 5..6,
                 Vec::new(),
                 3,
-                ShardFaultKind::Stall { extra_ns: 1 },
+                ShardFaultKind::Stall,
             )],
         };
         for shard in 0..8 {
@@ -289,13 +275,7 @@ mod tests {
         let plan = ShardFaultPlan {
             windows: vec![
                 ShardFaultWindow::scripted("pin", 10..11, vec![0], 1, ShardFaultKind::Panic),
-                ShardFaultWindow::scripted(
-                    "broad",
-                    0..100,
-                    Vec::new(),
-                    1,
-                    ShardFaultKind::Jitter { extra_ns: 7 },
-                ),
+                ShardFaultWindow::scripted("broad", 0..100, Vec::new(), 1, ShardFaultKind::Stall),
             ],
         };
         assert_eq!(
@@ -305,7 +285,7 @@ mod tests {
         );
         assert_eq!(
             plan.fault_at(&rng, Round(10), 1, 0),
-            Some(ShardFaultKind::Jitter { extra_ns: 7 })
+            Some(ShardFaultKind::Stall)
         );
     }
 

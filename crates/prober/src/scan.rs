@@ -451,19 +451,9 @@ pub mod loopback {
             self.hosts.insert(addr, rtt_ns);
         }
 
-        /// Removes a host (it stops responding).
-        pub fn remove_host(&mut self, addr: Ipv4Addr) {
-            self.hosts.remove(&addr);
-        }
-
         /// Injects an arbitrary raw packet arriving at `arrival_ns`.
         pub fn inject(&mut self, arrival_ns: u64, bytes: Vec<u8>) {
             self.queue.push(Pending { arrival_ns, bytes });
-        }
-
-        /// Number of configured responsive hosts.
-        pub fn num_hosts(&self) -> usize {
-            self.hosts.len()
         }
     }
 

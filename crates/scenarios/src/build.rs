@@ -7,7 +7,7 @@ use fbs_netsim::{
     AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, Script, ScriptedEvent, StrikeEvent,
     World, WorldConfig, WorldRng, WorldScale,
 };
-use fbs_types::{Asn, BlockId, CivilDate, Oblast, Prefix, Round};
+use fbs_types::{Asn, BlockId, Oblast, Prefix, Round};
 
 /// A fully-specified scenario, ready to become a [`World`].
 pub struct Scenario {
@@ -409,12 +409,6 @@ fn frontline_noise(script: &mut Script, rng: &WorldRng, ases: &[AsSpec], rounds:
             }
         }
     }
-}
-
-/// Dates marking the campaign period analyzed by every bench (the paper's
-/// window): `2022-03-02 .. 2025-02-24`.
-pub fn campaign_dates() -> (CivilDate, CivilDate) {
-    (CivilDate::new(2022, 3, 2), CivilDate::new(2025, 2, 24))
 }
 
 #[cfg(test)]

@@ -389,11 +389,6 @@ impl Detector {
         self.events.sort_by_key(|e| (e.start, e.signal.index()));
         self.events
     }
-
-    /// Events completed so far (open outages not included).
-    pub fn events_so_far(&self) -> &[OutageEvent] {
-        &self.events
-    }
 }
 
 impl Persist for SignalTrack {

@@ -99,11 +99,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends raw bytes without a length prefix.
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends an unsigned LEB128 varint: seven bits per byte, low bits
     /// first, the high bit set on every byte but the last.
     #[inline]

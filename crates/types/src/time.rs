@@ -271,11 +271,6 @@ impl MonthId {
         CivilDate::new(self.year(), self.month(), 1)
     }
 
-    /// Number of days in the month.
-    pub fn num_days(self) -> u8 {
-        self.first_date().days_in_month()
-    }
-
     /// The next month.
     pub fn next(self) -> MonthId {
         MonthId(self.0 + 1)

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ukraine_fbs::core::checkpoint::{JOURNAL_FILE, SNAPSHOT_FILE};
 use ukraine_fbs::core::classify::campaign_months;
 use ukraine_fbs::core::dataset::{availability_csv, availability_rows, outage_csv, outage_rows};
-use ukraine_fbs::core::CheckpointPolicy;
+use ukraine_fbs::core::{CheckpointPolicy, SHARD_RETRIES};
 use ukraine_fbs::journal;
 use ukraine_fbs::netsim::{
     AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, FaultWindow,
@@ -261,7 +261,7 @@ fn multi_shard_campaign(threads: usize, roster: bool) -> Campaign {
                     "lost",
                     125..135,
                     vec![4],
-                    cfg.shard_retries + 1,
+                    SHARD_RETRIES + 1,
                     ShardFaultKind::Panic,
                 ),
             ],
@@ -665,69 +665,71 @@ fn faulted_single_vantage_campaign_writes_pinned_bytes() {
     let none = FaultIntensity::default();
     let feed_none = FeedFaultIntensity::default();
     for threads in [1usize, 2] {
-        let mut cfg = CampaignConfig::default();
-        cfg.threads = threads;
-        cfg.fault_plan = Some(FaultPlan {
-            baseline: FaultIntensity {
-                reply_loss: 0.05,
-                latency_spike: 0.1,
-                latency_spike_ns: 60_000_000,
-                ..none
-            },
-            windows: vec![
-                FaultWindow::over_rounds(
-                    "icmp-budget",
-                    10..30,
-                    FaultIntensity {
-                        icmp_reply_budget: 40,
-                        ..none
-                    },
-                ),
-                FaultWindow::over_rounds(
-                    "blackout",
-                    100..110,
-                    FaultIntensity {
-                        reply_loss: 1.0,
-                        ..none
-                    },
-                ),
-            ],
-        });
-        cfg.feed_plan = Some(FeedFaultPlan {
-            windows: vec![
-                FeedFaultWindow::over_rounds(
-                    "bgp-corrupt",
-                    FeedKind::Bgp,
-                    30..80,
-                    FeedFaultIntensity {
-                        corrupt_records: 0.1,
-                        ..feed_none
-                    },
-                ),
-                FeedFaultWindow::over_rounds(
-                    "bgp-dark",
-                    FeedKind::Bgp,
-                    120..130,
-                    FeedFaultIntensity {
-                        drop: 1.0,
-                        ..feed_none
-                    },
-                ),
-            ],
-        });
-        cfg.ibr = Some(IbrConfig::with_dark_windows(vec![IbrDarkWindow {
-            start: 110,
-            end: 125,
-        }]));
-        cfg.shard_plan = Some(ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
-                "lose-shard",
-                70..80,
-                vec![1],
-                cfg.shard_retries + 1,
-                ShardFaultKind::Panic,
-            )],
-        });
+        let cfg = CampaignConfig {
+            threads,
+            fault_plan: Some(FaultPlan {
+                baseline: FaultIntensity {
+                    reply_loss: 0.05,
+                    latency_spike: 0.1,
+                    latency_spike_ns: 60_000_000,
+                    ..none
+                },
+                windows: vec![
+                    FaultWindow::over_rounds(
+                        "icmp-budget",
+                        10..30,
+                        FaultIntensity {
+                            icmp_reply_budget: 40,
+                            ..none
+                        },
+                    ),
+                    FaultWindow::over_rounds(
+                        "blackout",
+                        100..110,
+                        FaultIntensity {
+                            reply_loss: 1.0,
+                            ..none
+                        },
+                    ),
+                ],
+            }),
+            feed_plan: Some(FeedFaultPlan {
+                windows: vec![
+                    FeedFaultWindow::over_rounds(
+                        "bgp-corrupt",
+                        FeedKind::Bgp,
+                        30..80,
+                        FeedFaultIntensity {
+                            corrupt_records: 0.1,
+                            ..feed_none
+                        },
+                    ),
+                    FeedFaultWindow::over_rounds(
+                        "bgp-dark",
+                        FeedKind::Bgp,
+                        120..130,
+                        FeedFaultIntensity {
+                            drop: 1.0,
+                            ..feed_none
+                        },
+                    ),
+                ],
+            }),
+            ibr: Some(IbrConfig::with_dark_windows(vec![IbrDarkWindow {
+                start: 110,
+                end: 125,
+            }])),
+            shard_plan: Some(ShardFaultPlan {
+                windows: vec![ShardFaultWindow::scripted(
+                    "lose-shard",
+                    70..80,
+                    vec![1],
+                    SHARD_RETRIES + 1,
+                    ShardFaultKind::Panic,
+                )],
+            }),
+            ..CampaignConfig::default()
+        };
         let world = scenarios::ukraine_with_rounds(WorldScale::Tiny, 42, ROUNDS)
             .into_world()
             .expect("tiny world");

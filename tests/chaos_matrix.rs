@@ -1022,7 +1022,7 @@ fn world_two_shards(seed: u64, events: Vec<ScriptedEvent>) -> World {
 }
 
 /// The shard chaos mix against slot 1: a retried panic, a retry-exhausting
-/// panic, and a deadline overrun (the stall dwarfs the 1 s virtual budget).
+/// panic, and a retry-exhausting deadline overrun.
 fn shard_chaos_plan() -> ShardFaultPlan {
     ShardFaultPlan {
         windows: vec![
@@ -1045,9 +1045,7 @@ fn shard_chaos_plan() -> ShardFaultPlan {
                 SHARD_STALL,
                 vec![1],
                 3,
-                ShardFaultKind::Stall {
-                    extra_ns: 2_000_000_000,
-                },
+                ShardFaultKind::Stall,
             ),
         ],
     }
